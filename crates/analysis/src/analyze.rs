@@ -20,10 +20,11 @@ use crate::patterns::{
 use crate::replay::{prev_mpi_sync, prev_sync, replay_view, LocalReplay, SegClass};
 use nrlt_observe::{ChainLink, RunObserve, WaitProvenance};
 use nrlt_profile::{CallPathId, Metric, Profile};
-use nrlt_telemetry::sample::{self, frames};
-use nrlt_telemetry::Telemetry;
+use nrlt_telemetry::sample::frames;
+use nrlt_telemetry::{Phase, Telemetry};
 use nrlt_trace::{ClockKind, Trace, TraceView};
 use std::collections::BTreeMap;
+use std::time::Instant;
 
 /// Longest causal chain kept per wait-state provenance record — the
 /// most recent events on the delayer before the wait (older links are
@@ -45,9 +46,9 @@ impl Default for AnalysisConfig {
     }
 }
 
-/// Analyze a trace with default options.
+/// Analyze a resident trace with default options and no probes.
 pub fn analyze(trace: &Trace) -> Profile {
-    analyze_with(trace, &AnalysisConfig::default())
+    analyze_view(&TraceView::Resident(trace), &AnalysisConfig::default(), None, None)
 }
 
 /// One wait state scheduled for delay attribution.
@@ -62,40 +63,21 @@ struct WaitInstance {
     severity: u64,
 }
 
-/// Analyze a trace.
-pub fn analyze_with(trace: &Trace, config: &AnalysisConfig) -> Profile {
-    analyze_telemetry(trace, config, None)
-}
-
-/// Analyze a trace, optionally recording self-telemetry.
-pub fn analyze_telemetry(
-    trace: &Trace,
-    config: &AnalysisConfig,
-    tel: Option<&Telemetry>,
-) -> Profile {
-    analyze_observed(trace, config, tel, None)
-}
-
-/// [`analyze_telemetry`] with an optional resource observatory: for each
-/// wait state found, records its provenance (waiter/delayer call paths,
-/// the chain of events on the delayer that produced it, and — for
-/// physical-clock traces — how much injected noise falls into the causal
-/// window). `None` performs zero observability work.
-pub fn analyze_observed(
-    trace: &Trace,
-    config: &AnalysisConfig,
-    tel: Option<&Telemetry>,
-    obs: Option<&RunObserve>,
-) -> Profile {
-    analyze_view(&TraceView::Resident(trace), config, tel, obs)
-}
-
-/// [`analyze_observed`] over a [`TraceView`] — the streaming entry
-/// point. A spilled view is replayed through bounded per-location
-/// segment cursors, so the analysis holds O(locations × chunk) of raw
-/// events at a time; the [`LocalReplay`] products (segments, instances,
-/// sync lists) stay resident, exactly as on the in-memory path, which
-/// keeps the result byte-identical between the two.
+/// Analyze a [`TraceView`] — the streaming entry point. A spilled view
+/// is replayed through bounded per-location segment cursors, so the
+/// analysis holds O(locations × chunk) of raw events at a time; the
+/// [`LocalReplay`] products (segments, instances, sync lists) stay
+/// resident, exactly as on the in-memory path, which keeps the result
+/// byte-identical between the two.
+///
+/// Both probes are optional and do zero work when `None`:
+///
+/// * `tel` records one span per phase, per-pattern hit counters, replay
+///   throughput, and per-worker timing of the delay phase;
+/// * `obs` records, for each wait state found, its provenance
+///   (waiter/delayer call paths, the chain of events on the delayer that
+///   produced it, and — for physical-clock traces — how much injected
+///   noise falls into the causal window).
 pub fn analyze_view(
     view: &TraceView<'_>,
     config: &AnalysisConfig,
@@ -103,24 +85,12 @@ pub fn analyze_view(
     obs: Option<&RunObserve>,
 ) -> Profile {
     let defs = view.defs();
-    let mut _phase = tel.map(|t| t.span_cat("analyze.replay", "analysis"));
-    // Sampling-profiler frames mirror the phase spans. Frame pops are
-    // positional, so each transition drops the old guard (`= None`)
-    // *before* publishing the next frame.
-    let mut _sframe = Some(sample::frame(frames::ANALYZE_REPLAY));
+    let mut phase = Phase::new(tel, "analysis", "analyze.replay", frames::ANALYZE_REPLAY);
+    let replay_start = tel.map(|_| Instant::now());
     let (tree, locals) = replay_view(view);
-    if let Some(t) = tel {
-        // Replay throughput: events per wall millisecond of the replay span.
-        _phase = None;
-        // Under a parallel sweep several analyses interleave; read the
-        // replay span of *this* worker's track.
-        let track = nrlt_telemetry::current_track();
-        let replay_ns = t
-            .spans()
-            .iter()
-            .rev()
-            .find(|s| s.name == "analyze.replay" && s.track == track)
-            .map_or(0, |s| s.dur_ns);
+    if let (Some(t), Some(start)) = (tel, replay_start) {
+        // Replay throughput: events per wall millisecond of the replay.
+        let replay_ns = start.elapsed().as_nanos() as u64;
         t.add("analysis.replay.events", view.total_events() as u64);
         if let Some(rate) =
             (view.total_events() as u64).saturating_mul(1_000_000).checked_div(replay_ns)
@@ -165,10 +135,7 @@ pub fn analyze_view(
     }
 
     // --- point-to-point patterns -----------------------------------------
-    _phase = None;
-    _phase = tel.map(|t| t.span_cat("analyze.p2p", "analysis"));
-    _sframe = None;
-    _sframe = Some(sample::frame(frames::ANALYZE_P2P));
+    phase.next("analyze.p2p", frames::ANALYZE_P2P);
     let messages = match_messages(&locals, tpr);
     if let Some(t) = tel {
         t.add("analysis.messages_matched", messages.len() as u64);
@@ -237,10 +204,7 @@ pub fn analyze_view(
     }
 
     // --- collectives -------------------------------------------------------
-    _phase = None;
-    _phase = tel.map(|t| t.span_cat("analyze.collectives", "analysis"));
-    _sframe = None;
-    _sframe = Some(sample::frame(frames::ANALYZE_COLLECTIVES));
+    phase.next("analyze.collectives", frames::ANALYZE_COLLECTIVES);
     let collectives = gather_collectives(&locals, tpr);
     if let Some(t) = tel {
         t.add("analysis.collectives", collectives.len() as u64);
@@ -288,10 +252,7 @@ pub fn analyze_view(
     }
 
     // --- OpenMP barriers ----------------------------------------------------
-    _phase = None;
-    _phase = tel.map(|t| t.span_cat("analyze.omp_barriers", "analysis"));
-    _sframe = None;
-    _sframe = Some(sample::frame(frames::ANALYZE_OMP));
+    phase.next("analyze.omp_barriers", frames::ANALYZE_OMP);
     {
         let mut acc = DenseAdds::new(
             vec![Metric::OmpBarrierWait, Metric::OmpBarrierOverhead],
@@ -340,10 +301,7 @@ pub fn analyze_view(
     }
 
     // --- idle threads ---------------------------------------------------------
-    _phase = None;
-    _phase = tel.map(|t| t.span_cat("analyze.idle_threads", "analysis"));
-    _sframe = None;
-    _sframe = Some(sample::frame(frames::ANALYZE_IDLE));
+    phase.next("analyze.idle_threads", frames::ANALYZE_IDLE);
     if tpr > 1 {
         let mut acc = DenseAdds::new(vec![Metric::IdleThreads], n_paths, n_locs);
         for rank in 0..n_ranks {
@@ -360,10 +318,7 @@ pub fn analyze_view(
     }
 
     // --- delay costs -----------------------------------------------------------
-    _phase = None;
-    _phase = tel.map(|t| t.span_cat("analyze.delay_costs", "analysis"));
-    _sframe = None;
-    _sframe = Some(sample::frame(frames::ANALYZE_DELAY));
+    phase.next("analyze.delay_costs", frames::ANALYZE_DELAY);
     if let Some(t) = tel {
         t.add("analysis.wait_instances", waits.len() as u64);
     }

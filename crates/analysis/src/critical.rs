@@ -18,7 +18,7 @@ use crate::delay::SpanIndex;
 use crate::replay::replay;
 use nrlt_profile::{CallPathId, CallTree};
 use nrlt_trace::Trace;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// The critical path of a trace.
 #[derive(Debug, Clone)]
@@ -36,7 +36,9 @@ pub struct CriticalPath {
 impl CriticalPath {
     /// Per-call-path totals (summed over locations), sorted descending.
     pub fn by_callpath(&self) -> Vec<(CallPathId, u64)> {
-        let mut map: HashMap<CallPathId, u64> = HashMap::new();
+        // Ordered map + stable sort: equal shares keep call-path order,
+        // so the ranking never depends on hash iteration order.
+        let mut map: BTreeMap<CallPathId, u64> = BTreeMap::new();
         for &(p, _, v) in &self.contributions {
             *map.entry(p).or_default() += v;
         }

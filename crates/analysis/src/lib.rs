@@ -18,9 +18,7 @@ pub mod idle;
 pub mod patterns;
 pub mod replay;
 
-pub use analyze::{
-    analyze, analyze_observed, analyze_telemetry, analyze_view, analyze_with, AnalysisConfig,
-};
+pub use analyze::{analyze, analyze_view, AnalysisConfig};
 pub use causality::{
     assign_lamport_postprocess, assign_vector_clocks, concurrent, happens_before_edges,
     verify_clock_condition, Edge, EventId,

@@ -2,12 +2,13 @@
 //! → profile, asserting that known performance problems surface in the
 //! right metrics under both physical and logical clocks.
 
-use nrlt_analysis::{analyze, analyze_with, AnalysisConfig};
+use nrlt_analysis::{analyze, analyze_view, AnalysisConfig};
 use nrlt_exec::ExecConfig;
 use nrlt_measure::{measure, ClockMode, MeasureConfig};
 use nrlt_profile::{Metric, Profile};
 use nrlt_prog::{Cost, IterCost, Program, ProgramBuilder, Schedule};
 use nrlt_sim::{JobLayout, NoiseConfig};
+use nrlt_trace::TraceView;
 
 fn run(p: &Program, cfg: &ExecConfig, mode: ClockMode) -> Profile {
     let (trace, _) = measure(p, cfg, &MeasureConfig::new(mode));
@@ -219,8 +220,9 @@ fn analysis_is_deterministic() {
     let p = imbalanced_allreduce();
     let cfg = ExecConfig::jureca(1, JobLayout::block(4, 1), 1);
     let (trace, _) = measure(&p, &cfg, &MeasureConfig::new(ClockMode::Tsc));
-    let a = analyze_with(&trace, &AnalysisConfig { delay_costs: true, workers: 3 });
-    let b = analyze_with(&trace, &AnalysisConfig { delay_costs: true, workers: 7 });
+    let view = TraceView::Resident(&trace);
+    let a = analyze_view(&view, &AnalysisConfig { delay_costs: true, workers: 3 }, None, None);
+    let b = analyze_view(&view, &AnalysisConfig { delay_costs: true, workers: 7 }, None, None);
     // Same cells regardless of worker count.
     let ma = a.map_mc();
     let mb = b.map_mc();

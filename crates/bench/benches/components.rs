@@ -81,9 +81,11 @@ fn main() {
     println!("== analysis ==");
     bench("analyze_full", 10, || analyze(&trace));
     bench("analyze_no_delay", 10, || {
-        nrlt_core::analysis::analyze_with(
-            &trace,
+        nrlt_core::analysis::analyze_view(
+            &nrlt_core::trace::TraceView::Resident(&trace),
             &nrlt_core::analysis::AnalysisConfig { delay_costs: false, workers: 0 },
+            None,
+            None,
         )
     });
 

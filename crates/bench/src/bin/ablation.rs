@@ -25,7 +25,7 @@ fn reference_time(instance: &BenchmarkInstance) -> f64 {
     (0..3)
         .map(|rep| {
             let cfg = exec_config_for(instance, &opts.noise, opts.base_seed + 100 + rep);
-            nrlt_core::measure_sys::reference_run(&instance.program, &cfg).total.as_secs_f64()
+            reference_run_instrumented(&instance.program, &cfg, None, None).total.as_secs_f64()
         })
         .sum::<f64>()
         / 3.0
@@ -36,12 +36,11 @@ fn main() {
     // ---- 1. X/Y constants ------------------------------------------------
     header("Ablation 1: OpenMP-runtime effort constants (LULESH-1, lt_stmt)");
     let lulesh = lulesh_1();
-    let fitted =
-        h.run_mode_with(&lulesh, measure_config_for(&lulesh, ClockMode::LtStmt), &options());
+    let fitted = h.run_mode(&lulesh, measure_config_for(&lulesh, ClockMode::LtStmt), &options());
     let mut no_model = measure_config_for(&lulesh, ClockMode::LtStmt);
     no_model.effort.omp_call_basic_blocks = 0;
     no_model.effort.omp_call_statements = 0;
-    let ablated = h.run_mode_with(&lulesh, no_model, &options());
+    let ablated = h.run_mode(&lulesh, no_model, &options());
     println!(
         "with Y=4300 (fitted):  omp {:>5.2}%_T (management {:.2}, overhead {:.2})",
         fitted.mean.pct_t(Metric::Omp),
@@ -61,11 +60,11 @@ fn main() {
     header("Ablation 2: spin-wait instructions in lt_hwctr (LULESH-2)");
     let lulesh2 = lulesh_2();
     let with_spin =
-        h.run_mode_with(&lulesh2, measure_config_for(&lulesh2, ClockMode::LtHwctr), &options());
+        h.run_mode(&lulesh2, measure_config_for(&lulesh2, ClockMode::LtHwctr), &options());
     let mut no_spin = measure_config_for(&lulesh2, ClockMode::LtHwctr);
     no_spin.effort.spin_ipc_fraction = 0.0;
     no_spin.effort.spin_rate_sigma = 0.0;
-    let without_spin = h.run_mode_with(&lulesh2, no_spin, &options());
+    let without_spin = h.run_mode(&lulesh2, no_spin, &options());
     println!(
         "with spin accounting:    latesender {:>5.2}%_T, run-to-run J {:.3}",
         with_spin.mean.pct_t(Metric::LateSender),
@@ -83,11 +82,10 @@ fn main() {
     header("Ablation 3: measurement-induced desynchronisation (MiniFE-2, tsc)");
     let minife = minife_2();
     let reference = reference_time(&minife);
-    let with_desync =
-        h.run_mode_with(&minife, measure_config_for(&minife, ClockMode::Tsc), &options());
+    let with_desync = h.run_mode(&minife, measure_config_for(&minife, ClockMode::Tsc), &options());
     let mut no_desync = measure_config_for(&minife, ClockMode::Tsc);
     no_desync.overhead.desync = 0.0;
-    let without_desync = h.run_mode_with(&minife, no_desync, &options());
+    let without_desync = h.run_mode(&minife, no_desync, &options());
     let ovh = |m: &nrlt_core::ModeResult| {
         100.0 * (m.mean_run_time().as_secs_f64() - reference) / reference
     };
@@ -101,10 +99,10 @@ fn main() {
     let tealeaf = tealeaf_2();
     let reference = reference_time(&tealeaf);
     let with_buffers =
-        h.run_mode_with(&tealeaf, measure_config_for(&tealeaf, ClockMode::Tsc), &options());
+        h.run_mode(&tealeaf, measure_config_for(&tealeaf, ClockMode::Tsc), &options());
     let mut no_buffers = measure_config_for(&tealeaf, ClockMode::Tsc);
     no_buffers.overhead.buffer_footprint = 0;
-    let without_buffers = h.run_mode_with(&tealeaf, no_buffers, &options());
+    let without_buffers = h.run_mode(&tealeaf, no_buffers, &options());
     println!("with 2 MiB/location buffers: overhead {:>5.1}%", {
         100.0 * (with_buffers.mean_run_time().as_secs_f64() - reference) / reference
     });
@@ -115,11 +113,10 @@ fn main() {
 
     // ---- 5. piggyback messages ---------------------------------------------
     header("Ablation 5: piggyback synchronisation messages (MiniFE-2, lt_1)");
-    let with_piggy =
-        h.run_mode_with(&minife, measure_config_for(&minife, ClockMode::Lt1), &options());
+    let with_piggy = h.run_mode(&minife, measure_config_for(&minife, ClockMode::Lt1), &options());
     let mut free_piggy: MeasureConfig = measure_config_for(&minife, ClockMode::Lt1);
     free_piggy.overhead.piggyback_message = 0.0;
-    let without_piggy = h.run_mode_with(&minife, free_piggy, &options());
+    let without_piggy = h.run_mode(&minife, free_piggy, &options());
     let reference = reference_time(&minife);
     println!("extra sync messages costed: overhead {:>6.2}%", {
         100.0 * (with_piggy.mean_run_time().as_secs_f64() - reference) / reference

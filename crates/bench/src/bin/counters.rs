@@ -24,7 +24,7 @@ fn main() {
 
     for instance in [minife_1(), lulesh_2()] {
         header(&format!("hwctr counter study on {}", instance.name));
-        let tsc = h.run_mode(&instance, ClockMode::Tsc, &options());
+        let tsc = h.run_mode(&instance, measure_config_for(&instance, ClockMode::Tsc), &options());
         let tsc_map = tsc.mean.map_mc();
         println!(
             "{:<14} {:>9} {:>9} | {:>7} {:>7} {:>7}",
@@ -42,7 +42,7 @@ fn main() {
         for (name, source) in sources {
             let mut mcfg = measure_config_for(&instance, ClockMode::LtHwctr);
             mcfg.effort.hwctr_source = source;
-            let res = h.run_mode_with(&instance, mcfg, &options());
+            let res = h.run_mode(&instance, mcfg, &options());
             println!(
                 "{:<14} {:>9.3} {:>9.3} | {:>7.1} {:>7.1} {:>7.1}",
                 name,

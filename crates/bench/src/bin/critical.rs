@@ -6,7 +6,7 @@
 use nrlt_bench::{header, Harness};
 use nrlt_core::analysis::critical_path;
 use nrlt_core::exec_config_for;
-use nrlt_core::measure_sys::{measure_telemetry, MeasureConfig};
+use nrlt_core::measure_sys::{measure_prepared_spilled, prepare_measure, MeasureConfig};
 use nrlt_core::prelude::*;
 
 fn main() {
@@ -21,13 +21,18 @@ fn main() {
                 1000,
                 1,
             );
-            let (trace, _) = measure_telemetry(
+            let (trace, _) = measure_prepared_spilled(
                 &instance.program,
+                &prepare_measure(&instance.program, &cfg),
                 &cfg,
                 &MeasureConfig::new(mode),
+                None,
                 h.telemetry(),
+                None,
+                None,
             );
-            let cp = critical_path(&trace);
+            let trace = trace.as_resident().expect("no trace budget: the trace stays resident");
+            let cp = critical_path(trace);
             println!(
                 "{}: length {} ticks, {} hops, {:.0}% attributed to computation",
                 mode.name(),

@@ -13,9 +13,9 @@
 //! exact same operation sequence.
 
 use nrlt_bench::bench_json::{self, BenchEntry};
+use nrlt_bench::Flags;
 use nrlt_core::exec::{LadderQueue, WildcardBook};
 use nrlt_core::sim::{jitter_factor, RngFactory, StreamKind};
-use std::path::PathBuf;
 use std::time::Instant;
 
 /// Deterministic 64-bit LCG (MMIX constants) for workload shapes.
@@ -88,21 +88,7 @@ fn bench_noise_batch(n_batches: usize) -> (u64, u64) {
 }
 
 fn main() {
-    let mut bench_json_path: Option<PathBuf> = None;
-    let mut history_path: Option<PathBuf> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        if a == "--bench-json" {
-            bench_json_path = args.next().map(PathBuf::from);
-        } else if let Some(v) = a.strip_prefix("--bench-json=") {
-            bench_json_path = Some(PathBuf::from(v));
-        } else if a == "--history" {
-            history_path = args.next().map(PathBuf::from);
-        } else if let Some(v) = a.strip_prefix("--history=") {
-            history_path = Some(PathBuf::from(v));
-        }
-    }
-
+    let flags = Flags::from_env();
     println!("\n=== engine microbenchmarks ===");
     /// One microbench kernel: run `n` units, return (ops, sink).
     type Kernel = fn(usize) -> (u64, u64);
@@ -130,18 +116,15 @@ fn main() {
             events_per_sec: ops as f64 / wall,
             overhead_vs_plain_pct: None,
             peak_rss_bytes: bench_json::peak_rss_bytes(),
-            p50_ns: 0,
-            p95_ns: 0,
-            p99_ns: 0,
         });
     }
-    if let Some(path) = bench_json_path {
+    if let Some(path) = flags.bench_json {
         match bench_json::merge_and_write(&path, &entries) {
             Ok(()) => eprintln!("perf baseline written to {}", path.display()),
             Err(e) => eprintln!("warning: could not write perf baseline: {e}"),
         }
     }
-    if let Some(path) = history_path {
+    if let Some(path) = flags.history {
         let record = nrlt_report::HistoryRecord {
             schema: nrlt_report::HISTORY_SCHEMA_VERSION,
             unix_time: std::time::SystemTime::now()

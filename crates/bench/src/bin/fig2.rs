@@ -2,6 +2,7 @@
 //! repetitions and their mean, per measurement method.
 
 use nrlt_bench::{header, modes, paper_options, Harness};
+use nrlt_core::measure_config_for;
 use nrlt_core::prelude::*;
 
 fn main() {
@@ -21,7 +22,7 @@ fn main() {
         .collect();
     print_row("reference", &ref_times);
     for mode in modes() {
-        let m = h.run_mode(&instance, mode, &options);
+        let m = h.run_mode(&instance, measure_config_for(&instance, mode), &options);
         let times: Vec<f64> =
             m.phase_times.iter().map(|p| p["structure_gen"].as_secs_f64()).collect();
         print_row(mode.name(), &times);

@@ -40,10 +40,12 @@ const REPORT_TOP_N: usize = 10;
 /// Per-binary telemetry + perf-baseline harness.
 ///
 /// Every figure/table binary accepts `--telemetry <dir>` (also
-/// `--telemetry=<dir>`). Without the flag the harness is inert: no
-/// [`Telemetry`] handle exists, the pipeline runs on its `None` paths,
-/// and output is byte-identical to before the flag existed. With the
-/// flag, [`Harness::finish`] writes `manifest.json`, `metrics.jsonl`,
+/// `--telemetry=<dir>`; every flag below takes both forms, and a
+/// missing or malformed value exits with an error — see [`Flags`]).
+/// Without the flag the harness is inert: no [`Telemetry`] handle
+/// exists, the pipeline runs on its `None` paths, and output is
+/// byte-identical to before the flag existed. With the flag,
+/// [`Harness::finish`] writes `manifest.json`, `metrics.jsonl`,
 /// `pipeline.trace.json`, and `summary.txt` into the directory.
 ///
 /// Further flags:
@@ -145,104 +147,117 @@ pub struct Harness {
     started: Instant,
 }
 
-impl Harness {
-    /// Build a harness for binary `bin`, reading `--telemetry <dir>`,
-    /// `--jobs N`, `--bench-json <path>`, `--report <dir>`, and
-    /// `--only <name>` from the command line.
-    pub fn from_env(bin: &str) -> Harness {
-        let mut dir = None;
-        let mut report_dir = None;
-        let mut observe_dir = None;
-        let mut engineprof_dir = None;
-        let mut sample_dir = None;
-        let mut sample_rate = None;
-        let mut history = None;
-        let mut only = None;
-        let mut jobs = None;
-        let mut trace_budget = None;
-        let mut rss_limit = None;
-        let mut bench_json = None;
-        let mut args = std::env::args().skip(1);
-        while let Some(a) = args.next() {
-            if a == "--telemetry" {
-                dir = args.next().map(PathBuf::from);
-            } else if let Some(d) = a.strip_prefix("--telemetry=") {
-                dir = Some(PathBuf::from(d));
-            } else if a == "--report" {
-                report_dir = args.next().map(PathBuf::from);
-            } else if let Some(d) = a.strip_prefix("--report=") {
-                report_dir = Some(PathBuf::from(d));
-            } else if a == "--observe" {
-                observe_dir = args.next().map(PathBuf::from);
-            } else if let Some(d) = a.strip_prefix("--observe=") {
-                observe_dir = Some(PathBuf::from(d));
-            } else if a == "--engine-prof" {
-                engineprof_dir = args.next().map(PathBuf::from);
-            } else if let Some(d) = a.strip_prefix("--engine-prof=") {
-                engineprof_dir = Some(PathBuf::from(d));
-            } else if a == "--sample-prof" {
-                sample_dir = args.next().map(PathBuf::from);
-            } else if let Some(d) = a.strip_prefix("--sample-prof=") {
-                sample_dir = Some(PathBuf::from(d));
-            } else if a == "--sample-rate" {
-                sample_rate = args.next().and_then(|v| v.parse().ok());
-            } else if let Some(v) = a.strip_prefix("--sample-rate=") {
-                sample_rate = v.parse().ok();
-            } else if a == "--history" {
-                history = args.next().map(PathBuf::from);
-            } else if let Some(d) = a.strip_prefix("--history=") {
-                history = Some(PathBuf::from(d));
-            } else if a == "--only" {
-                only = args.next();
-            } else if let Some(v) = a.strip_prefix("--only=") {
-                only = Some(v.to_owned());
-            } else if a == "--jobs" {
-                jobs = args.next().and_then(|v| v.parse().ok());
-            } else if let Some(v) = a.strip_prefix("--jobs=") {
-                jobs = v.parse().ok();
-            } else if a == "--trace-budget" {
-                trace_budget = args.next().as_deref().and_then(parse_bytes);
-            } else if let Some(v) = a.strip_prefix("--trace-budget=") {
-                trace_budget = parse_bytes(v);
-            } else if a == "--rss-limit" {
-                rss_limit = args.next().as_deref().and_then(parse_bytes);
-            } else if let Some(v) = a.strip_prefix("--rss-limit=") {
-                rss_limit = parse_bytes(v);
-            } else if a == "--bench-json" {
-                bench_json = args.next().map(PathBuf::from);
-            } else if let Some(v) = a.strip_prefix("--bench-json=") {
-                bench_json = Some(PathBuf::from(v));
+/// The harness's command-line flags (documented on [`Harness`]). Each
+/// takes a value, as `--name value` or `--name=value`; arguments that
+/// are not harness flags are left to the binary.
+#[derive(Debug, Default, PartialEq)]
+pub struct Flags {
+    /// `--telemetry <dir>`.
+    pub telemetry: Option<PathBuf>,
+    /// `--report <dir>`.
+    pub report: Option<PathBuf>,
+    /// `--observe <dir>`.
+    pub observe: Option<PathBuf>,
+    /// `--engine-prof <dir>`.
+    pub engine_prof: Option<PathBuf>,
+    /// `--sample-prof <dir>`.
+    pub sample_prof: Option<PathBuf>,
+    /// `--sample-rate <hz>`.
+    pub sample_rate: Option<u32>,
+    /// `--history <path>`.
+    pub history: Option<PathBuf>,
+    /// `--only <name>`.
+    pub only: Option<String>,
+    /// `--jobs <n>`.
+    pub jobs: Option<usize>,
+    /// `--trace-budget <bytes>` (see [`parse_bytes`]).
+    pub trace_budget: Option<u64>,
+    /// `--rss-limit <bytes>` (see [`parse_bytes`]).
+    pub rss_limit: Option<u64>,
+    /// `--bench-json <path>`.
+    pub bench_json: Option<PathBuf>,
+}
+
+impl Flags {
+    /// The flags of this process; prints the error and exits with
+    /// status 2 when one is malformed.
+    pub fn from_env() -> Flags {
+        Flags::parse(std::env::args().skip(1)).unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(2)
+        })
+    }
+
+    /// Parse `args` (without the program name). A harness flag with a
+    /// missing, empty or unparsable value is an error.
+    pub fn parse(args: impl IntoIterator<Item = String>) -> Result<Flags, String> {
+        let mut flags = Flags::default();
+        let mut args = args.into_iter();
+        while let Some(arg) = args.next() {
+            let Some(flag) = arg.strip_prefix("--") else { continue };
+            let (name, inline) = match flag.split_once('=') {
+                Some((name, value)) => (name, Some(value.to_owned())),
+                None => (flag, None),
+            };
+            let set: fn(&mut Flags, &str) -> Option<()> = match name {
+                "telemetry" => |f, v| path(v).map(|p| f.telemetry = Some(p)),
+                "report" => |f, v| path(v).map(|p| f.report = Some(p)),
+                "observe" => |f, v| path(v).map(|p| f.observe = Some(p)),
+                "engine-prof" => |f, v| path(v).map(|p| f.engine_prof = Some(p)),
+                "sample-prof" => |f, v| path(v).map(|p| f.sample_prof = Some(p)),
+                "sample-rate" => |f, v| v.parse().ok().map(|hz| f.sample_rate = Some(hz)),
+                "history" => |f, v| path(v).map(|p| f.history = Some(p)),
+                "only" => |f, v| (!v.is_empty()).then(|| f.only = Some(v.to_owned())),
+                "jobs" => |f, v| v.parse().ok().map(|n| f.jobs = Some(n)),
+                "trace-budget" => |f, v| parse_bytes(v).map(|b| f.trace_budget = Some(b)),
+                "rss-limit" => |f, v| parse_bytes(v).map(|b| f.rss_limit = Some(b)),
+                "bench-json" => |f, v| path(v).map(|p| f.bench_json = Some(p)),
+                _ => continue,
+            };
+            let value = inline.or_else(|| args.next()).unwrap_or_default();
+            if set(&mut flags, &value).is_none() {
+                return Err(format!("--{name}: invalid value {value:?}"));
             }
         }
+        Ok(flags)
+    }
+}
+
+impl Harness {
+    /// Build a harness for binary `bin` from the command-line flags
+    /// (see [`Flags`]); exits with status 2 on a malformed flag.
+    pub fn from_env(bin: &str) -> Harness {
+        let flags = Flags::from_env();
         // The sampler is strictly opt-in: without `--sample-prof` no
         // profiler exists, nothing is installed, and `sample::frame`
         // calls throughout the pipeline stay no-op branches.
-        let sprof = sample_dir
+        let sprof = flags
+            .sample_prof
             .is_some()
-            .then(|| SampleProf::with_rate(sample_rate.unwrap_or(sample::DEFAULT_RATE_HZ)));
+            .then(|| SampleProf::with_rate(flags.sample_rate.unwrap_or(sample::DEFAULT_RATE_HZ)));
         let sprof_guard = sprof.as_ref().map(SampleProf::install);
         let harness_frame = sprof_guard.is_some().then(|| sample::frame(frames::HARNESS));
         Harness {
             bin: bin.to_owned(),
-            tel: (dir.is_some() || report_dir.is_some()).then(Telemetry::new),
+            tel: (flags.telemetry.is_some() || flags.report.is_some()).then(Telemetry::new),
             manifest: Manifest::new(bin),
-            dir,
-            report_dir,
-            obs: observe_dir.is_some().then(Observe::new),
-            observe_dir,
-            prof: engineprof_dir.is_some().then(EngineProf::new),
-            engineprof_dir,
-            sample_dir,
+            dir: flags.telemetry,
+            report_dir: flags.report,
+            obs: flags.observe.is_some().then(Observe::new),
+            observe_dir: flags.observe,
+            prof: flags.engine_prof.is_some().then(EngineProf::new),
+            engineprof_dir: flags.engine_prof,
+            sample_dir: flags.sample_prof,
             sprof,
             sprof_guard,
             harness_frame,
-            history,
-            only,
-            jobs,
-            trace_budget,
-            rss_limit,
+            history: flags.history,
+            only: flags.only,
+            jobs: flags.jobs,
+            trace_budget: flags.trace_budget,
+            rss_limit: flags.rss_limit,
             rss_hwm: 0,
-            bench_json,
+            bench_json: flags.bench_json,
             bench_entries: Vec::new(),
             report_text: String::new(),
             report_json: Vec::new(),
@@ -305,9 +320,6 @@ impl Harness {
                 // Derived against the comparison twin at merge time.
                 overhead_vs_plain_pct: None,
                 peak_rss_bytes,
-                p50_ns: 0,
-                p95_ns: 0,
-                p99_ns: 0,
             });
         }
     }
@@ -386,32 +398,10 @@ impl Harness {
         result
     }
 
-    /// [`nrlt_core::run_mode`] through the harness.
+    /// [`nrlt_core::run_mode_with_instrumented`] through the harness:
+    /// one clock mode under an explicit measurement configuration
+    /// ([`nrlt_core::measure_config_for`] gives the calibrated one).
     pub fn run_mode(
-        &mut self,
-        instance: &BenchmarkInstance,
-        mode: ClockMode,
-        options: &ExperimentOptions,
-    ) -> ModeResult {
-        let options = self.apply_jobs(options);
-        let name = format!("{}:{}", instance.name, mode.name());
-        self.push_run(name.clone(), instance, &options);
-        let start = Instant::now();
-        let result = nrlt_core::run_mode_with_instrumented(
-            instance,
-            nrlt_core::measure_config_for(instance, mode),
-            &options,
-            self.tel.as_ref(),
-            self.obs.as_ref(),
-            self.prof.as_ref(),
-        );
-        self.record_bench(name, options.jobs, start.elapsed().as_secs_f64(), result.events);
-        self.record_mode_report(&result);
-        result
-    }
-
-    /// [`nrlt_core::run_mode_with`] through the harness.
-    pub fn run_mode_with(
         &mut self,
         instance: &BenchmarkInstance,
         mcfg: MeasureConfig,
@@ -618,6 +608,11 @@ fn write_sample_bundle(dir: &PathBuf, prof: &SampleProf) -> std::io::Result<()> 
     std::fs::write(dir.join("sampleprof.wall.json"), json)
 }
 
+/// A flag value naming a file or directory: any non-empty string.
+fn path(v: &str) -> Option<PathBuf> {
+    (!v.is_empty()).then(|| PathBuf::from(v))
+}
+
 /// Parse a byte count with an optional `k`/`m`/`g` suffix (case
 /// insensitive): `"65536"`, `"64k"`, `"64m"`, `"2g"`. `None` for
 /// anything else.
@@ -691,5 +686,38 @@ pub fn callpath_bars(result: &ExperimentResult, metric: Metric, min_pct: f64) {
             print!(" {v:>8.1}");
         }
         println!();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Flags, String> {
+        Flags::parse(args.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn flags_take_both_forms_and_leave_other_arguments_alone() {
+        let flags = parse(&["LULESH-1", "--jobs", "2", "--detail", "--rss-limit=4g"]).unwrap();
+        assert_eq!(flags.jobs, Some(2));
+        assert_eq!(flags.rss_limit, Some(4 << 30));
+        assert_eq!(flags.telemetry, None);
+        assert_eq!(parse(&["--only=MiniFE-1"]).unwrap().only.as_deref(), Some("MiniFE-1"));
+    }
+
+    #[test]
+    fn malformed_flag_values_are_rejected() {
+        for bad in [
+            &["--rss-limit", "4x"][..],
+            &["--jobs", "two"],
+            &["--jobs=-1"],
+            &["--sample-rate", "fast"],
+            &["--trace-budget="],
+            &["--telemetry"],
+        ] {
+            let err = parse(bad).expect_err(&format!("{bad:?} must be rejected"));
+            assert!(err.starts_with(bad[0].split('=').next().unwrap()), "{err}");
+        }
     }
 }

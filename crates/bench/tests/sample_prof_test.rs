@@ -40,8 +40,10 @@ fn options() -> ExperimentOptions {
 #[test]
 fn disabled_profiler_sees_no_publications_from_a_pipeline_run() {
     let prof = SampleProf::new();
-    // No install: pipeline threads must not find (or create) any slot.
-    let result = nrlt_core::run_experiment(&tiny_instance(), &options());
+    // No install: pipeline threads must not find (or create) any slot,
+    // even where the full entry point opens its phase guards.
+    let result =
+        nrlt_core::run_experiment_instrumented(&tiny_instance(), &options(), None, None, None);
     assert!(result.events > 0, "pipeline did run");
     assert_eq!(prof.publishes(), 0, "uninstalled profiler saw frame publications");
     assert_eq!(prof.active_slots(), 0, "uninstalled profiler has registered slots");

@@ -25,7 +25,7 @@ use nrlt_profile::{jaccard, min_pairwise_jaccard, Profile};
 use nrlt_prog::PhaseId;
 use nrlt_sim::{NoiseConfig, VirtualDuration};
 use nrlt_telemetry::sample::{self, frames};
-use nrlt_telemetry::Telemetry;
+use nrlt_telemetry::{Phase, Telemetry};
 use std::collections::BTreeMap;
 
 /// Options of one experiment.
@@ -191,28 +191,14 @@ pub fn run_mode(
     mode: ClockMode,
     options: &ExperimentOptions,
 ) -> ModeResult {
-    run_mode_with(instance, measure_config_for(instance, mode), options)
-}
-
-/// [`run_mode`] with optional self-telemetry.
-pub fn run_mode_telemetry(
-    instance: &BenchmarkInstance,
-    mode: ClockMode,
-    options: &ExperimentOptions,
-    tel: Option<&Telemetry>,
-) -> ModeResult {
-    run_mode_with_telemetry(instance, measure_config_for(instance, mode), options, tel)
-}
-
-/// Like [`run_mode`], with an explicit measurement configuration — the
-/// entry point for ablation studies that tweak overhead or effort
-/// parameters away from their calibrated defaults.
-pub fn run_mode_with(
-    instance: &BenchmarkInstance,
-    mcfg: MeasureConfig,
-    options: &ExperimentOptions,
-) -> ModeResult {
-    run_mode_with_telemetry(instance, mcfg, options, None)
+    run_mode_with_instrumented(
+        instance,
+        measure_config_for(instance, mode),
+        options,
+        None,
+        None,
+        None,
+    )
 }
 
 /// One measured (mode, repetition) cell: what the merge step needs.
@@ -233,13 +219,13 @@ fn cell_analysis_config(fan: usize) -> AnalysisConfig {
     AnalysisConfig { delay_costs: true, workers: if fan > 1 { 1 } else { 0 } }
 }
 
-/// Measure + analyze one repetition of one mode. Fully self-contained:
-/// the seed derives from `base_seed + rep`, the trace and analysis are
-/// cell-local, and the shared preparation is read-only. When `obs` is
-/// set, the cell records its machine observations under the
-/// deterministic run name `{instance}:{mode}:rep{rep}` and attaches
-/// them on completion — the keyed merge makes the bundle independent of
-/// worker count and completion order.
+/// Measure + analyze one repetition of one mode, under a `mode:{name}`
+/// phase. Fully self-contained: the seed derives from `base_seed + rep`,
+/// the trace and analysis are cell-local, and the shared preparation is
+/// read-only. The cell's observatory and engine-profile runs are named
+/// `{instance}:{mode}:rep{rep}` and attached on completion — the keyed
+/// merge makes the bundles independent of worker count and completion
+/// order.
 #[allow(clippy::too_many_arguments)]
 fn run_cell(
     instance: &BenchmarkInstance,
@@ -252,11 +238,11 @@ fn run_cell(
     obs: Option<&Observe>,
     prof: Option<&EngineProf>,
 ) -> CellResult {
-    let _frame = sample::frame(frames::MODE_CELL);
-    let run =
-        obs.map(|_| RunObserve::new(format!("{}:{}:rep{rep}", instance.name, mcfg.mode.name())));
-    let prof_run =
-        prof.map(|_| RunProf::new(format!("{}:{}:rep{rep}", instance.name, mcfg.mode.name())));
+    let mode = mcfg.mode.name();
+    let _phase = Phase::new(tel, "experiment", format!("mode:{mode}"), frames::MODE_CELL);
+    let name = format!("{}:{mode}:rep{rep}", instance.name);
+    let run = obs.map(|_| RunObserve::new(name.clone()));
+    let prof_run = prof.map(|_| RunProf::new(name));
     let cfg = exec_config_for(instance, &options.noise, options.base_seed + rep as u64);
     let (trace, result) = measure_prepared_spilled(
         &instance.program,
@@ -276,6 +262,18 @@ fn run_cell(
     if let Some(t) = tel {
         t.incr("experiment.repetitions");
     }
+    attach(obs, run, prof, prof_run);
+    CellResult { profile, run_time: result.total, phases, events: result.events }
+}
+
+/// Hand a finished cell's observations and engine profile to the
+/// experiment-wide sinks.
+fn attach(
+    obs: Option<&Observe>,
+    run: Option<RunObserve>,
+    prof: Option<&EngineProf>,
+    prof_run: Option<RunProf>,
+) {
     if let (Some(o), Some(run)) = (obs, run) {
         o.attach(run);
     }
@@ -283,7 +281,6 @@ fn run_cell(
         let (name, data) = run.finish();
         p.attach(name, data);
     }
-    CellResult { profile, run_time: result.total, phases, events: result.events }
 }
 
 fn mode_repetitions(mode: ClockMode, options: &ExperimentOptions) -> u32 {
@@ -294,39 +291,24 @@ fn mode_repetitions(mode: ClockMode, options: &ExperimentOptions) -> u32 {
     }
 }
 
-/// [`run_mode_with`] with optional self-telemetry: every repetition runs
-/// under a `mode:{name}` span (on its worker's telemetry track when
-/// repetitions fan out), with measurement + analysis reporting their own
-/// spans and counters underneath. `None` adds zero telemetry work.
-pub fn run_mode_with_telemetry(
-    instance: &BenchmarkInstance,
-    mcfg: MeasureConfig,
-    options: &ExperimentOptions,
-    tel: Option<&Telemetry>,
-) -> ModeResult {
-    run_mode_with_observed(instance, mcfg, options, tel, None)
-}
-
-/// [`run_mode_with_telemetry`] with an optional resource observatory
-/// ([`nrlt_observe`]): every cell records counter timelines, noise
-/// draws, and wait-state provenance for the simulated machine under a
-/// deterministic run name. `None` performs zero observability work.
-pub fn run_mode_with_observed(
-    instance: &BenchmarkInstance,
-    mcfg: MeasureConfig,
-    options: &ExperimentOptions,
-    tel: Option<&Telemetry>,
-    obs: Option<&Observe>,
-) -> ModeResult {
-    run_mode_with_instrumented(instance, mcfg, options, tel, obs, None)
-}
-
-/// [`run_mode_with_observed`] with an optional engine self-profiler
-/// ([`nrlt_engineprof`]): every cell accounts the replay engine's own
-/// per-event-kind costs, queue occupancy, and hot-loop allocations under
-/// the deterministic run name `{instance}:{mode}:rep{rep}`. The keyed
-/// merge makes the profile independent of worker count. `None` performs
-/// zero profiling work.
+/// Like [`run_mode`], with an explicit measurement configuration — the
+/// entry point for ablation studies that tweak overhead or effort
+/// parameters away from their calibrated defaults — and every probe
+/// optional (each `None` does zero work):
+///
+/// * `tel` — self-telemetry: every repetition runs under a `mode:{name}`
+///   span (on its worker's telemetry track when repetitions fan out),
+///   with measurement + analysis reporting their own spans and counters
+///   underneath;
+/// * `obs` — the resource observatory ([`nrlt_observe`]): every cell
+///   records counter timelines, noise draws, and wait-state provenance
+///   for the simulated machine under the run name
+///   `{instance}:{mode}:rep{rep}`;
+/// * `prof` — the engine self-profiler ([`nrlt_engineprof`]): every cell
+///   accounts the replay engine's own per-event-kind costs, queue
+///   occupancy, and hot-loop allocations under the same run name.
+///
+/// The keyed merges make both bundles independent of worker count.
 pub fn run_mode_with_instrumented(
     instance: &BenchmarkInstance,
     mcfg: MeasureConfig,
@@ -344,7 +326,6 @@ pub fn run_mode_with_instrumented(
     let fan = effective_jobs(options.jobs).min(reps as usize);
     let acfg = cell_analysis_config(fan);
     let cells = parallel_map_ordered((0..reps).collect(), options.jobs, |_, rep| {
-        let _span = tel.map(|t| t.span_cat(format!("mode:{}", mode.name()), "experiment"));
         run_cell(instance, &prep, &mcfg, options, &acfg, rep, tel, obs, prof)
     });
     merge_mode(mode, cells)
@@ -372,7 +353,7 @@ pub fn run_experiment(
     instance: &BenchmarkInstance,
     options: &ExperimentOptions,
 ) -> ExperimentResult {
-    run_experiment_telemetry(instance, options, None)
+    run_experiment_instrumented(instance, options, None, None, None)
 }
 
 /// One unit of the experiment fan-out: an uninstrumented reference
@@ -387,11 +368,23 @@ enum CellOutput {
     Mode { mode_idx: usize, result: CellResult },
 }
 
-/// [`run_experiment`] with optional self-telemetry: every reference run
-/// is wrapped in an `experiment.reference` span and every (mode,
-/// repetition) cell in a `mode:{name}` span, with the engine,
-/// measurement, and analysis layers reporting underneath. `None` adds
-/// zero telemetry work.
+/// [`run_experiment`] with every probe optional (each `None` does zero
+/// work):
+///
+/// * `tel` — self-telemetry: every reference run is wrapped in an
+///   `experiment.reference` span and every (mode, repetition) cell in a
+///   `mode:{name}` span, with the engine, measurement, and analysis
+///   layers reporting underneath;
+/// * `obs` — the resource observatory ([`nrlt_observe`]): every cell —
+///   reference and measured — records counter timelines, noise
+///   attribution, and wait-state provenance for the simulated machine;
+/// * `prof` — the engine self-profiler ([`nrlt_engineprof`]): every cell
+///   accounts the replay engine's per-event-kind costs, queue occupancy,
+///   and hot-loop allocations.
+///
+/// Probe runs are keyed `{instance}:{mode}:rep{rep}` (references as
+/// `{instance}:ref:rep{rep}`), so the merged bundles are byte-identical
+/// for any worker count.
 ///
 /// All cells — reference repetitions and (mode, repetition)
 /// measurements — fan out together over [`ExperimentOptions::jobs`]
@@ -399,37 +392,6 @@ enum CellOutput {
 /// and shares only read-only preparation, and the merge walks the cell
 /// list in its deterministic construction order, so the result is
 /// byte-identical to the serial path for any worker count.
-pub fn run_experiment_telemetry(
-    instance: &BenchmarkInstance,
-    options: &ExperimentOptions,
-    tel: Option<&Telemetry>,
-) -> ExperimentResult {
-    run_experiment_observed(instance, options, tel, None)
-}
-
-/// [`run_experiment_telemetry`] with an optional resource observatory
-/// ([`nrlt_observe`]): every cell — reference and measured — records
-/// counter timelines, noise attribution, and wait-state provenance for
-/// the simulated machine. Runs are keyed `{instance}:{mode}:rep{rep}`
-/// (references as `{instance}:ref:rep{rep}`), so the merged bundle is
-/// byte-identical for any worker count. `None` performs zero
-/// observability work.
-pub fn run_experiment_observed(
-    instance: &BenchmarkInstance,
-    options: &ExperimentOptions,
-    tel: Option<&Telemetry>,
-    obs: Option<&Observe>,
-) -> ExperimentResult {
-    run_experiment_instrumented(instance, options, tel, obs, None)
-}
-
-/// [`run_experiment_observed`] with an optional engine self-profiler
-/// ([`nrlt_engineprof`]): every cell — reference and measured — accounts
-/// the replay engine's per-event-kind costs, queue occupancy, and
-/// hot-loop allocations under deterministic run names
-/// (`{instance}:{mode}:rep{rep}`, references as
-/// `{instance}:ref:rep{rep}`), so the merged profile is byte-identical
-/// for any worker count. `None` performs zero profiling work.
 pub fn run_experiment_instrumented(
     instance: &BenchmarkInstance,
     options: &ExperimentOptions,
@@ -460,10 +422,11 @@ pub fn run_experiment_instrumented(
     let acfg = cell_analysis_config(fan);
     let outputs = parallel_map_ordered(cells, options.jobs, |_, cell| match cell {
         Cell::Reference { rep } => {
-            let _span = tel.map(|t| t.span_cat("experiment.reference", "experiment"));
-            let _frame = sample::frame(frames::EXPERIMENT_REFERENCE);
-            let run = obs.map(|_| RunObserve::new(format!("{}:ref:rep{rep}", instance.name)));
-            let prof_run = prof.map(|_| RunProf::new(format!("{}:ref:rep{rep}", instance.name)));
+            let _phase =
+                Phase::new(tel, "experiment", "experiment.reference", frames::EXPERIMENT_REFERENCE);
+            let name = format!("{}:ref:rep{rep}", instance.name);
+            let run = obs.map(|_| RunObserve::new(name.clone()));
+            let prof_run = prof.map(|_| RunProf::new(name));
             let cfg =
                 exec_config_for(instance, &options.noise, options.base_seed + 100 + rep as u64);
             let result = reference_run_instrumented(
@@ -472,18 +435,11 @@ pub fn run_experiment_instrumented(
                 run.as_ref(),
                 prof_run.as_ref(),
             );
-            if let (Some(o), Some(run)) = (obs, run) {
-                o.attach(run);
-            }
-            if let (Some(p), Some(prun)) = (prof, prof_run) {
-                let (name, data) = prun.finish();
-                p.attach(name, data);
-            }
+            attach(obs, run, prof, prof_run);
             CellOutput::Reference(result)
         }
         Cell::Mode { mode_idx, rep } => {
             let mcfg = &mode_cfgs[mode_idx];
-            let _span = tel.map(|t| t.span_cat(format!("mode:{}", mcfg.mode.name()), "experiment"));
             let result = run_cell(instance, &prep, mcfg, options, &acfg, rep, tel, obs, prof);
             CellOutput::Mode { mode_idx, result }
         }

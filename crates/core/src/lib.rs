@@ -39,10 +39,8 @@ pub mod experiment;
 pub mod parallel;
 
 pub use experiment::{
-    exec_config_for, measure_config_for, run_experiment, run_experiment_instrumented,
-    run_experiment_observed, run_experiment_telemetry, run_mode, run_mode_telemetry, run_mode_with,
-    run_mode_with_instrumented, run_mode_with_observed, run_mode_with_telemetry, ExperimentOptions,
-    ExperimentResult, ModeResult,
+    exec_config_for, measure_config_for, run_experiment, run_experiment_instrumented, run_mode,
+    run_mode_with_instrumented, ExperimentOptions, ExperimentResult, ModeResult,
 };
 pub use parallel::{effective_jobs, parallel_map_ordered};
 
@@ -63,9 +61,11 @@ pub use nrlt_trace as trace;
 
 /// The most commonly used items in one import.
 pub mod prelude {
-    pub use nrlt_analysis::{analyze, analyze_with, AnalysisConfig};
+    pub use nrlt_analysis::{analyze, analyze_view, AnalysisConfig};
     pub use nrlt_exec::{execute, overhead_percent, ExecConfig, NullObserver};
-    pub use nrlt_measure::{measure, reference_run, ClockMode, FilterRules, MeasureConfig};
+    pub use nrlt_measure::{
+        measure, reference_run_instrumented, ClockMode, FilterRules, MeasureConfig,
+    };
     pub use nrlt_miniapps::{
         all_configurations, lulesh_1, lulesh_2, minife_1, minife_2, tealeaf_1, tealeaf_2,
         tealeaf_3, tealeaf_4, BenchmarkInstance,
@@ -80,7 +80,7 @@ pub mod prelude {
     pub use nrlt_trace::{ClockKind, Trace};
 
     pub use crate::experiment::{
-        run_experiment, run_experiment_telemetry, run_mode, run_mode_telemetry, ExperimentOptions,
-        ExperimentResult, ModeResult,
+        run_experiment, run_experiment_instrumented, run_mode, ExperimentOptions, ExperimentResult,
+        ModeResult,
     };
 }

@@ -26,7 +26,8 @@ use nrlt_prog::{
     RegionTable, Schedule,
 };
 use nrlt_sim::{Location, NoiseModel, Placement, RngFactory, VirtualDuration, VirtualTime};
-use nrlt_telemetry::Telemetry;
+use nrlt_telemetry::sample::frames;
+use nrlt_telemetry::{Phase, Telemetry};
 use nrlt_trace::CollectiveOp;
 use std::collections::{BTreeMap, VecDeque};
 
@@ -47,97 +48,33 @@ pub fn execute<O: Observer>(
     config: &ExecConfig,
     observer: &mut O,
 ) -> ExecResult {
-    execute_telemetry(program, config, observer, None)
+    execute_prepared_instrumented(
+        program,
+        &prepare_regions(program),
+        config,
+        observer,
+        None,
+        None,
+        None,
+    )
 }
 
-/// Like [`execute`], with optional self-telemetry: counters for events
-/// dispatched, busy-wait conversions, matches and collectives, a
-/// ready-queue depth histogram, and the final virtual time. With `None`
-/// the engine performs no telemetry work at all.
-pub fn execute_telemetry<O: Observer>(
-    program: &Program,
-    config: &ExecConfig,
-    observer: &mut O,
-    tel: Option<&Telemetry>,
-) -> ExecResult {
-    let regions = prepare_regions(program);
-    execute_prepared_telemetry(program, &regions, config, observer, tel)
-}
-
-/// Like [`execute`], but with a region table already prepared via
-/// [`prepare_regions`] — use this when the observer needs the table to
-/// translate region ids (id assignment is deterministic, so both sides
-/// agree).
-pub fn execute_prepared<O: Observer>(
-    program: &Program,
-    regions: &RegionTable,
-    config: &ExecConfig,
-    observer: &mut O,
-) -> ExecResult {
-    execute_prepared_telemetry(program, regions, config, observer, None)
-}
-
-/// [`execute_prepared`] with optional self-telemetry.
-pub fn execute_prepared_telemetry<O: Observer>(
-    program: &Program,
-    regions: &RegionTable,
-    config: &ExecConfig,
-    observer: &mut O,
-    tel: Option<&Telemetry>,
-) -> ExecResult {
-    execute_prepared_observed(program, regions, config, observer, tel, None)
-}
-
-/// Like [`execute_telemetry`], with an optional resource observatory
-/// (`nrlt-observe`) recording counter timelines and noise draws from the
-/// simulated machine. With `None` the engine performs zero observability
-/// work; with `Some`, every record is derived from already-determined
-/// virtual times and stateless keyed noise streams, so observing a run
-/// never changes its event stream.
-pub fn execute_observed<O: Observer>(
-    program: &Program,
-    config: &ExecConfig,
-    observer: &mut O,
-    tel: Option<&Telemetry>,
-    obs: Option<&RunObserve>,
-) -> ExecResult {
-    let regions = prepare_regions(program);
-    execute_prepared_observed(program, &regions, config, observer, tel, obs)
-}
-
-/// [`execute_prepared_telemetry`] plus the optional resource observatory
-/// of [`execute_observed`].
-pub fn execute_prepared_observed<O: Observer>(
-    program: &Program,
-    regions: &RegionTable,
-    config: &ExecConfig,
-    observer: &mut O,
-    tel: Option<&Telemetry>,
-    obs: Option<&RunObserve>,
-) -> ExecResult {
-    execute_prepared_instrumented(program, regions, config, observer, tel, obs, None)
-}
-
-/// Like [`execute_observed`], with an optional engine self-profiler
-/// (`nrlt-engineprof`) accounting per-event-kind costs, queue
-/// occupancy, and hot-loop allocations. With `None` the engine performs
-/// zero profiling work — no counter struct is ever constructed.
-/// Profiling reads only already-determined state, so it never changes
-/// the event stream or the result.
-pub fn execute_instrumented<O: Observer>(
-    program: &Program,
-    config: &ExecConfig,
-    observer: &mut O,
-    tel: Option<&Telemetry>,
-    obs: Option<&RunObserve>,
-    prof: Option<&RunProf>,
-) -> ExecResult {
-    let regions = prepare_regions(program);
-    execute_prepared_instrumented(program, &regions, config, observer, tel, obs, prof)
-}
-
-/// [`execute_prepared_observed`] plus the optional engine self-profiler
-/// of [`execute_instrumented`].
+/// [`execute`] over a region table already prepared via
+/// [`prepare_regions`] (use this when the observer needs the table to
+/// translate region ids; id assignment is deterministic, so both sides
+/// agree), with every probe optional. Each `None` probe does zero work:
+///
+/// * `tel` — self-telemetry: counters for events dispatched, busy-wait
+///   conversions, matches and collectives, a ready-queue depth
+///   histogram, and the final virtual time;
+/// * `obs` — the resource observatory (`nrlt-observe`): counter
+///   timelines and noise draws from the simulated machine;
+/// * `prof` — the engine self-profiler (`nrlt-engineprof`):
+///   per-event-kind costs, queue occupancy, and hot-loop allocations.
+///
+/// Every probe reads only already-determined virtual times and stateless
+/// keyed noise streams, so probing a run never changes its event stream
+/// or its result.
 pub fn execute_prepared_instrumented<O: Observer>(
     program: &Program,
     regions: &RegionTable,
@@ -152,8 +89,7 @@ pub fn execute_prepared_instrumented<O: Observer>(
         config.layout.ranks,
         "program rank count must match the job layout"
     );
-    let _span = tel.map(|t| t.span_cat("engine.execute", "exec"));
-    let _frame = nrlt_telemetry::sample::frame(nrlt_telemetry::sample::frames::ENGINE_RUN);
+    let _phase = Phase::new(tel, "exec", "engine.execute", frames::ENGINE_RUN);
     let mut engine = Engine::new(program, regions, config, observer, tel, obs, prof);
     engine.run();
     engine.into_result()
@@ -577,7 +513,7 @@ impl<'a, O: Observer> Engine<'a, O> {
                 );
             }
             if let Some(leaf) = &leaf {
-                leaf.push(nrlt_telemetry::sample::frames::ENGINE_RANK);
+                leaf.push(frames::ENGINE_RANK);
                 self.run_rank(r);
                 leaf.pop();
             } else {

@@ -21,11 +21,7 @@ pub mod result;
 
 pub use config::ExecConfig;
 pub use duration::{DurationModel, ExecPhase, KernelProbe};
-pub use engine::{
-    execute, execute_instrumented, execute_observed, execute_prepared,
-    execute_prepared_instrumented, execute_prepared_observed, execute_prepared_telemetry,
-    execute_telemetry, WildcardBook, ANY_SOURCE,
-};
+pub use engine::{execute, execute_prepared_instrumented, WildcardBook, ANY_SOURCE};
 pub use ladder::LadderQueue;
 pub use observer::{EventInfo, NullObserver, Observer, RuntimeKind, WorkItem};
 pub use regions::{

@@ -2,8 +2,8 @@
 //! observer callback protocol.
 
 use nrlt_exec::{
-    execute, execute_prepared, overhead_percent, prepare_regions, EventInfo, ExecConfig,
-    NullObserver, Observer, RuntimeKind, WorkItem,
+    execute, execute_prepared_instrumented, overhead_percent, prepare_regions, EventInfo,
+    ExecConfig, NullObserver, Observer, RuntimeKind, WorkItem,
 };
 use nrlt_prog::{Cost, IterCost, ProgramBuilder, Schedule};
 use nrlt_sim::{JobLayout, Location, NoiseConfig, VirtualDuration, VirtualTime};
@@ -391,7 +391,8 @@ fn prepared_regions_path_works() {
     let regions = prepare_regions(&p);
     assert!(regions.find("MPI_Send").is_some());
     let cfg = silent_config(2, 1, 1);
-    let res = execute_prepared(&p, &regions, &cfg, &mut NullObserver);
+    let res =
+        execute_prepared_instrumented(&p, &regions, &cfg, &mut NullObserver, None, None, None);
     assert!(res.total > VirtualDuration::ZERO);
 }
 

@@ -2,13 +2,24 @@
 //! (a `None` run performs zero instrumentation work) and that the
 //! counters the engine reports reflect what actually happened.
 
-use nrlt_exec::{execute, execute_telemetry, ExecConfig, NullObserver};
+use nrlt_exec::{
+    execute, execute_prepared_instrumented, prepare_regions, ExecConfig, ExecResult, NullObserver,
+};
 use nrlt_prog::{Cost, ProgramBuilder};
 use nrlt_sim::{JobLayout, NoiseConfig};
 use nrlt_telemetry::Telemetry;
 
 fn silent_config(ranks: u32, tpr: u32) -> ExecConfig {
     ExecConfig::jureca(1, JobLayout::block(ranks, tpr), 42).with_noise(NoiseConfig::silent())
+}
+
+/// The engine with only the telemetry probe (possibly `None`) set.
+fn run_with_telemetry(
+    p: &nrlt_prog::Program,
+    cfg: &ExecConfig,
+    tel: Option<&Telemetry>,
+) -> ExecResult {
+    execute_prepared_instrumented(p, &prepare_regions(p), cfg, &mut NullObserver, tel, None, None)
 }
 
 fn pingpong() -> nrlt_prog::Program {
@@ -41,7 +52,7 @@ fn none_telemetry_performs_no_instrumentation_work() {
     let tel = Telemetry::new();
     let p = pingpong();
     let cfg = silent_config(2, 1);
-    let r = execute_telemetry(&p, &cfg, &mut NullObserver, None);
+    let r = run_with_telemetry(&p, &cfg, None);
     assert!(r.total.nanos() > 0);
     assert_eq!(tel.call_count(), 0, "a None-telemetry run must record nothing");
     assert!(tel.counters().is_empty());
@@ -54,7 +65,7 @@ fn telemetry_does_not_perturb_results() {
     let cfg = silent_config(2, 1);
     let plain = execute(&p, &cfg, &mut NullObserver);
     let tel = Telemetry::new();
-    let observed = execute_telemetry(&p, &cfg, &mut NullObserver, Some(&tel));
+    let observed = run_with_telemetry(&p, &cfg, Some(&tel));
     assert_eq!(plain.total, observed.total);
     assert_eq!(plain.rank_end, observed.rank_end);
 }
@@ -68,7 +79,7 @@ fn engine_counters_reflect_the_run() {
     let p = pingpong();
     let cfg = silent_config(2, 1);
     let tel = Telemetry::new();
-    execute_telemetry(&p, &cfg, &mut NullObserver, Some(&tel));
+    run_with_telemetry(&p, &cfg, Some(&tel));
     assert!(tel.call_count() > 0);
     let c = tel.counters();
     assert!(counter(&c, "engine.events") > 0, "events must be counted");

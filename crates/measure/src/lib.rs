@@ -9,8 +9,10 @@
 //! buffer cache pollution, thread desynchronisation).
 //!
 //! [`measure`] runs a program once under a given clock and returns the
-//! trace plus the application timings; [`reference_run`] runs it
-//! uninstrumented for overhead baselines.
+//! trace plus the application timings; [`measure_prepared_spilled`] is
+//! the same run over a per-sweep [`MeasurePrep`] with every probe
+//! optional; [`reference_run_instrumented`] runs it uninstrumented for
+//! overhead baselines.
 
 #![warn(missing_docs)]
 
@@ -30,12 +32,11 @@ pub use params::{EffortParams, HwCounterSource, OverheadParams};
 pub use profiling::{profile_run, OnlineProfile, ProfilingObserver};
 
 use nrlt_engineprof::RunProf;
-use nrlt_exec::{
-    execute_instrumented, execute_prepared_instrumented, ExecConfig, ExecResult, NullObserver,
-};
+use nrlt_exec::{execute_prepared_instrumented, ExecConfig, ExecResult, NullObserver};
 use nrlt_observe::RunObserve;
 use nrlt_prog::Program;
-use nrlt_telemetry::Telemetry;
+use nrlt_telemetry::sample::frames;
+use nrlt_telemetry::{Phase, Telemetry};
 use nrlt_trace::{Trace, TraceData};
 
 /// Run `program` instrumented under `measure_config`, returning the
@@ -46,21 +47,20 @@ pub fn measure(
     exec_config: &ExecConfig,
     measure_config: &MeasureConfig,
 ) -> (Trace, ExecResult) {
-    measure_telemetry(program, exec_config, measure_config, None)
-}
-
-/// [`measure`] with optional self-telemetry: wraps the run in a
-/// `measure.run` span and reports events recorded vs filtered, buffer
-/// flushes, and the overhead charged back, alongside the engine's own
-/// counters. `None` adds zero instrumentation work.
-pub fn measure_telemetry(
-    program: &Program,
-    exec_config: &ExecConfig,
-    measure_config: &MeasureConfig,
-    tel: Option<&Telemetry>,
-) -> (Trace, ExecResult) {
     let prep = prepare_measure(program, exec_config);
-    measure_prepared_telemetry(program, &prep, exec_config, measure_config, tel)
+    let (TraceData::Resident(trace), result) = measure_prepared_spilled(
+        program,
+        &prep,
+        exec_config,
+        measure_config,
+        None,
+        None,
+        None,
+        None,
+    ) else {
+        unreachable!("without a trace budget the trace stays resident")
+    };
+    (trace, result)
 }
 
 /// Per-sweep measurement preparation: the engine's region table plus the
@@ -86,73 +86,24 @@ pub fn prepare_measure(program: &Program, exec_config: &ExecConfig) -> MeasurePr
     MeasurePrep { regions, shared }
 }
 
-/// [`measure_telemetry`] over a pre-built [`MeasurePrep`] — the repeated
-/// half of a sweep, with all run-invariant setup hoisted out.
-pub fn measure_prepared_telemetry(
-    program: &Program,
-    prep: &MeasurePrep,
-    exec_config: &ExecConfig,
-    measure_config: &MeasureConfig,
-    tel: Option<&Telemetry>,
-) -> (Trace, ExecResult) {
-    measure_prepared_observed(program, prep, exec_config, measure_config, tel, None)
-}
-
-/// [`measure_prepared_telemetry`] with an optional resource observatory
-/// (`nrlt-observe`) recording the simulated machine underneath the
-/// measurement. `None` performs zero observability work; `Some` records
-/// without perturbing the trace.
-pub fn measure_prepared_observed(
-    program: &Program,
-    prep: &MeasurePrep,
-    exec_config: &ExecConfig,
-    measure_config: &MeasureConfig,
-    tel: Option<&Telemetry>,
-    obs: Option<&RunObserve>,
-) -> (Trace, ExecResult) {
-    measure_prepared_instrumented(program, prep, exec_config, measure_config, tel, obs, None)
-}
-
-/// [`measure_prepared_observed`] with an optional engine self-profiler
-/// (`nrlt-engineprof`) accounting what the replay engine itself spends
-/// producing this run. `None` performs zero profiling work.
-pub fn measure_prepared_instrumented(
-    program: &Program,
-    prep: &MeasurePrep,
-    exec_config: &ExecConfig,
-    measure_config: &MeasureConfig,
-    tel: Option<&Telemetry>,
-    obs: Option<&RunObserve>,
-    prof: Option<&RunProf>,
-) -> (Trace, ExecResult) {
-    let _span =
-        tel.map(|t| t.span_cat(format!("measure.run:{}", measure_config.mode.name()), "measure"));
-    let _frame = nrlt_telemetry::sample::frame(nrlt_telemetry::sample::frames::MEASURE_RUN);
-    let mut observer = TracingObserver::with_shared(
-        measure_config.clone(),
-        &prep.regions,
-        &prep.shared,
-        exec_config,
-        tel,
-    );
-    let result = execute_prepared_instrumented(
-        program,
-        &prep.regions,
-        exec_config,
-        &mut observer,
-        tel,
-        obs,
-        prof,
-    );
-    (observer.into_trace(), result)
-}
-
-/// [`measure_prepared_instrumented`], but with resident event storage
-/// capped at `trace_budget` bytes when `Some`: per-location streams
-/// spill columnar chunks to a temp segment file and the returned
-/// [`TraceData`] is `Spilled`. `None` is exactly the resident path.
-/// Either way the recorded event sequence — and hence every analysis
-/// result — is byte-identical.
+/// [`measure`] over a pre-built [`MeasurePrep`] — the repeated half of a
+/// sweep, with all run-invariant setup hoisted out — with every probe
+/// optional.
+///
+/// * `trace_budget` caps resident event storage at that many bytes:
+///   per-location streams spill columnar chunks to a temp segment file
+///   and the returned [`TraceData`] is `Spilled`. `None` keeps the trace
+///   `Resident`. Either way the recorded event sequence — and hence
+///   every analysis result — is byte-identical.
+/// * `tel` wraps the run in a `measure.run:{mode}` span and reports
+///   events recorded vs filtered, buffer flushes, and the overhead
+///   charged back, alongside the engine's own counters.
+/// * `obs` records the simulated machine underneath the measurement
+///   (`nrlt-observe`) without perturbing the trace.
+/// * `prof` accounts what the replay engine itself spends producing this
+///   run (`nrlt-engineprof`), plus the spill gauges when a budget is set.
+///
+/// Each `None` probe performs zero work.
 #[allow(clippy::too_many_arguments)]
 pub fn measure_prepared_spilled(
     program: &Program,
@@ -164,21 +115,12 @@ pub fn measure_prepared_spilled(
     obs: Option<&RunObserve>,
     prof: Option<&RunProf>,
 ) -> (TraceData, ExecResult) {
-    let Some(budget) = trace_budget else {
-        let (trace, result) = measure_prepared_instrumented(
-            program,
-            prep,
-            exec_config,
-            measure_config,
-            tel,
-            obs,
-            prof,
-        );
-        return (TraceData::Resident(trace), result);
-    };
-    let _span =
-        tel.map(|t| t.span_cat(format!("measure.run:{}", measure_config.mode.name()), "measure"));
-    let _frame = nrlt_telemetry::sample::frame(nrlt_telemetry::sample::frames::MEASURE_RUN);
+    let _phase = Phase::new(
+        tel,
+        "measure",
+        format!("measure.run:{}", measure_config.mode.name()),
+        frames::MEASURE_RUN,
+    );
     let mut observer = TracingObserver::with_shared(
         measure_config.clone(),
         &prep.regions,
@@ -186,7 +128,9 @@ pub fn measure_prepared_spilled(
         exec_config,
         tel,
     );
-    observer.enable_spill(budget);
+    if let Some(budget) = trace_budget {
+        observer.enable_spill(budget);
+    }
     let result = execute_prepared_instrumented(
         program,
         &prep.regions,
@@ -197,7 +141,7 @@ pub fn measure_prepared_spilled(
         prof,
     );
     let (trace, summary) = observer.into_trace_data();
-    if let Some(p) = prof {
+    if let (Some(p), Some(_)) = (prof, trace_budget) {
         p.gauge("spill.segments_written", "trace_spill", summary.chunks as i64);
         p.gauge("spill.stalls", "trace_spill", summary.stalls as i64);
         p.hwm("spill.bytes_written", summary.bytes);
@@ -207,27 +151,23 @@ pub fn measure_prepared_spilled(
 }
 
 /// Run `program` uninstrumented (the reference measurement the paper
-/// repeats five times to establish baselines).
-pub fn reference_run(program: &Program, exec_config: &ExecConfig) -> ExecResult {
-    reference_run_observed(program, exec_config, None)
-}
-
-/// [`reference_run`] with an optional resource observatory — the
-/// uninstrumented machine is exactly as observable as the measured one.
-pub fn reference_run_observed(
-    program: &Program,
-    exec_config: &ExecConfig,
-    obs: Option<&RunObserve>,
-) -> ExecResult {
-    reference_run_instrumented(program, exec_config, obs, None)
-}
-
-/// [`reference_run_observed`] with an optional engine self-profiler.
+/// repeats five times to establish baselines). The optional resource
+/// observatory and engine self-profiler see the uninstrumented machine
+/// exactly as they see a measured one; `None` does zero work.
 pub fn reference_run_instrumented(
     program: &Program,
     exec_config: &ExecConfig,
     obs: Option<&RunObserve>,
     prof: Option<&RunProf>,
 ) -> ExecResult {
-    execute_instrumented(program, exec_config, &mut NullObserver, None, obs, prof)
+    let regions = nrlt_exec::prepare_regions(program);
+    execute_prepared_instrumented(
+        program,
+        &regions,
+        exec_config,
+        &mut NullObserver,
+        None,
+        obs,
+        prof,
+    )
 }

@@ -258,7 +258,15 @@ pub fn profile_run(
 ) -> OnlineProfile {
     let regions = nrlt_exec::prepare_regions(program);
     let mut obs = ProfilingObserver::new(mode, &regions, exec_config, FilterRules::none());
-    nrlt_exec::execute_prepared(program, &regions, exec_config, &mut obs);
+    nrlt_exec::execute_prepared_instrumented(
+        program,
+        &regions,
+        exec_config,
+        &mut obs,
+        None,
+        None,
+        None,
+    );
     obs.into_profile()
 }
 

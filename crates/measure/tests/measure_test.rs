@@ -2,7 +2,7 @@
 //! clock mode.
 
 use nrlt_exec::ExecConfig;
-use nrlt_measure::{measure, reference_run, ClockMode, FilterRules, MeasureConfig};
+use nrlt_measure::{measure, reference_run_instrumented, ClockMode, FilterRules, MeasureConfig};
 use nrlt_prog::{Cost, IterCost, Program, ProgramBuilder, Schedule};
 use nrlt_sim::JobLayout;
 use nrlt_trace::{ClockKind, EventKind, Trace};
@@ -155,7 +155,7 @@ fn filtering_removes_burst_events() {
 fn instrumented_run_differs_from_reference() {
     let p = hybrid(4);
     let cfg = ExecConfig::jureca(1, JobLayout::block(4, 4), 1);
-    let reference = reference_run(&p, &cfg);
+    let reference = reference_run_instrumented(&p, &cfg, None, None);
     let (_, instrumented) = measure(&p, &cfg, &MeasureConfig::new(ClockMode::LtHwctr));
     assert_ne!(reference.total, instrumented.total);
 }

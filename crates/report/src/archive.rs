@@ -4,13 +4,11 @@
 //! machine-readable twin of the severity explorer (metric tree ×
 //! clock-mode columns, diagnostics, top-N hotspot cells per run). This
 //! module reads such a document back and carves run-/top-N-subsets out
-//! of it, which is what `nrlt-serve` answers `/severity` queries from:
-//! the archive is parsed once into a [`Value`], cached, and every query
-//! re-renders a filtered view of the shared tree.
+//! of it: the archive is parsed once into a [`Value`] and every query
+//! renders a filtered view of the tree.
 //!
 //! Rendering goes through [`nrlt_telemetry::json::render`], so a given
-//! subset is byte-deterministic — the concurrency test in `nrlt-serve`
-//! relies on that.
+//! subset is byte-deterministic.
 
 use std::collections::BTreeMap;
 use std::path::Path;

@@ -62,19 +62,6 @@ pub struct BenchEntry {
     /// runs — comparable across invocations of one binary, honest
     /// rather than per-run.
     pub peak_rss_bytes: u64,
-    /// Median per-operation latency in nanoseconds (0 = not a
-    /// latency-style entry). Service benchmarks (`nrlt-bench serve`)
-    /// record request latency percentiles from `nrlt-telemetry`
-    /// histograms here; throughput-style entries leave all three
-    /// percentile fields at 0 and the writer omits them.
-    pub p50_ns: u64,
-    /// 95th-percentile per-operation latency in nanoseconds (0 = not
-    /// recorded).
-    pub p95_ns: u64,
-    /// 99th-percentile per-operation latency in nanoseconds (0 = not
-    /// recorded). The trend view renders this as the service's tail
-    /// latency trajectory.
-    pub p99_ns: u64,
 }
 
 /// Instrumented-run overhead (percent vs the plain twin) above which
@@ -194,7 +181,7 @@ pub fn merge_and_write(path: &Path, new_entries: &[BenchEntry]) -> std::io::Resu
         };
         let _ = writeln!(
             out,
-            "    {{\"bin\": {}, \"run\": {}, \"jobs\": {}, \"host_parallelism\": {}, \"wall_seconds\": {:.3}, \"events\": {}, \"events_per_sec\": {:.1}, \"overhead_vs_plain_pct\": {overhead}, \"peak_rss_bytes\": {}{}}}{comma}",
+            "    {{\"bin\": {}, \"run\": {}, \"jobs\": {}, \"host_parallelism\": {}, \"wall_seconds\": {:.3}, \"events\": {}, \"events_per_sec\": {:.1}, \"overhead_vs_plain_pct\": {overhead}, \"peak_rss_bytes\": {}}}{comma}",
             json_string(&e.bin),
             json_string(&e.run),
             e.jobs,
@@ -203,7 +190,6 @@ pub fn merge_and_write(path: &Path, new_entries: &[BenchEntry]) -> std::io::Resu
             e.events,
             e.events_per_sec,
             e.peak_rss_bytes,
-            latency_fields(e),
         );
     }
     let _ = writeln!(out, "  ]");
@@ -261,17 +247,6 @@ fn annotate_overheads(entries: &mut [BenchEntry]) {
     }
 }
 
-/// The latency-percentile suffix of an entry line: empty for
-/// throughput-style entries (all percentiles 0), so existing baselines
-/// keep their exact shape and only service entries grow the fields.
-pub(crate) fn latency_fields(e: &BenchEntry) -> String {
-    if e.p50_ns == 0 && e.p95_ns == 0 && e.p99_ns == 0 {
-        String::new()
-    } else {
-        format!(", \"p50_ns\": {}, \"p95_ns\": {}, \"p99_ns\": {}", e.p50_ns, e.p95_ns, e.p99_ns)
-    }
-}
-
 /// Read and parse a baseline file.
 pub fn read_entries(path: &Path) -> std::io::Result<Vec<BenchEntry>> {
     Ok(parse_entries(&std::fs::read_to_string(path)?))
@@ -303,9 +278,6 @@ fn parse_entry_line(line: &str) -> Option<BenchEntry> {
             .filter(|v| v != "null")
             .and_then(|v| v.parse().ok()),
         peak_rss_bytes: field_raw(line, "peak_rss_bytes").and_then(|v| v.parse().ok()).unwrap_or(0),
-        p50_ns: field_raw(line, "p50_ns").and_then(|v| v.parse().ok()).unwrap_or(0),
-        p95_ns: field_raw(line, "p95_ns").and_then(|v| v.parse().ok()).unwrap_or(0),
-        p99_ns: field_raw(line, "p99_ns").and_then(|v| v.parse().ok()).unwrap_or(0),
     })
 }
 
@@ -551,9 +523,6 @@ mod tests {
             events_per_sec: 0.0,
             overhead_vs_plain_pct: None,
             peak_rss_bytes: 0,
-            p50_ns: 0,
-            p95_ns: 0,
-            p99_ns: 0,
         }
     }
 
@@ -809,36 +778,6 @@ mod tests {
         if std::path::Path::new("/proc/self/status").exists() {
             assert!(rss > 1 << 20, "VmHWM under 1 MiB is implausible: {rss}");
         }
-    }
-
-    #[test]
-    fn latency_percentiles_roundtrip_and_stay_off_plain_entries() {
-        let dir = std::env::temp_dir().join("nrlt-report-bench-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("latency.json");
-        let _ = std::fs::remove_file(&path);
-
-        // A service entry: events = queries, events_per_sec = qps, plus
-        // the latency percentiles from the telemetry histogram.
-        let mut svc = entry("serve", "mix", 4, 10.0);
-        svc.events = 50_000;
-        svc.events_per_sec = 5_000.0;
-        svc.p50_ns = 800_000;
-        svc.p95_ns = 2_500_000;
-        svc.p99_ns = 6_000_000;
-        merge_and_write(&path, &[svc.clone(), entry("fig3", "MiniFE-1", 1, 2.0)]).unwrap();
-
-        let text = std::fs::read_to_string(&path).unwrap();
-        // Only the service line carries the fields — plain entries keep
-        // their exact pre-existing shape.
-        assert_eq!(text.matches("p99_ns").count(), 1, "{text}");
-
-        let entries = read_entries(&path).unwrap();
-        let back = entries.iter().find(|e| e.bin == "serve").unwrap();
-        assert_eq!((back.p50_ns, back.p95_ns, back.p99_ns), (800_000, 2_500_000, 6_000_000));
-        let plain = entries.iter().find(|e| e.bin == "fig3").unwrap();
-        assert_eq!((plain.p50_ns, plain.p95_ns, plain.p99_ns), (0, 0, 0));
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

@@ -77,7 +77,7 @@ pub fn record_line(r: &HistoryRecord) -> String {
         };
         let _ = write!(
             out,
-            "{{\"bin\": {}, \"run\": {}, \"jobs\": {}, \"host_parallelism\": {}, \"wall_seconds\": {}, \"events\": {}, \"events_per_sec\": {}, \"overhead_vs_plain_pct\": {overhead}, \"peak_rss_bytes\": {}{}}}{comma}",
+            "{{\"bin\": {}, \"run\": {}, \"jobs\": {}, \"host_parallelism\": {}, \"wall_seconds\": {}, \"events\": {}, \"events_per_sec\": {}, \"overhead_vs_plain_pct\": {overhead}, \"peak_rss_bytes\": {}}}{comma}",
             json::string(&e.bin),
             json::string(&e.run),
             e.jobs,
@@ -86,7 +86,6 @@ pub fn record_line(r: &HistoryRecord) -> String {
             e.events,
             json::number(e.events_per_sec),
             e.peak_rss_bytes,
-            crate::bench::latency_fields(e),
         );
     }
     let _ = write!(out, "], \"top_stacks\": [");
@@ -178,9 +177,6 @@ fn parse_entry(v: &json::Value) -> Option<BenchEntry> {
         events_per_sec: v.get("events_per_sec").and_then(|e| e.as_f64()).unwrap_or(0.0),
         overhead_vs_plain_pct: v.get("overhead_vs_plain_pct").and_then(|e| e.as_f64()),
         peak_rss_bytes: v.get("peak_rss_bytes").and_then(|e| e.as_f64()).unwrap_or(0.0) as u64,
-        p50_ns: v.get("p50_ns").and_then(|e| e.as_f64()).unwrap_or(0.0) as u64,
-        p95_ns: v.get("p95_ns").and_then(|e| e.as_f64()).unwrap_or(0.0) as u64,
-        p99_ns: v.get("p99_ns").and_then(|e| e.as_f64()).unwrap_or(0.0) as u64,
     })
 }
 
@@ -239,7 +235,6 @@ struct Series {
     walls: Vec<Option<f64>>,
     eps: Vec<Option<f64>>,
     rss: Vec<Option<f64>>,
-    p99: Vec<Option<f64>>,
     oversubscribed: bool,
 }
 
@@ -272,7 +267,6 @@ fn series(records: &[HistoryRecord], key_filter: Option<&str>) -> Vec<Series> {
                         walls: vec![None; i],
                         eps: vec![None; i],
                         rss: vec![None; i],
-                        p99: vec![None; i],
                         oversubscribed: false,
                     });
                     out.last_mut().expect("just pushed")
@@ -284,7 +278,6 @@ fn series(records: &[HistoryRecord], key_filter: Option<&str>) -> Vec<Series> {
             s.walls.push(Some(e.wall_seconds));
             s.eps.push((e.throughput() > 0.0).then(|| e.throughput()));
             s.rss.push((e.peak_rss_bytes > 0).then_some(e.peak_rss_bytes as f64));
-            s.p99.push((e.p99_ns > 0).then_some(e.p99_ns as f64));
             s.oversubscribed |= e.oversubscribed();
         }
         for s in out.iter_mut() {
@@ -292,7 +285,6 @@ fn series(records: &[HistoryRecord], key_filter: Option<&str>) -> Vec<Series> {
                 s.walls.push(None);
                 s.eps.push(None);
                 s.rss.push(None);
-                s.p99.push(None);
             }
         }
     }
@@ -302,9 +294,7 @@ fn series(records: &[HistoryRecord], key_filter: Option<&str>) -> Vec<Series> {
 /// Render the ledger's per-key trajectories: a record index, then one
 /// row per `(bin, run, jobs)` key with sparkline, first/last/best wall
 /// seconds, the last-vs-first delta, the EWMA baseline the gate would
-/// use, the latest engine throughput (queries/sec for service entries),
-/// the latest p99 latency (`-` for series that never recorded one), and
-/// the peak-RSS trajectory (sparkline + latest value; `-` for series
+/// use, the latest engine throughput, and the peak-RSS trajectory (sparkline + latest value; `-` for series
 /// that never recorded one). Records that skipped a key render as `·`
 /// gaps, keeping every sparkline aligned with the record index list.
 /// Output depends only on the ledger bytes (and the filter), so the
@@ -330,18 +320,8 @@ pub fn trend_text(records: &[HistoryRecord], key_filter: Option<&str>) -> String
     let _ = writeln!(out);
     let _ = writeln!(
         out,
-        "  {:<42} {:<12} {:>9} {:>9} {:>9} {:>8} {:>9} {:>11} {:>9} {:<12} {:>9}",
-        "key",
-        "wall trend",
-        "first",
-        "last",
-        "best",
-        "Δ%",
-        "ewma",
-        "events/s",
-        "p99",
-        "rss trend",
-        "rss"
+        "  {:<42} {:<12} {:>9} {:>9} {:>9} {:>8} {:>9} {:>11} {:<12} {:>9}",
+        "key", "wall trend", "first", "last", "best", "Δ%", "ewma", "events/s", "rss trend", "rss"
     );
     for s in &all {
         let walls = s.present_walls();
@@ -354,11 +334,6 @@ pub fn trend_text(records: &[HistoryRecord], key_filter: Option<&str>) -> String
             Some(v) => format!("{v:>11.0}"),
             None => format!("{:>11}", "-"),
         };
-        // Tail latency: service-style entries only (`-` elsewhere).
-        let p99 = match s.p99.iter().copied().flatten().last() {
-            Some(ns) => format!("{:>7.2}ms", ns / 1e6),
-            None => format!("{:>9}", "-"),
-        };
         // RSS: only records that measured one (0 = unknown host/legacy).
         let (rss_trend, rss_last) = match s.rss.iter().copied().flatten().last() {
             Some(latest) => {
@@ -369,7 +344,7 @@ pub fn trend_text(records: &[HistoryRecord], key_filter: Option<&str>) -> String
         let flag = if s.oversubscribed { " (oversubscribed)" } else { "" };
         let _ = writeln!(
             out,
-            "  {:<42} {:<12} {:>8.3}s {:>8.3}s {:>8.3}s {:>+7.1}% {:>8.3}s {eps} {p99} {rss_trend:<12} {rss_last}{flag}",
+            "  {:<42} {:<12} {:>8.3}s {:>8.3}s {:>8.3}s {:>+7.1}% {:>8.3}s {eps} {rss_trend:<12} {rss_last}{flag}",
             s.key,
             sparkline_gaps(&s.walls),
             first,
@@ -420,9 +395,6 @@ pub fn ewma_baseline(records: &[HistoryRecord]) -> Vec<BenchEntry> {
                 events_per_sec: ewma(&eps),
                 overhead_vs_plain_pct: None,
                 peak_rss_bytes: ewma(&rss) as u64,
-                p50_ns: 0,
-                p95_ns: 0,
-                p99_ns: 0,
             }
         })
         .collect()
@@ -452,9 +424,6 @@ mod tests {
             events_per_sec: eps,
             overhead_vs_plain_pct: None,
             peak_rss_bytes: 0,
-            p50_ns: 0,
-            p95_ns: 0,
-            p99_ns: 0,
         }
     }
 
@@ -579,29 +548,6 @@ mod tests {
         assert!(text.contains("·▁█"), "leading gap for MiniFE-1: {text}");
         assert_eq!(sparkline_gaps(&[None, Some(1.0), None]), "·▄·");
         assert_eq!(sparkline_gaps(&[]), "");
-    }
-
-    #[test]
-    fn service_entries_render_qps_and_p99_columns() {
-        let mut svc = entry("mix", 4, 10.0, 5_000.0);
-        svc.bin = "serve".into();
-        svc.events = 50_000;
-        svc.p50_ns = 900_000;
-        svc.p95_ns = 2_000_000;
-        svc.p99_ns = 6_500_000;
-        let line = record_line(&record("rev1", vec![svc.clone()]));
-        assert!(line.contains("\"p99_ns\": 6500000"), "{line}");
-        let back = parse_record(&line).unwrap();
-        assert_eq!(back.entries[0].p99_ns, 6_500_000);
-
-        let records = vec![record("rev1", vec![svc])];
-        let text = trend_text(&records, None);
-        assert!(text.contains("p99"), "{text}");
-        assert!(text.contains("6.50ms"), "latest p99 in ms: {text}");
-        assert!(text.contains("5000"), "qps via the events/s column: {text}");
-        // Non-service series render `-` in the p99 column.
-        let plain = trend_text(&[record("rev1", vec![entry("LULESH-1", 1, 10.0, 0.0)])], None);
-        assert!(plain.contains('-'), "{plain}");
     }
 
     #[test]

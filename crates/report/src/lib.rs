@@ -28,11 +28,9 @@
 //!   bundles (`nrlt-engineprof`): per-event-kind cost KPIs, queue
 //!   pressure, hot-loop allocations, and a bundle diff.
 //! * [`archive`] — loads archived `report.json` severity documents and
-//!   carves run-/top-N subsets out of them (what `nrlt-serve` answers
-//!   `/severity` from).
-//! * [`query`] — the load-then-render query layer shared by this
-//!   crate's CLI and `nrlt-serve`, with fault-classified
-//!   [`QueryError`]s (not-found vs bad-request vs corrupt-artifact).
+//!   carves run-/top-N subsets out of them.
+//! * [`query`] — the load-then-render query layer behind this crate's
+//!   CLI, with fault-classified [`QueryError`]s (not-found vs bad-request vs corrupt-artifact).
 //!
 //! The `nrlt-report` binary exposes all of it on the command line; the
 //! bench harness's `--report <dir>` flag writes `report.txt`,

@@ -1,25 +1,14 @@
-//! One query layer shared by the `nrlt-report` CLI and `nrlt-serve`.
-//!
-//! Each query surface used to live only inside the CLI's `main` —
-//! load-an-artifact, render-a-view, print. Serving the same views over
-//! HTTP needs the load/render steps as library calls with errors that
-//! distinguish *whose fault it is*:
+//! The query layer behind the `nrlt-report` CLI: each helper loads an
+//! artifact and renders a view of it, with errors that distinguish
+//! *whose fault it is*:
 //!
 //! * [`QueryError::NotFound`] — the artifact is fine but the request
-//!   names a run / wait state / key that isn't in it (HTTP 404, CLI
-//!   exit 2),
-//! * [`QueryError::BadRequest`] — the request itself is malformed
-//!   (HTTP 400, CLI exit 2),
+//!   names a run / wait state / key that isn't in it,
 //! * [`QueryError::Artifact`] — the artifact on disk is corrupt,
-//!   truncated, or unreadable (HTTP 500, CLI exit 2). Messages carry
-//!   path/line context from the loaders.
+//!   truncated, or unreadable. Messages carry path/line context from
+//!   the loaders.
 //!
-//! The one-shot helpers here load-then-render; `nrlt-serve` instead
-//! caches the loaded artifacts behind `Arc`s and calls the same render
-//! functions ([`observe_text`](crate::observe_text),
-//! [`engine_text`](crate::engine_text), [`severity_subset`],
-//! [`trend_text`](crate::trend_text), [`folded`](crate::folded))
-//! against the shared copies.
+//! The CLI exits with status 2 on any of them.
 
 use std::fmt;
 use std::path::Path;
@@ -34,8 +23,6 @@ use nrlt_telemetry::json;
 pub enum QueryError {
     /// The request names something the artifact doesn't contain.
     NotFound(String),
-    /// The request itself is malformed.
-    BadRequest(String),
     /// The artifact on disk is corrupt, truncated, or unreadable.
     Artifact(String),
 }
@@ -44,7 +31,7 @@ impl QueryError {
     /// The human-readable message, independent of classification.
     pub fn message(&self) -> &str {
         match self {
-            QueryError::NotFound(m) | QueryError::BadRequest(m) | QueryError::Artifact(m) => m,
+            QueryError::NotFound(m) | QueryError::Artifact(m) => m,
         }
     }
 }

@@ -59,7 +59,7 @@ fn severity_report_is_byte_identical_across_jobs_and_repeats() {
 fn flamegraph_totals_equal_root_span_inclusive_time() {
     let instance = tiny_instance();
     let tel = Telemetry::new();
-    nrlt_core::run_experiment_telemetry(&instance, &options(2), Some(&tel));
+    nrlt_core::run_experiment_instrumented(&instance, &options(2), Some(&tel), None, None);
     let spans = tel.spans();
     assert!(!spans.is_empty(), "pipeline emitted no spans");
     let doc = folded(&spans);
@@ -78,9 +78,6 @@ fn entry(run: &str, jobs: usize, wall: f64) -> bench::BenchEntry {
         events_per_sec: 0.0,
         overhead_vs_plain_pct: None,
         peak_rss_bytes: 0,
-        p50_ns: 0,
-        p95_ns: 0,
-        p99_ns: 0,
     }
 }
 

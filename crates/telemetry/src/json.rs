@@ -2,9 +2,9 @@
 //! recursive-descent parser used by the round-trip tests (and by anyone
 //! who wants to post-process an export without external crates).
 //!
-//! The parser is hardened against untrusted input — `nrlt-serve` feeds
-//! it bytes straight off a disk that a request named, so a malformed
-//! document must come back as an `Err`, never as a crash:
+//! The parser is hardened against untrusted input — `nrlt-report` feeds
+//! it whatever bundle files it is pointed at, so a malformed document
+//! must come back as an `Err`, never as a crash:
 //!
 //! * **depth limit** — nesting beyond [`ParseLimits::max_depth`] is an
 //!   error instead of a recursion-driven stack overflow (an overflow
@@ -354,9 +354,7 @@ impl<'a> Parser<'a> {
 
 /// Render a [`Value`] back to compact JSON. Object members come out in
 /// `BTreeMap` (key-sorted) order, so rendering is deterministic — the
-/// same parsed document always serializes to the same bytes, which is
-/// what lets `nrlt-serve` promise byte-identical responses across
-/// concurrent requests.
+/// same parsed document always serializes to the same bytes.
 pub fn render(v: &Value) -> String {
     let mut out = String::new();
     render_into(v, &mut out);

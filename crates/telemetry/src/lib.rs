@@ -319,6 +319,46 @@ impl Drop for Span<'_> {
     }
 }
 
+/// One pipeline phase, fed to whichever sinks are installed: a span on
+/// the optional [`Telemetry`] handle and the matching sampling-profiler
+/// frame ([`sample::frame`]). Both end when the guard drops or when
+/// [`Phase::next`] moves on. With `None` telemetry and no profiler
+/// installed, a phase does no recording work.
+#[must_use = "a phase measures the scope it lives in"]
+pub struct Phase<'a> {
+    tel: Option<&'a Telemetry>,
+    cat: &'static str,
+    span: Option<Span<'a>>,
+    frame: Option<sample::FrameGuard>,
+}
+
+impl<'a> Phase<'a> {
+    /// Open span `name` (category `cat`) on `tel` and publish `frame`.
+    pub fn new(
+        tel: Option<&'a Telemetry>,
+        cat: &'static str,
+        name: impl Into<String>,
+        frame: sample::frames::FrameId,
+    ) -> Phase<'a> {
+        Phase {
+            tel,
+            cat,
+            span: tel.map(|t| t.span_cat(name, cat)),
+            frame: Some(sample::frame(frame)),
+        }
+    }
+
+    /// End the current phase and start the next one, in the same
+    /// category. Frame pops are positional, so the old frame is popped
+    /// before the next one is published.
+    pub fn next(&mut self, name: impl Into<String>, frame: sample::frames::FrameId) {
+        self.span = None;
+        self.frame = None;
+        self.span = self.tel.map(|t| t.span_cat(name, self.cat));
+        self.frame = Some(sample::frame(frame));
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -389,6 +429,20 @@ mod tests {
         assert_eq!(spans[1].track, 5);
         // Independent tracks: both spans sit at depth 0 of their track.
         assert_eq!(spans[1].depth, 0);
+    }
+
+    #[test]
+    fn phase_next_closes_the_old_span_before_opening_the_next() {
+        let t = Telemetry::new();
+        {
+            let mut phase = Phase::new(Some(&t), "analysis", "a", sample::frames::ANALYZE_REPLAY);
+            phase.next("b", sample::frames::ANALYZE_P2P);
+        }
+        let spans = t.spans();
+        let names: Vec<&str> = spans.iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(names, ["a", "b"]);
+        assert!(spans.iter().all(|s| s.closed && s.depth == 0 && s.cat == "analysis"));
+        assert!(spans[1].start_ns >= spans[0].start_ns + spans[0].dur_ns);
     }
 
     #[test]

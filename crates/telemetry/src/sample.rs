@@ -651,16 +651,24 @@ mod tests {
         let prof = SampleProf::with_rate(1000);
         let guard = prof.install();
         std::thread::scope(|scope| {
-            for _ in 0..4 {
-                scope.spawn(|| {
-                    let _f = frame(frames::MODE_CELL);
-                    assert!(attached());
-                    std::thread::sleep(Duration::from_millis(20));
-                });
+            let workers: Vec<_> = (0..4)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let _f = frame(frames::MODE_CELL);
+                        assert!(attached());
+                        std::thread::sleep(Duration::from_millis(20));
+                    })
+                })
+                .collect();
+            // The scope itself stops waiting once each closure returns,
+            // possibly before the thread-local destructors that release
+            // the slots have run; a native join waits for those too.
+            for w in workers {
+                w.join().expect("worker panicked");
             }
         });
-        // Scoped threads exited: their thread-local destructors released
-        // every slot.
+        // Every worker thread has exited: their thread-local destructors
+        // released every slot.
         assert_eq!(prof.active_slots(), 0);
         assert!(prof.publishes() >= 4);
         prof.stop();

@@ -14,7 +14,7 @@ use nrlt::observe::export::ObserveBundle;
 use nrlt::observe::query::{dominant_wait, noise_shares, top_contended};
 use nrlt::observe::Observe;
 use nrlt::prelude::*;
-use nrlt::run_mode_with_observed;
+use nrlt::run_mode_with_instrumented;
 
 fn main() {
     let instance = minife_1();
@@ -30,7 +30,7 @@ fn main() {
     // One physical-clock run with the observatory attached.
     let obs = Observe::new();
     let mcfg = nrlt::measure_config_for(&instance, ClockMode::Tsc);
-    run_mode_with_observed(&instance, mcfg, &options, None, Some(&obs));
+    run_mode_with_instrumented(&instance, mcfg, &options, None, Some(&obs), None);
     let bundle = ObserveBundle::from_observe(&obs);
     let run_name = format!("{}:tsc:rep0", instance.name);
     let data = &bundle.runs[&run_name];

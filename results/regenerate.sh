@@ -11,7 +11,7 @@
 set -e
 JOBS="${JOBS:-0}"
 cargo build --release -p nrlt-bench
-for b in table1 table2 fig2 fig3 fig4 fig5 fig6 fig7 fig8 fig9 narrative ablation counters; do
+for b in table1 table2 fig2 fig3 fig4 fig5 fig6 fig7 fig8 fig9 narrative ablation counters critical; do
     echo "running $b ..."
     ./target/release/$b --jobs "$JOBS" \
         --telemetry results/telemetry/$b \
@@ -83,15 +83,6 @@ echo "timing engine microbenchmarks ..."
 echo "timing weak-scaling sweep (scale) ..."
 ./target/release/scale --bench-json BENCH_pipeline.json \
     --history results/history.jsonl > results/scale.txt
-# Query-service load benchmark: an in-process nrlt-serve over the
-# exemplar bundles just regenerated, driven by the deterministic
-# closed-loop client mix. Queries/sec and p50/p95/p99 latency land in
-# the baseline under the `serve` bin key (client counts the host
-# cannot run without oversubscribing are recorded but skipped by the
-# gate, like every other entry).
-echo "timing query-service load benchmark (serve) ..."
-./target/release/serve --bench-json BENCH_pipeline.json \
-    --history results/history.jsonl
 
 echo "done; outputs in results/, telemetry in results/telemetry/,"
 echo "report artifacts (report.txt, report.json, flamegraph.folded) in results/report/,"

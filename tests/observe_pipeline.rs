@@ -11,7 +11,7 @@ use nrlt::miniapps::{MiniFeConfig, MiniFeCosts};
 use nrlt::observe::export::ObserveBundle;
 use nrlt::observe::Observe;
 use nrlt::prelude::*;
-use nrlt::run_experiment_observed;
+use nrlt::run_experiment_instrumented;
 
 /// A deliberately tiny MiniFE so the whole protocol runs in seconds.
 fn tiny_instance() -> BenchmarkInstance {
@@ -39,7 +39,7 @@ fn options(jobs: usize) -> ExperimentOptions {
 fn observed_bundle(jobs: usize) -> (ExperimentResult, ObserveBundle) {
     let instance = tiny_instance();
     let obs = Observe::new();
-    let result = run_experiment_observed(&instance, &options(jobs), None, Some(&obs));
+    let result = run_experiment_instrumented(&instance, &options(jobs), None, Some(&obs), None);
     (result, ObserveBundle::from_observe(&obs))
 }
 
@@ -90,7 +90,7 @@ fn no_handle_means_zero_observability_work() {
     let obs = Observe::new();
     // Run the full pipeline WITHOUT passing the handle: the `None`
     // paths must leave the observatory untouched.
-    let with_none = run_experiment_observed(&instance, &options(2), None, None);
+    let with_none = run_experiment_instrumented(&instance, &options(2), None, None, None);
     assert_eq!(obs.call_count(), 0, "a None run must perform zero observability work");
     assert!(ObserveBundle::from_observe(&obs).runs.is_empty());
 

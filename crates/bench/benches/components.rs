@@ -1,5 +1,7 @@
 //! Micro-benchmarks of the hot components: trace encode/decode, message
-//! matching, trace analysis, the replay engine, and the Jaccard score.
+//! matching, trace analysis, the replay engine, the engine's hot-loop
+//! data structures (ladder calendar, wildcard book, batched noise
+//! draws), and the Jaccard score.
 //!
 //! A dependency-free harness (criterion is unavailable offline): each
 //! benchmark runs a warm-up pass, then a fixed number of timed
@@ -7,9 +9,11 @@
 //! `cargo bench --bench components`.
 
 use nrlt_core::analysis::analyze;
+use nrlt_core::exec::{LadderQueue, WildcardBook};
 use nrlt_core::measure_sys::{measure, MeasureConfig};
 use nrlt_core::mpisim::{Channel, Matcher};
 use nrlt_core::prelude::*;
+use nrlt_core::sim::{jitter_factor, RngFactory, StreamKind};
 use nrlt_core::trace::{decode, encode};
 use std::time::Instant;
 
@@ -60,6 +64,75 @@ fn workload() -> (Program, ExecConfig) {
     (pb.finish(), ExecConfig::jureca(1, JobLayout::block(ranks, 4), 7))
 }
 
+/// Deterministic 64-bit LCG (MMIX constants) for workload shapes: every
+/// run times the exact same operation sequence.
+struct Lcg(u64);
+
+impl Lcg {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        self.0
+    }
+}
+
+/// Ladder calendar: interleaved pushes (time-local, like completion
+/// times landing a little ahead of now) and pops.
+fn ladder_churn(n: usize) -> u64 {
+    let mut q: LadderQueue<u32> = LadderQueue::new(1_000_000);
+    let mut lcg = Lcg(7);
+    let mut now = 0u64;
+    let mut sink = 0u64;
+    for i in 0..n {
+        // Completion times land 0..16 ms ahead of the current horizon.
+        now += lcg.next() % 500_000;
+        q.push(now + lcg.next() % 16_000_000, i as u32);
+        if i % 4 == 3 {
+            for _ in 0..3 {
+                sink = sink.wrapping_add(q.pop().expect("queue has entries") as u64);
+            }
+        }
+    }
+    while let Some(v) = q.pop() {
+        sink = sink.wrapping_add(v as u64);
+    }
+    sink
+}
+
+/// Wildcard book: post/match churn across a handful of (rank, tag)
+/// keys, the shape an `MPI_ANY_SOURCE` workload would produce.
+fn wildcard_churn(n: usize) -> u64 {
+    let mut book: WildcardBook<u64> = WildcardBook::default();
+    let mut lcg = Lcg(11);
+    let mut sink = 0u64;
+    for i in 0..n {
+        let key = ((lcg.next() % 8) as u32, (lcg.next() % 4) as u32);
+        if book.depth() > 64 || (i % 3 == 2 && book.depth() > 0) {
+            if let Some(v) = book.pop(key) {
+                sink = sink.wrapping_add(v);
+            }
+        } else {
+            book.push(key, i as u64);
+        }
+    }
+    sink.wrapping_add(book.depth() as u64)
+}
+
+/// Batched noise draws: warm four streams per `stream4` call and take
+/// one jitter factor from each — the observer's hardware-counter path.
+fn noise_batches(n_batches: usize) -> f64 {
+    let f = RngFactory::new(42);
+    let mut acc = 0.0f64;
+    for i in 0..n_batches as u64 {
+        let k = StreamKind::HwCounter;
+        let mut streams =
+            f.stream4([(k, i, 4 * i), (k, i, 4 * i + 1), (k, i, 4 * i + 2), (k, i, 4 * i + 3)]);
+        for s in streams.iter_mut() {
+            acc += jitter_factor(s, 0.02);
+        }
+    }
+    acc
+}
+
 fn main() {
     let (program, cfg) = workload();
     println!("== engine ==");
@@ -70,6 +143,11 @@ fn main() {
     bench("execute_traced_lt_stmt", 10, || {
         measure(&program, &cfg, &MeasureConfig::new(ClockMode::LtStmt))
     });
+
+    println!("== engine structures ==");
+    bench("ladder_calendar_1m_pushes", 5, || ladder_churn(1_000_000));
+    bench("wildcard_book_1m_ops", 5, || wildcard_churn(1_000_000));
+    bench("noise_batch_250k_x4", 5, || noise_batches(250_000));
 
     println!("== trace_io ==");
     let (trace, _) = measure(&program, &cfg, &MeasureConfig::new(ClockMode::Tsc));

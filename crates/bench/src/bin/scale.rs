@@ -11,8 +11,8 @@
 //!    (asserted, not eyeballed).
 //! 2. **Bounded memory** — the 10k-rank runs complete under a budget
 //!    far below their resident event volume; `--rss-limit` turns the
-//!    bound into a CI assertion and every bench entry records
-//!    `peak_rss_bytes`.
+//!    bound into a CI assertion and every row prints the run's peak
+//!    RSS.
 //!
 //! Accepts the standard harness flags; `--trace-budget` overrides the
 //! default budget, `--only <app>` restricts to one mini-app family
@@ -179,12 +179,12 @@ fn main() {
         for ranks in sizes {
             let instance = make(ranks);
             let prof_run = h.engineprof().map(|_| RunProf::new(instance.name.clone()));
-            // Reset the kernel HWM so each entry's `peak_rss_bytes` is
-            // the peak of *this* run, not an inheritance from a larger
-            // earlier one (the harness still tracks the sweep-wide max
-            // for `--rss-limit`). Best-effort: where the reset is
-            // unavailable the HWM falls back to process-monotone.
-            nrlt_bench::bench_json::reset_peak_rss();
+            // Reset the kernel HWM so each row's `rss MiB` is the peak
+            // of *this* run, not an inheritance from a larger earlier
+            // one; the harness folds the old mark into the sweep-wide
+            // max that `--rss-limit` checks. Best-effort: where the
+            // reset is unavailable the HWM falls back to process-monotone.
+            h.reset_peak_rss();
             let start = Instant::now();
             let (_, trace_events, engine_events) =
                 measure_and_render(&instance, budget, &h, prof_run.as_ref());
@@ -193,7 +193,6 @@ fn main() {
                 let (name, data) = run.finish();
                 p.attach(name, data);
             }
-            h.record_external(&instance.name, 1, wall, engine_events);
             let resident_bytes = trace_events * BYTES_PER_EVENT;
             let spills = match budget {
                 Some(b) if resident_bytes > b => "spilled",
@@ -207,7 +206,7 @@ fn main() {
                 resident_bytes >> 20,
                 wall,
                 if wall > 0.0 { engine_events as f64 / wall } else { 0.0 },
-                nrlt_bench::bench_json::peak_rss_bytes() >> 20,
+                nrlt_report::bench::peak_rss_bytes() >> 20,
             );
         }
     }

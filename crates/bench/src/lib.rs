@@ -28,16 +28,10 @@ pub fn run_named(instance: &BenchmarkInstance) -> ExperimentResult {
     run_experiment(instance, &paper_options())
 }
 
-/// The perf-baseline format and regression gate live in the report
-/// crate ([`nrlt_report::bench`]); the old `nrlt_bench::bench_json` path
-/// stays valid through this re-export.
-pub use nrlt_report::bench as bench_json;
-pub use nrlt_report::bench::BenchEntry;
-
 /// Hotspot-table depth of the `--report` severity sections.
 const REPORT_TOP_N: usize = 10;
 
-/// Per-binary telemetry + perf-baseline harness.
+/// Per-binary telemetry harness.
 ///
 /// Every figure/table binary accepts `--telemetry <dir>` (also
 /// `--telemetry=<dir>`; every flag below takes both forms, and a
@@ -54,12 +48,6 @@ const REPORT_TOP_N: usize = 10;
 ///   [`ExperimentOptions::jobs`] for every experiment the harness
 ///   drives; `0` (the default) means available parallelism. Output is
 ///   byte-identical for every value — the flag only changes wall time.
-/// * `--bench-json <path>` records wall time per experiment into a JSON
-///   perf baseline at `path`. Entries are keyed by (binary, run, jobs),
-///   so running the same binary at `--jobs 1` and `--jobs 4` against
-///   one file accumulates both points for comparison. Every entry also
-///   records the host parallelism it was measured under (see
-///   [`nrlt_report::bench`]).
 /// * `--report <dir>` writes the severity report of every experiment
 ///   the harness drove (`report.txt` + `report.json`, deterministic —
 ///   derived from the analysis profiles only) and a collapsed-stack
@@ -73,9 +61,7 @@ const REPORT_TOP_N: usize = 10;
 ///   `observe.jsonl` + `observe.trace.json` into the directory on
 ///   [`Harness::finish`]. Without the flag the pipeline runs on its
 ///   `None` paths and does zero observability work; printed output is
-///   byte-identical either way. Bench entries recorded while observing
-///   carry an `:observe` key suffix so they gate separately from the
-///   plain pipeline.
+///   byte-identical either way.
 /// * `--engine-prof <dir>` (also `--engine-prof=<dir>`) turns on the
 ///   engine self-profiler for every harness-driven experiment —
 ///   per-event-kind cost accounting, queue-occupancy timelines,
@@ -83,9 +69,7 @@ const REPORT_TOP_N: usize = 10;
 ///   (deterministic) + `engineprof.wall.json` (wall-clock) into the
 ///   directory on [`Harness::finish`]. Without the flag the engine runs
 ///   on its `None` paths and performs zero profiling work; printed
-///   output is byte-identical either way. Bench entries recorded while
-///   profiling carry an `:engineprof` key suffix so they gate
-///   separately from the plain pipeline.
+///   output is byte-identical either way.
 /// * `--sample-prof <dir>` (also `--sample-prof=<dir>`) installs the
 ///   cooperative wall-clock sampling profiler for the whole invocation:
 ///   pipeline threads publish their current logical frame into
@@ -95,8 +79,7 @@ const REPORT_TOP_N: usize = 10;
 ///   `sampleprof.wall.json` sidecar (rate, ticks, samples, publishes,
 ///   torn reads, top stacks — wall-clock data, inherently run-to-run).
 ///   Without the flag no profiler exists and no thread ever publishes a
-///   slot. Bench entries recorded while sampling carry a `:sampleprof`
-///   key suffix so they gate separately from the plain pipeline.
+///   slot.
 /// * `--trace-budget <bytes>` (also `--trace-budget=<bytes>`, with
 ///   optional `k`/`m`/`g` suffixes, e.g. `--trace-budget 64m`) caps
 ///   resident event storage for every harness-driven experiment:
@@ -109,13 +92,6 @@ const REPORT_TOP_N: usize = 10;
 ///   tuning knob: [`Harness::finish`] fails the process when the
 ///   invocation's peak RSS (`VmHWM`) exceeded the limit. CI uses it to
 ///   prove the out-of-core path keeps memory bounded.
-/// * `--history <path>` (also `--history=<path>`) appends one
-///   schema-versioned JSON line to the cross-run perf ledger at `path`
-///   on [`Harness::finish`]: git revision, host parallelism, every
-///   bench entry of the invocation, the sampler's top stacks, and the
-///   engine profiler's per-run events/sec digest (see
-///   [`nrlt_report::history`]). `nrlt-report trend` renders the ledger;
-///   `bench-check --history` gates against its EWMA baseline.
 pub struct Harness {
     bin: String,
     tel: Option<Telemetry>,
@@ -130,18 +106,15 @@ pub struct Harness {
     sprof: Option<SampleProf>,
     sprof_guard: Option<sample::InstallGuard>,
     harness_frame: Option<sample::FrameGuard>,
-    history: Option<PathBuf>,
     only: Option<String>,
     jobs: Option<usize>,
     trace_budget: Option<u64>,
     rss_limit: Option<u64>,
-    // Running max of every `VmHWM` sample taken while recording bench
-    // entries. The kernel counter is resettable (`reset_peak_rss`), so
-    // the `--rss-limit` assertion checks this harness-side max — a
-    // sweep that resets between runs cannot hide an earlier overshoot.
+    // The largest `VmHWM` seen before each [`Harness::reset_peak_rss`].
+    // The kernel counter is resettable, so the `--rss-limit` assertion
+    // checks this harness-side max — a sweep that resets between runs
+    // cannot hide an earlier overshoot.
     rss_hwm: u64,
-    bench_json: Option<PathBuf>,
-    bench_entries: Vec<BenchEntry>,
     report_text: String,
     report_json: Vec<String>,
     started: Instant,
@@ -164,8 +137,6 @@ pub struct Flags {
     pub sample_prof: Option<PathBuf>,
     /// `--sample-rate <hz>`.
     pub sample_rate: Option<u32>,
-    /// `--history <path>`.
-    pub history: Option<PathBuf>,
     /// `--only <name>`.
     pub only: Option<String>,
     /// `--jobs <n>`.
@@ -174,8 +145,6 @@ pub struct Flags {
     pub trace_budget: Option<u64>,
     /// `--rss-limit <bytes>` (see [`parse_bytes`]).
     pub rss_limit: Option<u64>,
-    /// `--bench-json <path>`.
-    pub bench_json: Option<PathBuf>,
 }
 
 impl Flags {
@@ -206,12 +175,10 @@ impl Flags {
                 "engine-prof" => |f, v| path(v).map(|p| f.engine_prof = Some(p)),
                 "sample-prof" => |f, v| path(v).map(|p| f.sample_prof = Some(p)),
                 "sample-rate" => |f, v| v.parse().ok().map(|hz| f.sample_rate = Some(hz)),
-                "history" => |f, v| path(v).map(|p| f.history = Some(p)),
                 "only" => |f, v| (!v.is_empty()).then(|| f.only = Some(v.to_owned())),
                 "jobs" => |f, v| v.parse().ok().map(|n| f.jobs = Some(n)),
                 "trace-budget" => |f, v| parse_bytes(v).map(|b| f.trace_budget = Some(b)),
                 "rss-limit" => |f, v| parse_bytes(v).map(|b| f.rss_limit = Some(b)),
-                "bench-json" => |f, v| path(v).map(|p| f.bench_json = Some(p)),
                 _ => continue,
             };
             let value = inline.or_else(|| args.next()).unwrap_or_default();
@@ -227,7 +194,11 @@ impl Harness {
     /// Build a harness for binary `bin` from the command-line flags
     /// (see [`Flags`]); exits with status 2 on a malformed flag.
     pub fn from_env(bin: &str) -> Harness {
-        let flags = Flags::from_env();
+        Harness::new(bin, Flags::from_env())
+    }
+
+    /// Build a harness for binary `bin` from already-parsed `flags`.
+    fn new(bin: &str, flags: Flags) -> Harness {
         // The sampler is strictly opt-in: without `--sample-prof` no
         // profiler exists, nothing is installed, and `sample::frame`
         // calls throughout the pipeline stay no-op branches.
@@ -251,14 +222,11 @@ impl Harness {
             sprof,
             sprof_guard,
             harness_frame,
-            history: flags.history,
             only: flags.only,
             jobs: flags.jobs,
             trace_budget: flags.trace_budget,
             rss_limit: flags.rss_limit,
             rss_hwm: 0,
-            bench_json: flags.bench_json,
-            bench_entries: Vec::new(),
             report_text: String::new(),
             report_json: Vec::new(),
             started: Instant::now(),
@@ -289,48 +257,19 @@ impl Harness {
         self.trace_budget
     }
 
-    fn record_bench(&mut self, run: String, jobs: usize, wall_seconds: f64, events: u64) {
-        // Entries feed both the perf baseline (`--bench-json`) and the
-        // history ledger (`--history`).
-        if self.bench_json.is_some() || self.history.is_some() {
-            // Observing or profiling changes what a run costs, so each
-            // gates under its own key rather than polluting the
-            // plain-pipeline baseline.
-            let run = if self.obs.is_some() {
-                format!("{run}:observe")
-            } else if self.prof.is_some() {
-                format!("{run}:engineprof")
-            } else if self.sprof.is_some() {
-                format!("{run}:sampleprof")
-            } else {
-                run
-            };
-            let events_per_sec =
-                if wall_seconds > 0.0 { events as f64 / wall_seconds } else { 0.0 };
-            let peak_rss_bytes = bench_json::peak_rss_bytes();
-            self.rss_hwm = self.rss_hwm.max(peak_rss_bytes);
-            self.bench_entries.push(BenchEntry {
-                bin: self.bin.clone(),
-                run,
-                jobs: nrlt_core::effective_jobs(jobs),
-                host_parallelism: bench_json::host_parallelism(),
-                wall_seconds,
-                events,
-                events_per_sec,
-                // Derived against the comparison twin at merge time.
-                overhead_vs_plain_pct: None,
-                peak_rss_bytes,
-            });
-        }
+    /// Reset the kernel's peak-RSS high-water mark so the next run's
+    /// peak is its own (see [`nrlt_report::bench::reset_peak_rss`]),
+    /// first folding the current mark into the harness-side max that
+    /// `--rss-limit` checks. Returns whether the kernel reset took.
+    pub fn reset_peak_rss(&mut self) -> bool {
+        self.rss_hwm = self.peak_rss_bytes();
+        nrlt_report::bench::reset_peak_rss()
     }
 
-    /// Record a bench entry for an experiment the binary drove itself
-    /// (e.g. the `scale` weak-scaling sweep, which calls measurement
-    /// and analysis directly rather than through
-    /// [`Harness::run_experiment`]). Applies the same key-suffix and
-    /// peak-RSS conventions as harness-driven entries.
-    pub fn record_external(&mut self, run: &str, jobs: usize, wall_seconds: f64, events: u64) {
-        self.record_bench(run.to_owned(), jobs, wall_seconds, events);
+    /// Peak RSS of the invocation so far: the larger of the live `VmHWM`
+    /// and every mark folded in by [`Harness::reset_peak_rss`].
+    fn peak_rss_bytes(&self) -> u64 {
+        self.rss_hwm.max(nrlt_report::bench::peak_rss_bytes())
     }
 
     /// The telemetry sink to thread into the pipeline (`None` without
@@ -376,19 +315,12 @@ impl Harness {
     ) -> ExperimentResult {
         let options = self.apply_jobs(options);
         self.push_run(instance.name.clone(), instance, &options);
-        let start = Instant::now();
         let result = nrlt_core::run_experiment_instrumented(
             instance,
             &options,
             self.tel.as_ref(),
             self.obs.as_ref(),
             self.prof.as_ref(),
-        );
-        self.record_bench(
-            instance.name.clone(),
-            options.jobs,
-            start.elapsed().as_secs_f64(),
-            result.events,
         );
         if self.report_dir.is_some() {
             self.report_text.push_str(&nrlt_report::severity_text(&result, REPORT_TOP_N));
@@ -409,8 +341,7 @@ impl Harness {
     ) -> ModeResult {
         let options = self.apply_jobs(options);
         let name = format!("{}:{}", instance.name, mcfg.mode.name());
-        self.push_run(name.clone(), instance, &options);
-        let start = Instant::now();
+        self.push_run(name, instance, &options);
         let result = nrlt_core::run_mode_with_instrumented(
             instance,
             mcfg,
@@ -419,7 +350,6 @@ impl Harness {
             self.obs.as_ref(),
             self.prof.as_ref(),
         );
-        self.record_bench(name, options.jobs, start.elapsed().as_secs_f64(), result.events);
         self.record_mode_report(&result);
         result
     }
@@ -442,20 +372,20 @@ impl Harness {
         });
     }
 
-    /// Write the perf baseline, the report artifacts, the observe
-    /// bundle, the sampling profile, the history-ledger record, and the
-    /// telemetry bundle, as requested by `--bench-json`, `--report`,
-    /// `--observe`, `--sample-prof`, `--history`, and `--telemetry`.
+    /// Write the report artifacts, the engine profile, the observe
+    /// bundle, the sampling profile, and the telemetry bundle, as
+    /// requested by `--report`, `--engine-prof`, `--observe`,
+    /// `--sample-prof`, and `--telemetry`.
     /// Returns the telemetry directory written to, if any.
     pub fn finish(mut self) -> Option<PathBuf> {
         // `--rss-limit` is a CI assertion: the out-of-core path must
         // keep peak memory bounded, and a silent overshoot would defeat
         // the point of spilling. Checked first against the larger of
         // the live HWM and the harness-side running max, so a bin that
-        // calls `reset_peak_rss` between runs (the scale sweep does,
-        // for per-entry attribution) cannot hide an earlier overshoot.
+        // resets the HWM between runs (the scale sweep does, for
+        // per-size attribution) cannot hide an earlier overshoot.
         if let Some(limit) = self.rss_limit {
-            let peak = self.rss_hwm.max(bench_json::peak_rss_bytes());
+            let peak = self.peak_rss_bytes();
             if peak > limit {
                 eprintln!(
                     "error: peak RSS {} bytes ({}M) exceeded --rss-limit {} bytes ({}M)",
@@ -468,13 +398,6 @@ impl Harness {
             }
             eprintln!("peak RSS {}M within --rss-limit {}M", peak >> 20, limit >> 20);
         }
-        // Capture the engineprof KPI digest for the history record
-        // before the profiler is consumed by the bundle write below.
-        let engineprof_eps: Vec<(String, f64)> = self
-            .prof
-            .as_ref()
-            .map(|p| p.runs().into_iter().map(|(run, d)| (run, d.events_per_sec())).collect())
-            .unwrap_or_default();
         if let (Some(pdir), Some(prof)) = (self.engineprof_dir.take(), self.prof.take()) {
             match ProfBundle::from_prof(&prof).write(&pdir) {
                 Ok(()) => eprintln!("engine profile written to {}", pdir.display()),
@@ -494,11 +417,9 @@ impl Harness {
         // Stop sampling before the (unprofiled) artifact writes so the
         // histogram covers exactly the harness-driven work, then write
         // the folded stacks + wall-clock sidecar.
-        let mut top_stacks: Vec<(String, u64)> = Vec::new();
         if let (Some(sdir), Some(sprof)) = (self.sample_dir.take(), self.sprof.take()) {
             drop(self.harness_frame.take());
             drop(self.sprof_guard.take());
-            top_stacks = sprof.top_stacks(10);
             match write_sample_bundle(&sdir, &sprof) {
                 Ok(()) => eprintln!("sampling profile written to {}", sdir.display()),
                 Err(e) => {
@@ -506,35 +427,6 @@ impl Harness {
                         "warning: could not write sampling profile to {}: {e}",
                         sdir.display()
                     )
-                }
-            }
-        }
-        if let Some(path) = self.bench_json.take() {
-            match bench_json::merge_and_write(&path, &self.bench_entries) {
-                Ok(()) => eprintln!("perf baseline written to {}", path.display()),
-                Err(e) => {
-                    eprintln!("warning: could not write perf baseline to {}: {e}", path.display())
-                }
-            }
-        }
-        if let Some(hpath) = self.history.take() {
-            let record = nrlt_report::HistoryRecord {
-                schema: nrlt_report::HISTORY_SCHEMA_VERSION,
-                unix_time: std::time::SystemTime::now()
-                    .duration_since(std::time::UNIX_EPOCH)
-                    .map(|d| d.as_secs())
-                    .unwrap_or(0),
-                git_rev: nrlt_telemetry::git_rev(),
-                host_parallelism: bench_json::host_parallelism(),
-                bin: self.bin.clone(),
-                entries: self.bench_entries.clone(),
-                top_stacks,
-                engineprof_eps,
-            };
-            match nrlt_report::append_record(&hpath, &record) {
-                Ok(()) => eprintln!("history record appended to {}", hpath.display()),
-                Err(e) => {
-                    eprintln!("warning: could not append history to {}: {e}", hpath.display())
                 }
             }
         }
@@ -719,5 +611,19 @@ mod tests {
             let err = parse(bad).expect_err(&format!("{bad:?} must be rejected"));
             assert!(err.starts_with(bad[0].split('=').next().unwrap()), "{err}");
         }
+    }
+
+    #[test]
+    fn resetting_the_peak_through_the_harness_keeps_an_earlier_overshoot() {
+        const SIZE: usize = 64 << 20;
+        let mut h = Harness::new("test", Flags::default());
+        let touched = vec![0xA5u8; SIZE];
+        std::hint::black_box(&touched);
+        drop(touched);
+        if !h.reset_peak_rss() || nrlt_report::bench::peak_rss_bytes() == 0 {
+            return; // no resettable HWM on this host: the live mark covers it
+        }
+        let peak = h.peak_rss_bytes();
+        assert!(peak >= SIZE as u64, "tracked peak {peak} lost the 64 MiB overshoot");
     }
 }

@@ -18,19 +18,16 @@
 //! * [`flame`] — collapsed-stack flamegraph export and per-track hot-path
 //!   (critical-chain) extraction over pipeline spans.
 //! * [`diff`] — span and counter deltas between two bundles.
-//! * [`bench`] — the `BENCH_pipeline.json` perf-baseline format (moved
-//!   here from `nrlt-bench` so both the writer and the gate share one
-//!   parser) and the `bench-check` regression gate.
+//! * [`bench`] — host parallelism and peak-RSS (`VmHWM`) probes shared
+//!   by the bench harness and the repository benchmark.
 //! * [`observe`] — the resource-observatory explorer over `--observe`
 //!   bundles (`nrlt-observe`): top contended resources per phase,
 //!   noise share per wait-metric cell, wait-state provenance chains.
 //! * [`engine`] — the engine-introspection view over `--engine-prof`
 //!   bundles (`nrlt-engineprof`): per-event-kind cost KPIs, queue
 //!   pressure, hot-loop allocations, and a bundle diff.
-//! * [`archive`] — loads archived `report.json` severity documents and
-//!   carves run-/top-N subsets out of them.
 //! * [`query`] — the load-then-render query layer behind this crate's
-//!   CLI, with fault-classified [`QueryError`]s (not-found vs bad-request vs corrupt-artifact).
+//!   CLI.
 //!
 //! The `nrlt-report` binary exposes all of it on the command line; the
 //! bench harness's `--report <dir>` flag writes `report.txt`,
@@ -42,20 +39,16 @@
 
 #![warn(missing_docs)]
 
-pub mod archive;
 pub mod bench;
 pub mod bundle;
 pub mod diff;
 pub mod engine;
 pub mod flame;
-pub mod history;
 pub mod inspect;
 pub mod observe;
 pub mod query;
 pub mod severity;
 
-pub use archive::{load_report_doc, run_names, severity_subset};
-pub use bench::{bench_check, BenchEntry, GateReport, GateRow};
 pub use bundle::Bundle;
 pub use diff::diff_text;
 pub use engine::{engine_diff, engine_text, load_engine_bundle, EngineBundle, EngineRun};
@@ -63,11 +56,7 @@ pub use flame::{
     escape_frame, folded, folded_from_counts, folded_totals, hot_paths_text, parse_folded,
     unescape_frame,
 };
-pub use history::{
-    append_record, ewma_baseline, history_gate, read_history, trend_text, HistoryRecord,
-    HISTORY_SCHEMA_VERSION,
-};
 pub use inspect::{inspect_text, span_stats, SpanStats};
 pub use observe::{observe_text, wait_names};
-pub use query::{engine_query, observe_query, severity_query, trend_query, QueryError};
+pub use query::{engine_query, observe_query};
 pub use severity::{mode_text, severity_json, severity_text};

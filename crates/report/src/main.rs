@@ -22,26 +22,12 @@
 //! nrlt-report engine <bundle-dir> [--run NAME] [--top K] [--diff <bundle-dir>]
 //! ```
 //!
-//! And the perf regression gate over `BENCH_pipeline.json`-format files
-//! (or, with `--history`, against the EWMA of the run ledger) plus the
-//! trend view over `results/history.jsonl`:
-//!
-//! ```text
-//! nrlt-report bench-check --baseline BENCH_pipeline.json \
-//!     --current new.json [--max-regress 1.5]
-//! nrlt-report bench-check --history results/history.jsonl \
-//!     --current new.json [--max-regress 1.5]
-//! nrlt-report trend [results/history.jsonl] [--key <substring>]
-//! ```
-//!
-//! Exit status: 0 ok / gate passed, 1 gate regressed, 2 usage or I/O
-//! error.
+//! Exit status: 0 ok, 2 usage, I/O or artifact error.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use nrlt_report::bench;
-use nrlt_report::{bench_check, diff_text, folded, hot_paths_text, inspect_text, Bundle};
+use nrlt_report::{diff_text, folded, hot_paths_text, inspect_text, Bundle};
 
 const USAGE: &str = "\
 usage: nrlt-report <command> [args]
@@ -60,16 +46,6 @@ commands:
                                events/sec, queue pressure, hot-loop allocations;
                                --diff compares the deterministic accounting of
                                two bundles
-  bench-check (--baseline <file> | --history <ledger>) --current <file>
-              [--max-regress <factor>]
-                               gate current wall times and engine throughput
-                               against a frozen baseline file or against the
-                               EWMA of the run ledger
-  trend [<ledger>] [--key <substring>]
-                               per-key perf trajectories over the run ledger
-                               (default ledger: results/history.jsonl):
-                               sparkline, first/last/best, EWMA baseline,
-                               latest sampled hot stacks
 
 a bundle-dir is a directory containing metrics.jsonl, as written by the
 bench bins' --telemetry/--report flags; for `observe` it is a directory
@@ -80,7 +56,7 @@ bins' --engine-prof flag.";
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match run(&args) {
-        Ok(code) => code,
+        Ok(()) => ExitCode::SUCCESS,
         Err(msg) => {
             eprintln!("nrlt-report: {msg}");
             eprintln!("{USAGE}");
@@ -89,40 +65,32 @@ fn main() -> ExitCode {
     }
 }
 
-fn run(args: &[String]) -> Result<ExitCode, String> {
+fn run(args: &[String]) -> Result<(), String> {
     let cmd = args.first().map(String::as_str).ok_or("missing command")?;
-    match cmd {
-        "inspect" => {
-            let b = load_bundle(args.get(1))?;
-            print!("{}", inspect_text(&b));
-            Ok(ExitCode::SUCCESS)
+    let text = match cmd {
+        "inspect" => inspect_text(&load_bundle(args.get(1))?),
+        "flamegraph" => folded(&load_bundle(args.get(1))?.spans),
+        "critical-path" => hot_paths_text(&load_bundle(args.get(1))?.spans),
+        "diff" => diff_text(&load_bundle(args.get(1))?, &load_bundle(args.get(2))?),
+        "observe" => {
+            let q = Query::parse(cmd, &["run", "top", "wait"], &args[1..])?;
+            nrlt_report::observe_query(&q.dir, q.run.as_deref(), q.top, q.wait.as_deref())?
         }
-        "flamegraph" => {
-            let b = load_bundle(args.get(1))?;
-            print!("{}", folded(&b.spans));
-            Ok(ExitCode::SUCCESS)
+        "engine" => {
+            let q = Query::parse(cmd, &["run", "top", "diff"], &args[1..])?;
+            match q.diff {
+                Some(other) => nrlt_report::engine_diff(
+                    &nrlt_report::load_engine_bundle(&q.dir)?,
+                    &nrlt_report::load_engine_bundle(&other)?,
+                ),
+                None => nrlt_report::engine_query(&q.dir, q.run.as_deref(), q.top)?,
+            }
         }
-        "critical-path" => {
-            let b = load_bundle(args.get(1))?;
-            print!("{}", hot_paths_text(&b.spans));
-            Ok(ExitCode::SUCCESS)
-        }
-        "diff" => {
-            let a = load_bundle(args.get(1))?;
-            let b = load_bundle(args.get(2))?;
-            print!("{}", diff_text(&a, &b));
-            Ok(ExitCode::SUCCESS)
-        }
-        "observe" => run_observe(&args[1..]),
-        "engine" => run_engine(&args[1..]),
-        "bench-check" => run_bench_check(&args[1..]),
-        "trend" => run_trend(&args[1..]),
-        "--help" | "-h" | "help" => {
-            println!("{USAGE}");
-            Ok(ExitCode::SUCCESS)
-        }
-        other => Err(format!("unknown command {other:?}")),
-    }
+        "--help" | "-h" | "help" => format!("{USAGE}\n"),
+        other => return Err(format!("unknown command {other:?}")),
+    };
+    print!("{text}");
+    Ok(())
 }
 
 fn load_bundle(arg: Option<&String>) -> Result<Bundle, String> {
@@ -130,172 +98,54 @@ fn load_bundle(arg: Option<&String>) -> Result<Bundle, String> {
     Bundle::load(Path::new(dir))
 }
 
-fn run_observe(args: &[String]) -> Result<ExitCode, String> {
-    let mut dir: Option<PathBuf> = None;
-    let mut run: Option<String> = None;
-    let mut top = 5usize;
-    let mut wait: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut take = |inline: Option<&str>| -> Result<String, String> {
-            match inline {
-                Some(v) => Ok(v.to_owned()),
-                None => it.next().cloned().ok_or_else(|| format!("{arg} requires a value")),
-            }
-        };
-        if arg == "--run" || arg.starts_with("--run=") {
-            run = Some(take(arg.strip_prefix("--run="))?);
-        } else if arg == "--top" || arg.starts_with("--top=") {
-            let raw = take(arg.strip_prefix("--top="))?;
-            top = raw
-                .parse::<usize>()
-                .ok()
-                .filter(|v| *v >= 1)
-                .ok_or_else(|| format!("--top must be a positive integer, got {raw:?}"))?;
-        } else if arg == "--wait" || arg.starts_with("--wait=") {
-            wait = Some(take(arg.strip_prefix("--wait="))?);
-        } else if arg.starts_with('-') {
-            return Err(format!("unknown observe argument {arg:?}"));
-        } else if dir.is_none() {
-            dir = Some(PathBuf::from(arg));
-        } else {
-            return Err(format!("unexpected observe argument {arg:?}"));
-        }
-    }
-    let dir = dir.ok_or("observe requires a bundle directory argument")?;
-    let text = nrlt_report::observe_query(&dir, run.as_deref(), top, wait.as_deref())
-        .map_err(|e| e.message().to_owned())?;
-    print!("{text}");
-    Ok(ExitCode::SUCCESS)
+/// The arguments of `observe` and `engine`: a bundle directory plus
+/// `--run`, `--top`, `--wait` and `--diff`, each as `--flag value` or
+/// `--flag=value`. A subcommand accepts only the flags it names.
+struct Query {
+    dir: PathBuf,
+    run: Option<String>,
+    top: usize,
+    wait: Option<String>,
+    diff: Option<PathBuf>,
 }
 
-fn run_engine(args: &[String]) -> Result<ExitCode, String> {
-    let mut dir: Option<PathBuf> = None;
-    let mut run: Option<String> = None;
-    let mut top = 5usize;
-    let mut diff: Option<PathBuf> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut take = |inline: Option<&str>| -> Result<String, String> {
-            match inline {
-                Some(v) => Ok(v.to_owned()),
-                None => it.next().cloned().ok_or_else(|| format!("{arg} requires a value")),
+impl Query {
+    fn parse(cmd: &str, flags: &[&str], args: &[String]) -> Result<Query, String> {
+        let mut dir: Option<PathBuf> = None;
+        let mut q = Query { dir: PathBuf::new(), run: None, top: 5, wait: None, diff: None };
+        let mut it = args.iter();
+        while let Some(arg) = it.next() {
+            if !arg.starts_with('-') {
+                if dir.replace(PathBuf::from(arg)).is_some() {
+                    return Err(format!("unexpected {cmd} argument {arg:?}"));
+                }
+                continue;
             }
-        };
-        if arg == "--run" || arg.starts_with("--run=") {
-            run = Some(take(arg.strip_prefix("--run="))?);
-        } else if arg == "--top" || arg.starts_with("--top=") {
-            let raw = take(arg.strip_prefix("--top="))?;
-            top = raw
-                .parse::<usize>()
-                .ok()
-                .filter(|v| *v >= 1)
-                .ok_or_else(|| format!("--top must be a positive integer, got {raw:?}"))?;
-        } else if arg == "--diff" || arg.starts_with("--diff=") {
-            diff = Some(PathBuf::from(take(arg.strip_prefix("--diff="))?));
-        } else if arg.starts_with('-') {
-            return Err(format!("unknown engine argument {arg:?}"));
-        } else if dir.is_none() {
-            dir = Some(PathBuf::from(arg));
-        } else {
-            return Err(format!("unexpected engine argument {arg:?}"));
-        }
-    }
-    let dir = dir.ok_or("engine requires a bundle directory argument")?;
-    match diff {
-        Some(other) => {
-            let bundle = nrlt_report::load_engine_bundle(&dir)?;
-            let b = nrlt_report::load_engine_bundle(&other)?;
-            print!("{}", nrlt_report::engine_diff(&bundle, &b));
-        }
-        None => {
-            let text = nrlt_report::engine_query(&dir, run.as_deref(), top)
-                .map_err(|e| e.message().to_owned())?;
-            print!("{text}");
-        }
-    }
-    Ok(ExitCode::SUCCESS)
-}
-
-fn run_bench_check(args: &[String]) -> Result<ExitCode, String> {
-    let mut baseline: Option<PathBuf> = None;
-    let mut history: Option<PathBuf> = None;
-    let mut current: Option<PathBuf> = None;
-    let mut max_regress = 1.5f64;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut take = |inline: Option<&str>| -> Result<String, String> {
-            match inline {
-                Some(v) => Ok(v.to_owned()),
-                None => it.next().cloned().ok_or_else(|| format!("{arg} requires a value")),
+            let flag = arg.strip_prefix("--").unwrap_or(arg);
+            let (name, inline) = match flag.split_once('=') {
+                Some((name, value)) => (name, Some(value.to_owned())),
+                None => (flag, None),
+            };
+            if !flags.contains(&name) {
+                return Err(format!("unknown {cmd} argument {arg:?}"));
             }
-        };
-        if arg == "--baseline" || arg.starts_with("--baseline=") {
-            baseline = Some(PathBuf::from(take(arg.strip_prefix("--baseline="))?));
-        } else if arg == "--history" || arg.starts_with("--history=") {
-            history = Some(PathBuf::from(take(arg.strip_prefix("--history="))?));
-        } else if arg == "--current" || arg.starts_with("--current=") {
-            current = Some(PathBuf::from(take(arg.strip_prefix("--current="))?));
-        } else if arg == "--max-regress" || arg.starts_with("--max-regress=") {
-            let raw = take(arg.strip_prefix("--max-regress="))?;
-            max_regress = raw
-                .parse::<f64>()
-                .ok()
-                .filter(|v| *v >= 1.0)
-                .ok_or_else(|| format!("--max-regress must be a factor >= 1.0, got {raw:?}"))?;
-        } else {
-            return Err(format!("unknown bench-check argument {arg:?}"));
-        }
-    }
-    let current = current.ok_or("bench-check requires --current <file>")?;
-    let cur_entries = bench::read_entries(&current)
-        .map_err(|e| format!("cannot read current {}: {e}", current.display()))?;
-    let report = match (baseline, history) {
-        (Some(_), Some(_)) => {
-            return Err("--baseline and --history are mutually exclusive".into());
-        }
-        (Some(baseline), None) => {
-            let base_entries = bench::read_entries(&baseline)
-                .map_err(|e| format!("cannot read baseline {}: {e}", baseline.display()))?;
-            bench_check(&base_entries, &cur_entries, max_regress)
-        }
-        (None, Some(history)) => {
-            let records = nrlt_report::read_history(&history)
-                .map_err(|e| format!("cannot read ledger {}: {e}", history.display()))?;
-            nrlt_report::history_gate(&records, &cur_entries, max_regress)
-        }
-        (None, None) => {
-            return Err("bench-check requires --baseline <file> or --history <ledger>".into());
-        }
-    };
-    print!("{}", report.render());
-    Ok(if report.failed() { ExitCode::FAILURE } else { ExitCode::SUCCESS })
-}
-
-fn run_trend(args: &[String]) -> Result<ExitCode, String> {
-    let mut ledger: Option<PathBuf> = None;
-    let mut key: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut take = |inline: Option<&str>| -> Result<String, String> {
-            match inline {
-                Some(v) => Ok(v.to_owned()),
-                None => it.next().cloned().ok_or_else(|| format!("{arg} requires a value")),
+            let value = match inline.or_else(|| it.next().cloned()) {
+                Some(v) => v,
+                None => return Err(format!("{arg} requires a value")),
+            };
+            match name {
+                "run" => q.run = Some(value),
+                "top" => {
+                    let top = value.parse::<usize>().ok().filter(|v| *v >= 1);
+                    q.top = top.ok_or_else(|| {
+                        format!("--top must be a positive integer, got {value:?}")
+                    })?;
+                }
+                "wait" => q.wait = Some(value),
+                _ => q.diff = Some(PathBuf::from(value)),
             }
-        };
-        if arg == "--key" || arg.starts_with("--key=") {
-            key = Some(take(arg.strip_prefix("--key="))?);
-        } else if arg.starts_with('-') {
-            return Err(format!("unknown trend argument {arg:?}"));
-        } else if ledger.is_none() {
-            ledger = Some(PathBuf::from(arg));
-        } else {
-            return Err(format!("unexpected trend argument {arg:?}"));
         }
+        q.dir = dir.ok_or_else(|| format!("{cmd} requires a bundle directory argument"))?;
+        Ok(q)
     }
-    let ledger = ledger.unwrap_or_else(|| PathBuf::from("results/history.jsonl"));
-    let text =
-        nrlt_report::trend_query(&ledger, key.as_deref()).map_err(|e| e.message().to_owned())?;
-    print!("{text}");
-    Ok(ExitCode::SUCCESS)
 }

@@ -133,6 +133,21 @@ fn noise_batches(n_batches: usize) -> f64 {
     acc
 }
 
+/// The scalar code [`noise_batches`] replaces: the same 1M streams, each
+/// built and warmed alone by `RngFactory::stream`, one draw each. The
+/// batched kernel must beat this, not just exist.
+fn noise_scalar(n_batches: usize) -> f64 {
+    let f = RngFactory::new(42);
+    let mut acc = 0.0f64;
+    for i in 0..n_batches as u64 {
+        let k = StreamKind::HwCounter;
+        for j in 0..4 {
+            acc += jitter_factor(&mut f.stream(k, i, 4 * i + j), 0.02);
+        }
+    }
+    acc
+}
+
 fn main() {
     let (program, cfg) = workload();
     println!("== engine ==");
@@ -148,6 +163,7 @@ fn main() {
     bench("ladder_calendar_1m_pushes", 5, || ladder_churn(1_000_000));
     bench("wildcard_book_1m_ops", 5, || wildcard_churn(1_000_000));
     bench("noise_batch_250k_x4", 5, || noise_batches(250_000));
+    bench("noise_scalar_1m", 5, || noise_scalar(250_000));
 
     println!("== trace_io ==");
     let (trace, _) = measure(&program, &cfg, &MeasureConfig::new(ClockMode::Tsc));

@@ -15,7 +15,10 @@ use crate::config::ExecConfig;
 use crate::duration::{DurationModel, ExecPhase, KernelProbe};
 use crate::ladder::LadderQueue;
 use crate::observer::{EventInfo, Observer, RuntimeKind, WorkItem};
-use crate::regions::{collective_kind, implicit_barrier_of, parallel_regions, prepare_regions};
+use crate::regions::{
+    collective_kind, implicit_barrier_of, parallel_regions, prepare_regions, DerivedRegions,
+    ParallelRegions,
+};
 use crate::result::ExecResult;
 use nrlt_engineprof::{EventKind, RunProf};
 use nrlt_mpisim::{message_timing, Channel, CommScope, LinkKind, Matcher};
@@ -389,6 +392,8 @@ struct Engine<'a, O: Observer> {
     channels: ChannelArena,
     /// MPI API regions by [`mpi_slot`].
     mpi_regions: [Option<RegionId>; 13],
+    /// OpenMP fork/join/implicit-barrier regions by construct region.
+    derived: DerivedRegions,
     loc_last: Vec<VirtualTime>,
     kernel_seq: Vec<u64>,
     /// Ready ranks, bucketed by virtual time with FIFO tie-break.
@@ -469,6 +474,7 @@ impl<'a, O: Observer> Engine<'a, O> {
             collectives: Vec::new(),
             channels: ChannelArena::default(),
             mpi_regions,
+            derived: DerivedRegions::new(regions),
             loc_last: vec![VirtualTime::ZERO; n_locs],
             kernel_seq: vec![0; n_locs],
             worklist: LadderQueue::new(LADDER_BUCKET_NS),
@@ -751,6 +757,21 @@ impl<'a, O: Observer> Engine<'a, O> {
                 ],
             );
         }
+    }
+
+    // A miss in `derived` means the table was not prepared for this
+    // program; the name lookups then panic naming the region.
+
+    fn parallel_regions(&self, parallel_region: RegionId) -> ParallelRegions {
+        self.derived
+            .parallel(parallel_region)
+            .unwrap_or_else(|| parallel_regions(self.regions, parallel_region))
+    }
+
+    fn implicit_barrier(&self, construct: RegionId) -> RegionId {
+        self.derived
+            .implicit_barrier(construct)
+            .unwrap_or_else(|| implicit_barrier_of(self.regions, construct))
     }
 
     fn mpi_region(&self, op: &MpiOp) -> RegionId {
@@ -1461,7 +1482,7 @@ impl<'a, O: Observer> Engine<'a, O> {
 
     fn do_parallel(&mut self, r: u32, pr: &ParallelRegion) {
         let team = self.config.layout.threads_per_rank;
-        let derived = parallel_regions(self.regions, pr.region);
+        let derived = self.parallel_regions(pr.region);
         let m = Location::master(r);
         let loc = |i: u32| Location { rank: r, thread: i };
         let mut t = self.states[r as usize].time;
@@ -1513,7 +1534,7 @@ impl<'a, O: Observer> Engine<'a, O> {
                     te = self.emit(l, te, EventInfo::Leave { region: *region });
                     tt[exec as usize] = te;
                     if !nowait {
-                        let ib = implicit_barrier_of(self.regions, *region);
+                        let ib = self.implicit_barrier(*region);
                         self.do_omp_barrier(r, ib, &mut tt);
                     }
                 }
@@ -1826,7 +1847,7 @@ impl<'a, O: Observer> Engine<'a, O> {
                 self.emit(loc(i), tt[i as usize], EventInfo::Leave { region: f.region });
         }
         if !f.nowait {
-            let ib = implicit_barrier_of(self.regions, f.region);
+            let ib = self.implicit_barrier(f.region);
             self.do_omp_barrier(r, ib, tt);
         }
     }

@@ -25,6 +25,7 @@ pub use engine::{execute, execute_prepared_instrumented, WildcardBook, ANY_SOURC
 pub use ladder::LadderQueue;
 pub use observer::{EventInfo, NullObserver, Observer, RuntimeKind, WorkItem};
 pub use regions::{
-    collective_kind, implicit_barrier_of, parallel_regions, prepare_regions, ParallelRegions,
+    collective_kind, implicit_barrier_of, parallel_regions, prepare_regions, DerivedRegions,
+    ParallelRegions,
 };
 pub use result::{overhead_percent, ExecResult};

@@ -70,14 +70,22 @@ pub fn prepare_regions(program: &Program) -> RegionTable {
     table
 }
 
+/// The derived region `{prefix} @name` of the construct `region`, if
+/// [`prepare_regions`] interned it.
+fn derived(table: &RegionTable, region: RegionId, prefix: &str) -> Option<RegionId> {
+    table.find(&format!("{prefix} @{}", construct_name(table.name(region))))
+}
+
 /// Look up the derived regions of a parallel region (after
 /// [`prepare_regions`]).
 pub fn parallel_regions(table: &RegionTable, parallel_region: RegionId) -> ParallelRegions {
-    let name = construct_name(table.name(parallel_region)).to_owned();
     let find = |prefix: &str| {
-        table
-            .find(&format!("{prefix} @{name}"))
-            .unwrap_or_else(|| panic!("missing derived region `{prefix} @{name}`"))
+        derived(table, parallel_region, prefix).unwrap_or_else(|| {
+            panic!(
+                "missing derived region `{prefix} @{}`",
+                construct_name(table.name(parallel_region))
+            )
+        })
     };
     ParallelRegions {
         fork: find("!$omp fork"),
@@ -88,10 +96,54 @@ pub fn parallel_regions(table: &RegionTable, parallel_region: RegionId) -> Paral
 
 /// Look up the implicit-barrier region of a worksharing construct.
 pub fn implicit_barrier_of(table: &RegionTable, construct: RegionId) -> RegionId {
-    let name = construct_name(table.name(construct)).to_owned();
-    table
-        .find(&format!("!$omp implicit barrier @{name}"))
-        .unwrap_or_else(|| panic!("missing implicit barrier for @{name}"))
+    derived(table, construct, "!$omp implicit barrier").unwrap_or_else(|| {
+        panic!("missing implicit barrier for @{}", construct_name(table.name(construct)))
+    })
+}
+
+/// Every region's derived ids, resolved once per prepared table into
+/// dense arrays indexed by [`RegionId`], so the engine's per-construct
+/// lookup is an array load instead of a formatted name and a hash probe.
+///
+/// Where [`parallel_regions`] and [`implicit_barrier_of`] return an id,
+/// [`parallel`](Self::parallel) and
+/// [`implicit_barrier`](Self::implicit_barrier) return the same id;
+/// where they panic, these return `None`.
+#[derive(Debug)]
+pub struct DerivedRegions {
+    /// Fork, join and end barrier, when all three were interned.
+    parallel: Vec<Option<ParallelRegions>>,
+    /// `!$omp implicit barrier @name`, when interned.
+    barrier: Vec<Option<RegionId>>,
+}
+
+impl DerivedRegions {
+    /// Resolve the derived ids of every region in `table`.
+    pub fn new(table: &RegionTable) -> Self {
+        let ids = || table.iter().map(|(id, _)| id);
+        let barrier: Vec<_> = ids().map(|r| derived(table, r, "!$omp implicit barrier")).collect();
+        let parallel = ids()
+            .zip(&barrier)
+            .map(|(r, &end_barrier)| {
+                Some(ParallelRegions {
+                    fork: derived(table, r, "!$omp fork")?,
+                    join: derived(table, r, "!$omp join")?,
+                    end_barrier: end_barrier?,
+                })
+            })
+            .collect();
+        DerivedRegions { parallel, barrier }
+    }
+
+    /// The derived regions of a parallel region.
+    pub fn parallel(&self, parallel_region: RegionId) -> Option<ParallelRegions> {
+        self.parallel[parallel_region.0 as usize]
+    }
+
+    /// The implicit-barrier region of a worksharing construct.
+    pub fn implicit_barrier(&self, construct: RegionId) -> Option<RegionId> {
+        self.barrier[construct.0 as usize]
+    }
 }
 
 /// Map a program MPI op to the trace collective kind.
@@ -170,6 +222,22 @@ mod tests {
         assert_eq!(t.name(ib), "!$omp implicit barrier @loop");
         let sg = t.find("!$omp single @setup").unwrap();
         assert_eq!(t.name(implicit_barrier_of(&t, sg)), "!$omp implicit barrier @setup");
+    }
+
+    #[test]
+    fn derived_table_matches_lookups_and_misses_unprepared_regions() {
+        let p = sample();
+        let t = prepare_regions(&p);
+        let d = DerivedRegions::new(&t);
+        let pr = t.find("!$omp parallel @work").unwrap();
+        let lp = t.find("!$omp for @loop").unwrap();
+        assert_eq!(d.parallel(pr), Some(parallel_regions(&t, pr)));
+        assert_eq!(d.implicit_barrier(lp), Some(implicit_barrier_of(&t, lp)));
+        // The program's own table has the constructs (same ids) but not
+        // their derived regions.
+        let raw = DerivedRegions::new(&p.regions);
+        assert_eq!(raw.parallel(pr), None);
+        assert_eq!(raw.implicit_barrier(lp), None);
     }
 
     #[test]

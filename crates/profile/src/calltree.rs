@@ -7,7 +7,6 @@
 //! the Jaccard score compare (metric, call path) mappings directly.
 
 use nrlt_trace::RegionRef;
-use std::collections::HashMap;
 
 /// Interned call-path handle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -25,7 +24,8 @@ struct Node {
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct CallTree {
     nodes: Vec<Node>,
-    index: HashMap<(Option<CallPathId>, RegionRef), CallPathId>,
+    /// Paths with no parent, in interning order.
+    roots: Vec<CallPathId>,
 }
 
 impl CallTree {
@@ -35,17 +35,26 @@ impl CallTree {
     }
 
     /// Intern the child `region` of `parent` (or a root when None).
+    ///
+    /// Looks the pair up by scanning the parent's children (or the
+    /// roots): a node has a handful of children, so the scan beats
+    /// hashing on the replay hot path, and ids still come out in
+    /// first-seen order.
     pub fn intern(&mut self, parent: Option<CallPathId>, region: RegionRef) -> CallPathId {
-        if let Some(&id) = self.index.get(&(parent, region)) {
+        let siblings = match parent {
+            Some(p) => &self.nodes[p.0 as usize].children,
+            None => &self.roots,
+        };
+        if let Some(&id) = siblings.iter().find(|c| self.nodes[c.0 as usize].region == region) {
             return id;
         }
         let id = CallPathId(self.nodes.len() as u32);
         let depth = parent.map_or(0, |p| self.nodes[p.0 as usize].depth + 1);
         self.nodes.push(Node { parent, region, children: Vec::new(), depth });
-        if let Some(p) = parent {
-            self.nodes[p.0 as usize].children.push(id);
+        match parent {
+            Some(p) => self.nodes[p.0 as usize].children.push(id),
+            None => self.roots.push(id),
         }
-        self.index.insert((parent, region), id);
         id
     }
 

@@ -91,69 +91,139 @@ impl ChaCha8 {
     }
 }
 
-/// Compute the first keystream block of four independent streams in one
-/// interleaved pass.
+/// Compute the first keystream block of four independent streams at once.
 ///
-/// The working state is lane-transposed (`x[word][lane]`), so every
-/// quarter-round operation acts on four independent lanes at once and the
-/// compiler can vectorise the inner loops. Each returned generator is
-/// positioned exactly as if it had been built with [`ChaCha8::from_seed`]
-/// and had produced its first block: same key, block counter already
-/// advanced to 1, sixteen unread words — the keystream continues
-/// bit-identically across later refills.
+/// Each returned generator is positioned exactly as if it had been built
+/// with [`ChaCha8::from_seed`] and had produced its first block: same
+/// key, block counter already advanced to 1, sixteen unread words — the
+/// keystream continues bit-identically across later refills. On
+/// `x86_64` the four blocks come from one SSE2 pass ([`sse2::blocks4`]);
+/// elsewhere each stream runs the scalar [`ChaCha8::refill`], which is
+/// also the reference the tests compare the SSE2 kernel against.
 pub fn warm4(seeds: [[u8; 32]; 4]) -> [ChaCha8; 4] {
-    let mut keys = [[0u32; 8]; 4];
-    for (l, seed) in seeds.iter().enumerate() {
-        for (i, chunk) in seed.chunks_exact(4).enumerate() {
-            keys[l][i] = u32::from_le_bytes(chunk.try_into().unwrap());
+    let mut streams = seeds.map(ChaCha8::from_seed);
+    #[cfg(target_arch = "x86_64")]
+    {
+        let blocks = sse2::blocks4(&streams.each_ref().map(|s| s.key));
+        for (s, block) in streams.iter_mut().zip(blocks) {
+            s.block = block;
+            s.counter = 1;
+            s.idx = 0;
         }
     }
-    // Lane-transposed state: x[word][lane].
-    let mut x = [[0u32; 4]; 16];
-    for w in 0..4 {
-        x[w] = [CONSTANTS[w]; 4];
+    #[cfg(not(target_arch = "x86_64"))]
+    for s in &mut streams {
+        s.refill();
     }
-    for w in 0..8 {
-        for l in 0..4 {
-            x[4 + w][l] = keys[l][w];
-        }
-    }
-    // Counter and nonce words (12..16) start at zero for the first block.
-    let input = x;
-    for _ in 0..ROUNDS / 2 {
-        // Column round.
-        quarter4(&mut x, 0, 4, 8, 12);
-        quarter4(&mut x, 1, 5, 9, 13);
-        quarter4(&mut x, 2, 6, 10, 14);
-        quarter4(&mut x, 3, 7, 11, 15);
-        // Diagonal round.
-        quarter4(&mut x, 0, 5, 10, 15);
-        quarter4(&mut x, 1, 6, 11, 12);
-        quarter4(&mut x, 2, 7, 8, 13);
-        quarter4(&mut x, 3, 4, 9, 14);
-    }
-    std::array::from_fn(|l| {
-        let mut block = [0u32; 16];
-        for w in 0..16 {
-            block[w] = x[w][l].wrapping_add(input[w][l]);
-        }
-        ChaCha8 { key: keys[l], counter: 1, block, idx: 0 }
-    })
+    streams
 }
 
-// The lane loop indexes four distinct rows at the same lane; an
-// iterator form would obscure the column-wise ChaCha quarter round.
-#[allow(clippy::needless_range_loop)]
-fn quarter4(x: &mut [[u32; 4]; 16], a: usize, b: usize, c: usize, d: usize) {
-    for l in 0..4 {
-        x[a][l] = x[a][l].wrapping_add(x[b][l]);
-        x[d][l] = (x[d][l] ^ x[a][l]).rotate_left(16);
-        x[c][l] = x[c][l].wrapping_add(x[d][l]);
-        x[b][l] = (x[b][l] ^ x[c][l]).rotate_left(12);
-        x[a][l] = x[a][l].wrapping_add(x[b][l]);
-        x[d][l] = (x[d][l] ^ x[a][l]).rotate_left(8);
-        x[c][l] = x[c][l].wrapping_add(x[d][l]);
-        x[b][l] = (x[b][l] ^ x[c][l]).rotate_left(7);
+/// Four-lane ChaCha8 on SSE2, which every `x86_64` CPU has: one
+/// `__m128i` holds one state word of all four streams.
+///
+/// Intrinsics, because the compiler does not reliably vectorise a
+/// portable lane loop: written as `[[u32; 4]; 16]` with a run-time
+/// indexed quarter round, four blocks cost more than four scalar
+/// [`ChaCha8::refill`] calls, while this kernel costs about half of them.
+#[cfg(target_arch = "x86_64")]
+mod sse2 {
+    use super::{CONSTANTS, ROUNDS};
+    use std::arch::x86_64::{
+        __m128i, _mm_add_epi32, _mm_or_si128, _mm_set1_epi32, _mm_setr_epi32, _mm_setzero_si128,
+        _mm_shufflehi_epi16, _mm_shufflelo_epi16, _mm_slli_epi32, _mm_srli_epi32, _mm_storeu_si128,
+        _mm_unpackhi_epi32, _mm_unpackhi_epi64, _mm_unpacklo_epi32, _mm_unpacklo_epi64,
+        _mm_xor_si128,
+    };
+
+    // The helpers enable SSE2 themselves, so the intrinsics they call
+    // are safe; they inline into `blocks4`, whose target has SSE2.
+
+    /// `v` rotated left by `L` bits in each 32-bit lane (`R` = 32 − `L`).
+    #[target_feature(enable = "sse2")]
+    fn rotl<const L: i32, const R: i32>(v: __m128i) -> __m128i {
+        _mm_or_si128(_mm_slli_epi32::<L>(v), _mm_srli_epi32::<R>(v))
+    }
+
+    /// Rotation by 16 swaps the 16-bit halves of each lane: two shuffles.
+    #[target_feature(enable = "sse2")]
+    fn rotl16(v: __m128i) -> __m128i {
+        _mm_shufflehi_epi16::<0b1011_0001>(_mm_shufflelo_epi16::<0b1011_0001>(v))
+    }
+
+    #[target_feature(enable = "sse2")]
+    fn quarter(x: &mut [__m128i; 16], a: usize, b: usize, c: usize, d: usize) {
+        x[a] = _mm_add_epi32(x[a], x[b]);
+        x[d] = rotl16(_mm_xor_si128(x[d], x[a]));
+        x[c] = _mm_add_epi32(x[c], x[d]);
+        x[b] = rotl::<12, 20>(_mm_xor_si128(x[b], x[c]));
+        x[a] = _mm_add_epi32(x[a], x[b]);
+        x[d] = rotl::<8, 24>(_mm_xor_si128(x[d], x[a]));
+        x[c] = _mm_add_epi32(x[c], x[d]);
+        x[b] = rotl::<7, 25>(_mm_xor_si128(x[b], x[c]));
+    }
+
+    /// Transpose four word vectors (one word of lanes 0..4 each) into
+    /// four lane vectors (words `a, b, c, d` of one lane each).
+    #[target_feature(enable = "sse2")]
+    fn transpose(a: __m128i, b: __m128i, c: __m128i, d: __m128i) -> [__m128i; 4] {
+        let ab_lo = _mm_unpacklo_epi32(a, b);
+        let cd_lo = _mm_unpacklo_epi32(c, d);
+        let ab_hi = _mm_unpackhi_epi32(a, b);
+        let cd_hi = _mm_unpackhi_epi32(c, d);
+        [
+            _mm_unpacklo_epi64(ab_lo, cd_lo),
+            _mm_unpackhi_epi64(ab_lo, cd_lo),
+            _mm_unpacklo_epi64(ab_hi, cd_hi),
+            _mm_unpackhi_epi64(ab_hi, cd_hi),
+        ]
+    }
+
+    /// The first keystream block (counter 0, zero nonce) of four keys.
+    pub(super) fn blocks4(keys: &[[u32; 8]; 4]) -> [[u32; 16]; 4] {
+        let mut out = [[0u32; 16]; 4];
+        // SAFETY: SSE2 is part of the `x86_64` baseline, so every CPU
+        // this module compiles for runs the SSE2 intrinsics and the
+        // `target_feature(enable = "sse2")` helpers above. The one memory
+        // access, `_mm_storeu_si128`, writes 16 bytes into `dst`, a live,
+        // exclusively borrowed `[u32; 4]`, and needs no alignment.
+        unsafe {
+            let word = |w: usize| {
+                _mm_setr_epi32(
+                    keys[0][w] as i32,
+                    keys[1][w] as i32,
+                    keys[2][w] as i32,
+                    keys[3][w] as i32,
+                )
+            };
+            let input: [__m128i; 16] = std::array::from_fn(|w| match w {
+                0..4 => _mm_set1_epi32(CONSTANTS[w] as i32),
+                4..12 => word(w - 4),
+                // Counter and nonce words start at zero for the first block.
+                _ => _mm_setzero_si128(),
+            });
+            let mut x = input;
+            for _ in 0..ROUNDS / 2 {
+                // Column round.
+                quarter(&mut x, 0, 4, 8, 12);
+                quarter(&mut x, 1, 5, 9, 13);
+                quarter(&mut x, 2, 6, 10, 14);
+                quarter(&mut x, 3, 7, 11, 15);
+                // Diagonal round.
+                quarter(&mut x, 0, 5, 10, 15);
+                quarter(&mut x, 1, 6, 11, 12);
+                quarter(&mut x, 2, 7, 8, 13);
+                quarter(&mut x, 3, 4, 9, 14);
+            }
+            for g in 0..4 {
+                let [a, b, c, d] =
+                    std::array::from_fn(|i| _mm_add_epi32(x[4 * g + i], input[4 * g + i]));
+                for (block, v) in out.iter_mut().zip(transpose(a, b, c, d)) {
+                    let dst: &mut [u32; 4] = (&mut block[4 * g..4 * g + 4]).try_into().unwrap();
+                    _mm_storeu_si128((dst as *mut [u32; 4]).cast(), v);
+                }
+            }
+        }
+        out
     }
 }
 
@@ -225,9 +295,8 @@ mod tests {
         assert!((-3.0..5.0).contains(&v));
     }
 
-    #[test]
-    fn warm4_matches_individual_streams() {
-        let seeds = [[11u8; 32], [12; 32], [13; 32], [14; 32]];
+    /// Assert every lane of `warm4(seeds)` yields the scalar keystream.
+    fn assert_warm4_matches_scalar(seeds: [[u8; 32]; 4]) {
         let mut batch = warm4(seeds);
         for (lane, seed) in seeds.into_iter().enumerate() {
             let mut single = ChaCha8::from_seed(seed);
@@ -236,9 +305,39 @@ mod tests {
                 assert_eq!(
                     batch[lane].next_u32(),
                     single.next_u32(),
-                    "lane {lane} word {i} diverged"
+                    "lane {lane} word {i} diverged for seed {seed:02x?}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn warm4_matches_individual_streams() {
+        assert_warm4_matches_scalar([[11u8; 32], [12; 32], [13; 32], [14; 32]]);
+        // Extreme keys: every key bit clear, every key bit set, and both
+        // mixed within one batch.
+        assert_warm4_matches_scalar([[0u8; 32]; 4]);
+        assert_warm4_matches_scalar([[0xFFu8; 32]; 4]);
+        assert_warm4_matches_scalar([[0u8; 32], [0xFF; 32], [0; 32], [0xFF; 32]]);
+        // 4,096 batches of generated keys (splitmix64 bytes), so every
+        // lane of the kernel sees carries and rotations across all words.
+        let mut state = 0x0123_4567_89AB_CDEFu64;
+        let mut next = || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        for _ in 0..4096 {
+            let seeds: [[u8; 32]; 4] = std::array::from_fn(|_| {
+                let mut seed = [0u8; 32];
+                for chunk in seed.chunks_exact_mut(8) {
+                    chunk.copy_from_slice(&next().to_le_bytes());
+                }
+                seed
+            });
+            assert_warm4_matches_scalar(seeds);
         }
     }
 

@@ -323,6 +323,7 @@ impl NoiseModel {
     /// Draw accounting against `prof` is unchanged: one `NoiseDraw` per
     /// channel that actually derives a value, plus one
     /// [`NOISE_BATCH_SITE`] allocation count per interleaved warm-up.
+    /// The warm-up's wall time is charged to the first channel's frame.
     pub fn kernel_noise(
         &self,
         core: u64,
@@ -343,6 +344,14 @@ impl NoiseModel {
                 detour: None,
             };
         }
+        let mem_bias = if want_mem { self.mem_bias_prof(core, prof) } else { 1.0 };
+        // The warm-up runs inside the first live channel's `NoiseDraw`
+        // frame (cpu, else mem: with two channels live, one of them is),
+        // so the engine profile charges it to noise, not to whatever
+        // frame encloses the kernel.
+        if let Some(p) = prof {
+            p.enter(EventKind::NoiseDraw);
+        }
         // Lane 3 pads the SIMD batch (its block is discarded); streams
         // are keyed independently, so computing an unused block changes
         // nothing downstream.
@@ -352,19 +361,21 @@ impl NoiseModel {
             (StreamKind::OsDetour, core, instance),
             (StreamKind::OsDetour, core, instance),
         ]);
+        let first = if cpu_on {
+            jitter_factor(&mut cpu_rng, self.config.cpu_sigma)
+        } else {
+            jitter_factor(&mut mem_rng, self.config.mem_sigma)
+        };
         if let Some(p) = prof {
+            p.leave(EventKind::NoiseDraw, 0);
             p.alloc(NOISE_BATCH_SITE, 1);
         }
-        let cpu_factor = if cpu_on {
-            count_draw(prof, || jitter_factor(&mut cpu_rng, self.config.cpu_sigma))
-        } else {
-            1.0
-        };
-        let mem_bias = if want_mem { self.mem_bias_prof(core, prof) } else { 1.0 };
-        let mem_factor = if mem_on {
-            count_draw(prof, || jitter_factor(&mut mem_rng, self.config.mem_sigma))
-        } else {
-            1.0
+        let (cpu_factor, mem_factor) = match (cpu_on, mem_on) {
+            (true, true) => {
+                (first, count_draw(prof, || jitter_factor(&mut mem_rng, self.config.mem_sigma)))
+            }
+            (true, false) => (first, 1.0),
+            (false, _) => (1.0, first),
         };
         KernelNoise {
             cpu_factor,

@@ -74,7 +74,7 @@ const REPORT_TOP_N: usize = 10;
 ///   cooperative wall-clock sampling profiler for the whole invocation:
 ///   pipeline threads publish their current logical frame into
 ///   per-thread slots and a background thread samples them at
-///   `--sample-rate <hz>` (default 97). On [`Harness::finish`] the
+///   [`sample::DEFAULT_RATE_HZ`] (97 Hz). On [`Harness::finish`] the
 ///   folded stacks land in `<dir>/samples.folded` plus a
 ///   `sampleprof.wall.json` sidecar (rate, ticks, samples, publishes,
 ///   torn reads, top stacks — wall-clock data, inherently run-to-run).
@@ -135,8 +135,6 @@ pub struct Flags {
     pub engine_prof: Option<PathBuf>,
     /// `--sample-prof <dir>`.
     pub sample_prof: Option<PathBuf>,
-    /// `--sample-rate <hz>`.
-    pub sample_rate: Option<u32>,
     /// `--only <name>`.
     pub only: Option<String>,
     /// `--jobs <n>`.
@@ -174,7 +172,6 @@ impl Flags {
                 "observe" => |f, v| path(v).map(|p| f.observe = Some(p)),
                 "engine-prof" => |f, v| path(v).map(|p| f.engine_prof = Some(p)),
                 "sample-prof" => |f, v| path(v).map(|p| f.sample_prof = Some(p)),
-                "sample-rate" => |f, v| v.parse().ok().map(|hz| f.sample_rate = Some(hz)),
                 "only" => |f, v| (!v.is_empty()).then(|| f.only = Some(v.to_owned())),
                 "jobs" => |f, v| v.parse().ok().map(|n| f.jobs = Some(n)),
                 "trace-budget" => |f, v| parse_bytes(v).map(|b| f.trace_budget = Some(b)),
@@ -202,10 +199,8 @@ impl Harness {
         // The sampler is strictly opt-in: without `--sample-prof` no
         // profiler exists, nothing is installed, and `sample::frame`
         // calls throughout the pipeline stay no-op branches.
-        let sprof = flags
-            .sample_prof
-            .is_some()
-            .then(|| SampleProf::with_rate(flags.sample_rate.unwrap_or(sample::DEFAULT_RATE_HZ)));
+        let sprof =
+            flags.sample_prof.is_some().then(|| SampleProf::with_rate(sample::DEFAULT_RATE_HZ));
         let sprof_guard = sprof.as_ref().map(SampleProf::install);
         let harness_frame = sprof_guard.is_some().then(|| sample::frame(frames::HARNESS));
         Harness {
@@ -596,6 +591,9 @@ mod tests {
         assert_eq!(flags.rss_limit, Some(4 << 30));
         assert_eq!(flags.telemetry, None);
         assert_eq!(parse(&["--only=MiniFE-1"]).unwrap().only.as_deref(), Some("MiniFE-1"));
+        // The sampler always runs at its default rate: `--sample-rate` is
+        // not a harness flag, so it is left to the binary like any other.
+        assert_eq!(parse(&["--sample-rate", "fast"]).unwrap(), Flags::default());
     }
 
     #[test]
@@ -604,7 +602,6 @@ mod tests {
             &["--rss-limit", "4x"][..],
             &["--jobs", "two"],
             &["--jobs=-1"],
-            &["--sample-rate", "fast"],
             &["--trace-budget="],
             &["--telemetry"],
         ] {

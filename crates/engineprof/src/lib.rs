@@ -237,12 +237,23 @@ impl RunProf {
     /// `virtual_ns` of simulated time to it and splitting wall time
     /// into inclusive/exclusive shares.
     pub fn leave(&self, kind: EventKind, virtual_ns: u64) {
+        self.leave_n(kind, 1, virtual_ns);
+    }
+
+    /// [`leave`](Self::leave) for a frame that covered `n` events of
+    /// `kind` (e.g. several noise channels drawn in one batch). With
+    /// `n == 0` nothing happened: the frame is dropped and its wall time
+    /// stays with the enclosing frame, as if it had never been opened.
+    pub fn leave_n(&self, kind: EventKind, n: u64, virtual_ns: u64) {
         let mut d = self.data.borrow_mut();
         let frame = d.stack.pop().expect("leave without matching enter");
         debug_assert_eq!(frame.kind, kind, "mismatched enter/leave");
+        if n == 0 {
+            return;
+        }
         let elapsed = frame.start.elapsed().as_nanos() as u64;
         let i = kind.index();
-        d.kinds[i].count += 1;
+        d.kinds[i].count += n;
         d.kinds[i].virtual_ns += virtual_ns;
         d.wall[i].inclusive_ns += elapsed;
         d.wall[i].exclusive_ns += elapsed.saturating_sub(frame.child_ns);
@@ -383,6 +394,25 @@ mod tests {
         assert!(lw.inclusive_ns >= kw.inclusive_ns + nw.inclusive_ns);
         assert!(lw.exclusive_ns <= lw.inclusive_ns);
         assert!(lw.inclusive_ns - lw.exclusive_ns >= kw.inclusive_ns + nw.inclusive_ns);
+    }
+
+    #[test]
+    fn leave_n_counts_a_batch_and_an_empty_frame_bills_the_parent() {
+        let run = RunProf::new("r");
+        run.enter(EventKind::KernelAdvance);
+        run.enter(EventKind::NoiseDraw);
+        run.leave_n(EventKind::NoiseDraw, 3, 40);
+        run.enter(EventKind::NoiseDraw);
+        std::thread::sleep(std::time::Duration::from_millis(2));
+        run.leave_n(EventKind::NoiseDraw, 0, 0);
+        run.leave(EventKind::KernelAdvance, 100);
+        let (_, d) = run.finish();
+        let n = &d.kinds[EventKind::NoiseDraw.index()];
+        assert_eq!((n.count, n.virtual_ns), (3, 40));
+        // The empty frame's 2 ms stayed exclusive to the kernel.
+        let kw = &d.wall[EventKind::KernelAdvance.index()];
+        assert!(kw.exclusive_ns >= 2_000_000, "{kw:?}");
+        assert!(d.wall[EventKind::NoiseDraw.index()].inclusive_ns < kw.exclusive_ns);
     }
 
     #[test]

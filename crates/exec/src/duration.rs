@@ -8,7 +8,7 @@
 //! threads of a domain execute the same phase concurrently, so occupancy
 //! is an accurate stand-in for instantaneous activity.
 
-use nrlt_engineprof::RunProf;
+use nrlt_engineprof::{EventKind, RunProf};
 use nrlt_prog::Cost;
 use nrlt_sim::{
     cache_bandwidth_share, dram_fraction, memory_time, shared_bandwidth, Location, NoiseModel,
@@ -19,6 +19,10 @@ use nrlt_sim::{
 /// (remote/interleaved accesses, cf. the paper's TeaLeaf-1 configuration
 /// "distributes threads across sockets").
 pub const REMOTE_ACCESS_PENALTY: f64 = 1.45;
+
+/// Engine-profiler allocation site counting interleaved ChaCha warm-ups
+/// (one count = one four-lane first-block batch).
+const NOISE_BATCH_SITE: &str = "noise.warm_batch";
 
 /// Synchronised kernel duration below which measurement-induced
 /// desynchronisation has no effect: loop barriers re-synchronise the
@@ -38,10 +42,10 @@ pub enum ExecPhase {
     Serial,
 }
 
-/// What the duration model saw while pricing one kernel — filled only by
-/// [`DurationModel::kernel_duration_probed`], so the unprobed path does
-/// no extra work. Contention fields are zero for pure-CPU kernels, which
-/// never touch the memory system.
+/// What the duration model saw while pricing one kernel — filled only
+/// when [`DurationModel::kernel_duration_instrumented`] is handed a
+/// probe, so the unprobed path does no extra work. Contention fields are
+/// zero for pure-CPU kernels, which never touch the memory system.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct KernelProbe {
     /// NUMA domain of the executing location.
@@ -91,46 +95,19 @@ impl<'a> DurationModel<'a> {
         phase: ExecPhase,
         instance: u64,
     ) -> VirtualDuration {
-        self.duration_inner(loc, cost, working_set, phase, instance, None, None)
-    }
-
-    /// [`DurationModel::kernel_duration`] that additionally fills `probe`
-    /// with what the model saw (contention, cache fit, noise split). The
-    /// duration itself is computed by the exact same expression sequence,
-    /// so probing never changes the result.
-    pub fn kernel_duration_probed(
-        &self,
-        loc: Location,
-        cost: &Cost,
-        working_set: u64,
-        phase: ExecPhase,
-        instance: u64,
-        probe: &mut KernelProbe,
-    ) -> VirtualDuration {
-        self.duration_inner(loc, cost, working_set, phase, instance, Some(probe), None)
+        self.kernel_duration_instrumented(loc, cost, working_set, phase, instance, None, None)
     }
 
     /// The fully instrumented duration call: optional probe (resource
-    /// observatory) plus optional engine profiler (`prof` counts every
-    /// noise draw the model makes as a `NoiseDraw` event). Both `None`
-    /// paths do zero extra work; the duration itself is identical in
-    /// every combination.
+    /// observatory) plus optional engine profiler. `prof` counts one
+    /// `NoiseDraw` per noise channel that actually draws — the warm-up
+    /// batch and the cpu, mem and bias draws share one frame, the OS
+    /// detour (whose stolen time is the draw's virtual time) gets its
+    /// own — and one `noise.warm_batch` allocation per interleaved
+    /// warm-up. Both `None` paths do zero extra work; the duration
+    /// itself is identical in every combination.
     #[allow(clippy::too_many_arguments)]
     pub fn kernel_duration_instrumented(
-        &self,
-        loc: Location,
-        cost: &Cost,
-        working_set: u64,
-        phase: ExecPhase,
-        instance: u64,
-        probe: Option<&mut KernelProbe>,
-        prof: Option<&RunProf>,
-    ) -> VirtualDuration {
-        self.duration_inner(loc, cost, working_set, phase, instance, probe, prof)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn duration_inner(
         &self,
         loc: Location,
         cost: &Cost,
@@ -149,7 +126,16 @@ impl<'a> DurationModel<'a> {
         // CPU term. All noise channels of this kernel are pre-drawn in
         // one interleaved ChaCha batch; stream keys and positions match
         // the per-channel draws, so the factors are bit-identical.
-        let mut kn = self.noise.kernel_noise(core.0 as u64, instance, cost.mem_bytes != 0, prof);
+        if let Some(p) = prof {
+            p.enter(EventKind::NoiseDraw);
+        }
+        let mut kn = self.noise.kernel_noise(core.0 as u64, instance, cost.mem_bytes != 0);
+        if let Some(p) = prof {
+            p.leave_n(EventKind::NoiseDraw, kn.draws as u64, 0);
+            if kn.warmed {
+                p.alloc(NOISE_BATCH_SITE, 1);
+            }
+        }
         let cpu_base = spec.cpu_time(cost.instructions);
         let cpu = cpu_base * kn.cpu_factor;
 
@@ -159,24 +145,21 @@ impl<'a> DurationModel<'a> {
         } else {
             let threads_on_socket = self.placement.socket_occupancy(socket).max(1);
             let threads_per_rank = self.placement.layout().threads_per_rank;
-            let (active_in_domain, active_on_socket, ranks_on_socket) = match phase {
-                ExecPhase::TeamParallel => (
-                    self.placement.numa_occupancy(numa).max(1),
-                    threads_on_socket,
-                    threads_on_socket / threads_per_rank.max(1),
-                ),
+            let (active_in_domain, active_on_socket) = match phase {
+                ExecPhase::TeamParallel => {
+                    (self.placement.numa_occupancy(numa).max(1), threads_on_socket)
+                }
                 ExecPhase::Serial => {
                     // Only masters run; at most one per rank.
                     let ranks_in_domain =
                         (self.placement.numa_occupancy(numa) / threads_per_rank.max(1)).max(1);
                     let ranks_on_socket = (threads_on_socket / threads_per_rank.max(1)).max(1);
-                    (ranks_in_domain, ranks_on_socket, ranks_on_socket)
+                    (ranks_in_domain, ranks_on_socket)
                 }
             };
             // Socket-resident application data: every rank on the socket
             // holds a comparable working set (SPMD), and a rank whose
             // team spans sockets splits its data across them.
-            let _ = ranks_on_socket;
             let socket_ws = (working_set as f64 * threads_on_socket as f64
                 / threads_per_rank.max(1) as f64) as u64;
             let footprint = self.footprint_per_location.saturating_mul(threads_on_socket as u64);
@@ -217,7 +200,15 @@ impl<'a> DurationModel<'a> {
 
         // Roofline: CPU and memory overlap; the slower resource dominates.
         let base = cpu.max(mem);
-        let detour = self.noise.detour_time_warmed(&mut kn, base, prof);
+        if let Some(p) = prof {
+            p.enter(EventKind::NoiseDraw);
+        }
+        let detour = self.noise.detour_time_warmed(&mut kn, base);
+        if let Some(p) = prof {
+            let stolen_ns = detour.map_or(0, |t| (t * 1e9) as u64);
+            p.leave_n(EventKind::NoiseDraw, detour.is_some() as u64, stolen_ns);
+        }
+        let detour = detour.unwrap_or(0.0);
         if let Some(p) = probe {
             p.numa = numa.0;
             p.socket = socket.0;
@@ -332,7 +323,6 @@ mod tests {
 
     #[test]
     fn instrumented_path_counts_draws_without_changing_durations() {
-        use nrlt_engineprof::EventKind;
         let (p, n) = setup(1, 1, NoiseConfig::realistic());
         let m = DurationModel::new(&p, &n);
         let loc = Location::master(0);

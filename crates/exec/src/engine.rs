@@ -23,7 +23,7 @@ use crate::result::ExecResult;
 use nrlt_engineprof::{EventKind, RunProf};
 use nrlt_mpisim::{message_timing, Channel, CommScope, LinkKind, Matcher};
 use nrlt_observe::{NoiseKind, PhaseId as ObsPhase, RunObserve, SeriesId};
-use nrlt_ompsim::{simulate_dynamic_prof, static_partition};
+use nrlt_ompsim::{simulate_dynamic, static_partition};
 use nrlt_prog::{
     Action, Kernel, MpiOp, OmpAction, OmpFor, ParallelRegion, PhaseId, Program, RegionId,
     RegionTable, Schedule,
@@ -636,7 +636,9 @@ impl<'a, O: Observer> Engine<'a, O> {
     fn prof_queues(&self, r: u32) {
         if let Some(p) = self.prof {
             let ph = self.phase_name(r);
-            self.matcher.profile_queues(p, ph);
+            let s = self.matcher.stats();
+            p.gauge("matcher.queued_sends", ph, s.queued_sends as i64);
+            p.gauge("matcher.queued_recvs", ph, s.queued_recvs as i64);
             p.gauge("mpi.wildcard_queue", ph, self.wildcard.depth() as i64);
         }
     }
@@ -651,59 +653,35 @@ impl<'a, O: Observer> Engine<'a, O> {
         }
     }
 
-    fn kernel_duration(
-        &self,
-        loc: Location,
-        cost: &nrlt_prog::Cost,
-        working_set: u64,
-        phase: ExecPhase,
-        instance: u64,
-    ) -> VirtualDuration {
+    /// The kernel pricer for rank `r`'s current phase and event count.
+    fn pricer(&self, r: u32) -> Pricer<'_, O> {
         let mut model = DurationModel::new(&self.placement, &self.noise);
         model.footprint_per_location = self.footprint;
         model.desync = self.desync;
-        model.kernel_duration_instrumented(loc, cost, working_set, phase, instance, None, self.prof)
+        Pricer {
+            model,
+            placement: &self.placement,
+            observer: &*self.observer,
+            prof: self.prof,
+            obs: self.obs.map(|o| {
+                let ids = self.obs_ids.as_ref().expect("observed path without interned names");
+                (o, ids, self.obs_phase(r), self.n_events)
+            }),
+        }
     }
 
-    /// [`Engine::kernel_duration`] on the observed path: probes the model
-    /// and records contention samples and noise draws at the kernel's
-    /// start time. Only called when `obs` is `Some`.
-    fn kernel_duration_observed(
-        &self,
-        loc: Location,
-        cost: &nrlt_prog::Cost,
-        working_set: u64,
-        phase: ExecPhase,
-        instance: u64,
-        start: VirtualTime,
-    ) -> VirtualDuration {
-        let obs = self.obs.expect("observed kernel path without a sink");
-        let mut model = DurationModel::new(&self.placement, &self.noise);
-        model.footprint_per_location = self.footprint;
-        model.desync = self.desync;
-        let mut probe = KernelProbe::default();
-        let d = model.kernel_duration_instrumented(
-            loc,
-            cost,
-            working_set,
-            phase,
-            instance,
-            Some(&mut probe),
-            self.prof,
-        );
-        record_kernel_obs(
-            obs,
-            self.obs_ids.as_ref().expect("observed path without interned names"),
-            &probe,
-            cost.mem_bytes,
-            loc.rank,
-            self.placement.core_of(loc).0 as u64,
-            instance,
-            self.obs_phase(loc.rank),
-            start.nanos(),
-            self.n_events,
-        );
-        d
+    /// Network jitter factor of the message or collective keyed by
+    /// `(entity, seq)`, counted as one profiler noise draw whether or not
+    /// the channel is live.
+    fn net_noise(&self, entity: u64, seq: u64) -> f64 {
+        if let Some(p) = self.prof {
+            p.enter(EventKind::NoiseDraw);
+        }
+        let f = self.noise.net_factor(entity, seq);
+        if let Some(p) = self.prof {
+            p.leave(EventKind::NoiseDraw, 0);
+        }
+        f
     }
 
     /// Innermost open phase of rank `r` (empty outside any phase). Only
@@ -873,28 +851,17 @@ impl<'a, O: Observer> Engine<'a, O> {
         t: VirtualTime,
     ) -> VirtualTime {
         let inst = self.next_instance(loc);
-        let extra = self.observer.counting_instructions(&kernel.cost, 0);
-        let mut instrumented = kernel.cost;
-        instrumented.instructions += extra;
         let start = self.clamp(loc, t);
-        if let Some(p) = self.prof {
-            p.enter(EventKind::KernelAdvance);
-        }
-        let duration = if self.obs.is_some() {
-            self.kernel_duration_observed(
-                loc,
-                &instrumented,
-                kernel.working_set,
-                phase,
-                inst,
-                start,
-            )
-        } else {
-            self.kernel_duration(loc, &instrumented, kernel.working_set, phase, inst)
-        };
-        if let Some(p) = self.prof {
-            p.leave(EventKind::KernelAdvance, duration.nanos());
-        }
+        let (duration, extra) = self.pricer(loc.rank).price(
+            Priced::Kernel,
+            loc,
+            &kernel.cost,
+            0,
+            kernel.working_set,
+            phase,
+            inst,
+            start,
+        );
         let work_ovh = self.observer.on_work(
             loc,
             &WorkItem { cost: kernel.cost, loop_iters: 0, duration, extra_instructions: extra },
@@ -1126,19 +1093,7 @@ impl<'a, O: Observer> Engine<'a, O> {
         let entity = ((channel.src as u64) << 40)
             | ((channel.dst as u64) << 20)
             | (channel.tag as u64 & 0xfffff);
-        let noise = {
-            use nrlt_sim::{jitter_factor, StreamKind};
-            let mut rng =
-                RngFactory::new(self.config.seed).stream(StreamKind::Network, entity, seq);
-            if let Some(p) = self.prof {
-                p.enter(EventKind::NoiseDraw);
-            }
-            let f = jitter_factor(&mut rng, self.noise.config().net_sigma);
-            if let Some(p) = self.prof {
-                p.leave(EventKind::NoiseDraw, 0);
-            }
-            f
-        };
+        let noise = self.net_noise(entity, seq);
         let link = if self
             .placement
             .same_node(Location::master(channel.src), Location::master(channel.dst))
@@ -1294,22 +1249,7 @@ impl<'a, O: Observer> Engine<'a, O> {
         let arrivals: Vec<f64> =
             inst.arrivals.iter().map(|a| Self::secs_of(a.expect("unresolved arrival").0)).collect();
         let max_piggy = inst.arrivals.iter().map(|a| a.unwrap().1).max().unwrap_or(0);
-        let noise = {
-            use nrlt_sim::{jitter_factor, StreamKind};
-            let mut rng = RngFactory::new(self.config.seed).stream(
-                StreamKind::Network,
-                u64::MAX,
-                index as u64,
-            );
-            if let Some(p) = self.prof {
-                p.enter(EventKind::NoiseDraw);
-            }
-            let f = jitter_factor(&mut rng, self.noise.config().net_sigma);
-            if let Some(p) = self.prof {
-                p.leave(EventKind::NoiseDraw, 0);
-            }
-            f
-        };
+        let noise = self.net_noise(u64::MAX, index as u64);
         let completions_s = self
             .config
             .collective
@@ -1561,27 +1501,16 @@ impl<'a, O: Observer> Engine<'a, O> {
                             te = lock_free;
                         }
                         let inst = self.next_instance(l);
-                        let extra = self.observer.counting_instructions(cost, 0);
-                        let mut instrumented = *cost;
-                        instrumented.instructions += extra;
-                        if let Some(p) = self.prof {
-                            p.enter(EventKind::KernelAdvance);
-                        }
-                        let dur = if self.obs.is_some() {
-                            self.kernel_duration_observed(
-                                l,
-                                &instrumented,
-                                0,
-                                ExecPhase::TeamParallel,
-                                inst,
-                                te,
-                            )
-                        } else {
-                            self.kernel_duration(l, &instrumented, 0, ExecPhase::TeamParallel, inst)
-                        };
-                        if let Some(p) = self.prof {
-                            p.leave(EventKind::KernelAdvance, dur.nanos());
-                        }
+                        let (dur, extra) = self.pricer(r).price(
+                            Priced::Kernel,
+                            l,
+                            cost,
+                            0,
+                            0,
+                            ExecPhase::TeamParallel,
+                            inst,
+                            te,
+                        );
                         let wo = self.observer.on_work(
                             l,
                             &WorkItem {
@@ -1665,105 +1594,56 @@ impl<'a, O: Observer> Engine<'a, O> {
             for i in 0..team {
                 inst_base.push(self.next_instance(loc(i)));
             }
-            let placement = &self.placement;
-            let noise = &self.noise;
-            let footprint = self.footprint;
-            let desync = self.desync;
-            let observer_ref: &O = self.observer;
-            let counting =
-                |c: &nrlt_prog::Cost, iters: u64| observer_ref.counting_instructions(c, iters);
             let mut counters = std::mem::take(&mut self.scratch.counters);
             counters.clear();
             counters.resize(team as usize, 0);
-            let obs = self.obs;
+            let pricer = self.pricer(r);
             let prof = self.prof;
-            // Owned copies for the chunk closure, so recording does not
-            // extend any borrow of the engine (all `None`-cost when off).
-            let obs_phase: String = if obs.is_some() || prof.is_some() {
-                self.phase_name(r).to_owned()
-            } else {
-                String::new()
-            };
-            let obs_ctx: Option<(&ObsIds, ObsPhase)> =
-                self.obs_ids.as_ref().map(|ids| (ids, self.obs_phase(r)));
-            let obs_seq = self.n_events;
-            let obs_t0: Vec<u64> =
-                if obs.is_some() { tt.iter().map(|t| t.nanos()).collect() } else { Vec::new() };
-            let result = simulate_dynamic_prof(
+            let phase_name = self.phase_name(r);
+            let result = simulate_dynamic(
                 f.iters,
                 f.schedule,
                 &ready,
                 |thread, b, e| {
+                    if let Some(p) = prof {
+                        p.gauge("omp.pending_iters", phase_name, (f.iters - b) as i64);
+                    }
                     let cost = f.iter_cost.range_cost(b, e, f.iters);
-                    let extra = counting(&cost, e - b);
-                    let mut instrumented = cost;
-                    instrumented.instructions += extra;
-                    let mut model = DurationModel::new(placement, noise);
-                    model.footprint_per_location = footprint;
-                    model.desync = desync;
                     let inst =
                         inst_base[thread as usize].wrapping_add(counters[thread as usize] << 24);
                     counters[thread as usize] += 1;
-                    let d = if let (Some(o), Some((ids, ph))) = (obs, obs_ctx) {
-                        let mut probe = KernelProbe::default();
-                        let d = model.kernel_duration_instrumented(
-                            loc(thread),
-                            &instrumented,
-                            f.working_set,
-                            ExecPhase::TeamParallel,
-                            inst,
-                            Some(&mut probe),
-                            prof,
-                        );
-                        record_kernel_obs(
-                            o,
-                            ids,
-                            &probe,
-                            cost.mem_bytes,
-                            r,
-                            placement.core_of(loc(thread)).0 as u64,
-                            inst,
-                            ph,
-                            obs_t0[thread as usize],
-                            obs_seq,
-                        );
-                        d
-                    } else {
-                        model.kernel_duration_instrumented(
-                            loc(thread),
-                            &instrumented,
-                            f.working_set,
-                            ExecPhase::TeamParallel,
-                            inst,
-                            None,
-                            prof,
-                        )
-                    };
+                    let (d, extra) = pricer.price(
+                        Priced::DynamicChunk,
+                        loc(thread),
+                        &cost,
+                        e - b,
+                        f.working_set,
+                        ExecPhase::TeamParallel,
+                        inst,
+                        tt[thread as usize],
+                    );
                     chunk_log[thread as usize].push((cost, d, extra));
                     d.as_secs_f64()
                 },
                 dispatch,
-                prof,
-                &obs_phase,
             );
-            if let (Some(o), Some((ids, ph))) = (obs, obs_ctx) {
+            if let (Some(obs), Some(ids)) = (self.obs, self.obs_ids.as_ref()) {
                 // Loop-level occupancy: how many chunks the schedule cut
                 // and how far apart the threads finished.
+                let (ph, seq) = (self.obs_phase(r), self.n_events);
                 let chunks = result.partition.total_chunks();
-                let t_ns = obs_t0.iter().copied().min().unwrap_or(0);
-                o.sample_id(ids.loop_chunks, ph, t_ns, obs_seq, chunks as i64);
+                let t_ns = tt.iter().map(|t| t.nanos()).min().unwrap_or(0);
+                obs.sample_id(ids.loop_chunks, ph, t_ns, seq, chunks as i64);
                 let lo = result.finish.iter().cloned().fold(f64::INFINITY, f64::min);
                 let hi = result.finish.iter().cloned().fold(0.0f64, f64::max);
                 let spread = if hi > lo { ((hi - lo) * 1e9).round() as i64 } else { 0 };
-                o.sample_id(ids.ready_spread, ph, t_ns, obs_seq, spread);
+                obs.sample_id(ids.ready_spread, ph, t_ns, seq, spread);
             }
             for i in 0..team as usize {
                 let mut total_ovh = VirtualDuration::ZERO;
-                let mut iters = 0u64;
                 for (range, (cost, dur, extra)) in
                     result.partition.chunks[i].iter().zip(chunk_log[i].iter())
                 {
-                    iters += range.len();
                     total_ovh += self.observer.on_work(
                         loc(i as u32),
                         &WorkItem {
@@ -1774,7 +1654,6 @@ impl<'a, O: Observer> Engine<'a, O> {
                         },
                     );
                 }
-                let _ = iters;
                 let chunks = result.partition.chunks[i].len();
                 self.observer.on_runtime(
                     loc(i as u32),
@@ -1797,33 +1676,16 @@ impl<'a, O: Observer> Engine<'a, O> {
                     iters += range.len();
                 }
                 let inst = self.next_instance(loc(i));
-                let extra = self.observer.counting_instructions(&cost, iters);
-                let mut instrumented = cost;
-                instrumented.instructions += extra;
-                if let Some(p) = self.prof {
-                    p.enter(EventKind::LoopChunk);
-                }
-                let dur = if self.obs.is_some() {
-                    self.kernel_duration_observed(
-                        loc(i),
-                        &instrumented,
-                        f.working_set,
-                        ExecPhase::TeamParallel,
-                        inst,
-                        tt[i as usize],
-                    )
-                } else {
-                    self.kernel_duration(
-                        loc(i),
-                        &instrumented,
-                        f.working_set,
-                        ExecPhase::TeamParallel,
-                        inst,
-                    )
-                };
-                if let Some(p) = self.prof {
-                    p.leave(EventKind::LoopChunk, dur.nanos());
-                }
+                let (dur, extra) = self.pricer(r).price(
+                    Priced::StaticShare,
+                    loc(i),
+                    &cost,
+                    iters,
+                    f.working_set,
+                    ExecPhase::TeamParallel,
+                    inst,
+                    tt[i as usize],
+                );
                 let wo = self.observer.on_work(
                     loc(i),
                     &WorkItem { cost, loop_iters: iters, duration: dur, extra_instructions: extra },
@@ -1887,10 +1749,101 @@ impl<'a, O: Observer> Engine<'a, O> {
     }
 }
 
+/// What a priced kernel is, for the engine profile.
+#[derive(Debug, Clone, Copy)]
+enum Priced {
+    /// A serial, replicated, single, master or critical-section kernel
+    /// (a `KernelAdvance`).
+    Kernel,
+    /// One thread's share of a static-schedule loop (a `LoopChunk`).
+    StaticShare,
+    /// One dynamic or guided chunk (a `LoopChunk`). Its virtual time is
+    /// taken from the `f64` seconds the schedule simulation consumes,
+    /// scaled back to nanoseconds, not from the duration's own
+    /// nanoseconds.
+    DynamicChunk,
+}
+
+/// The one place the engine prices a kernel: it counts the observer's
+/// instrumentation instructions, runs the duration model inside an
+/// engine-profiler frame, and records what the observed model saw. It
+/// borrows only what pricing reads, so the dynamic-loop closure can hold
+/// one while the engine's scratch buffers are on loan.
+struct Pricer<'e, O> {
+    model: DurationModel<'e>,
+    placement: &'e Placement,
+    observer: &'e O,
+    prof: Option<&'e RunProf>,
+    /// Observatory sink, interned names, the rank's phase and the event
+    /// sequence number its samples carry; `Some` exactly when `obs` is.
+    obs: Option<(&'e RunObserve, &'e ObsIds, ObsPhase, u64)>,
+}
+
+impl<O: Observer> Pricer<'_, O> {
+    /// Duration of `cost` (covering `iters` loop iterations, 0 for a
+    /// plain kernel) on `loc`, started at `start`, plus the extra
+    /// instructions the observer's counting charged to it.
+    #[allow(clippy::too_many_arguments)]
+    fn price(
+        &self,
+        what: Priced,
+        loc: Location,
+        cost: &nrlt_prog::Cost,
+        iters: u64,
+        working_set: u64,
+        phase: ExecPhase,
+        instance: u64,
+        start: VirtualTime,
+    ) -> (VirtualDuration, u64) {
+        let extra = self.observer.counting_instructions(cost, iters);
+        let mut instrumented = *cost;
+        instrumented.instructions += extra;
+        let kind = match what {
+            Priced::Kernel => EventKind::KernelAdvance,
+            Priced::StaticShare | Priced::DynamicChunk => EventKind::LoopChunk,
+        };
+        if let Some(p) = self.prof {
+            p.enter(kind);
+        }
+        let mut probe = KernelProbe::default();
+        let d = self.model.kernel_duration_instrumented(
+            loc,
+            &instrumented,
+            working_set,
+            phase,
+            instance,
+            self.obs.is_some().then_some(&mut probe),
+            self.prof,
+        );
+        if let Some((obs, ids, ph, seq)) = self.obs {
+            let core = self.placement.core_of(loc).0 as u64;
+            record_kernel_obs(
+                obs,
+                ids,
+                &probe,
+                cost.mem_bytes,
+                loc.rank,
+                core,
+                instance,
+                ph,
+                start.nanos(),
+                seq,
+            );
+        }
+        if let Some(p) = self.prof {
+            let virtual_ns = match what {
+                Priced::DynamicChunk => (d.as_secs_f64() * 1e9) as u64,
+                Priced::Kernel | Priced::StaticShare => d.nanos(),
+            };
+            p.leave(kind, virtual_ns);
+        }
+        (d, extra)
+    }
+}
+
 /// Record what one probed kernel-duration call saw: contention samples
 /// (only for kernels that touch memory) and the noise draws that
-/// perturbed it. Free function so the dynamic-loop closure can call it
-/// without borrowing the engine.
+/// perturbed it.
 #[allow(clippy::too_many_arguments)]
 fn record_kernel_obs(
     obs: &RunObserve,

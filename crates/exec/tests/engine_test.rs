@@ -1,6 +1,7 @@
 //! Engine behaviour tests: synchronisation semantics, determinism,
 //! observer callback protocol.
 
+use nrlt_engineprof::{EventKind, RunProf};
 use nrlt_exec::{
     execute, execute_prepared_instrumented, overhead_percent, prepare_regions, EventInfo,
     ExecConfig, NullObserver, Observer, RuntimeKind, WorkItem,
@@ -428,4 +429,73 @@ fn rendezvous_send_blocks_until_recv() {
     let sender_spin: u64 =
         rec.spins.iter().filter(|(l, _)| l.rank == 0).map(|(_, d)| d.nanos()).sum();
     assert!(sender_spin > 5_000_000, "late receiver must block sender: {sender_spin}ns");
+}
+
+/// The engine profile of one run of `p` under `cfg`, plus the work items
+/// the observer saw and the result.
+fn profiled(
+    p: &nrlt_prog::Program,
+    cfg: &ExecConfig,
+) -> (nrlt_engineprof::ProfData, Recorder, nrlt_exec::ExecResult) {
+    let run = RunProf::new("r");
+    let mut rec = Recorder::default();
+    let res = execute_prepared_instrumented(
+        p,
+        &prepare_regions(p),
+        cfg,
+        &mut rec,
+        None,
+        None,
+        Some(&run),
+    );
+    (run.finish().1, rec, res)
+}
+
+#[test]
+fn dynamic_loop_profile_counts_chunks_draws_and_pending_iters() {
+    let mut pb = ProgramBuilder::new(1);
+    pb.rank(0).scoped("main", |rb| {
+        rb.parallel("work", |omp| {
+            omp.for_loop("chunks", 50, Schedule::Dynamic(3), IterCost::Uniform(Cost::scalar(1)), 0);
+        });
+    });
+    let p = pb.finish();
+    let cfg = ExecConfig::jureca(1, JobLayout::block(1, 4), 42);
+    let (d, rec, res) = profiled(&p, &cfg);
+
+    // Profiling must not perturb the schedule or the timings.
+    let mut plain = Recorder::default();
+    assert_eq!(execute(&p, &cfg, &mut plain), res);
+    assert_eq!(plain.work, rec.work);
+
+    // One `LoopChunk` per dispatched chunk, 17 = ceil(50 / 3), each
+    // billed the f64 seconds the schedule simulation consumed.
+    let chunks = &d.kinds[EventKind::LoopChunk.index()];
+    assert_eq!(chunks.count, 17);
+    assert_eq!(rec.work.len(), 17);
+    let virtual_ns: u64 =
+        rec.work.iter().map(|(_, w)| (w.duration.as_secs_f64() * 1e9) as u64).sum();
+    assert_eq!(chunks.virtual_ns, virtual_ns);
+    // The remaining-iterations gauge is sampled before every grab.
+    let g = &d.gauges[&("omp.pending_iters".to_owned(), String::new())];
+    assert_eq!((g.count, g.max), (17, 50));
+    // Compute-only chunks draw cpu jitter and an OS detour, warmed in
+    // one batch each; no memory channel, no network.
+    assert_eq!(d.kinds[EventKind::NoiseDraw.index()].count, 2 * 17);
+    assert_eq!(d.allocs["noise.warm_batch"], 17);
+}
+
+#[test]
+fn profile_samples_matcher_queues_and_draws_network_noise_per_match() {
+    let (d, _, _) = profiled(&pingpong(), &silent_config(2, 1, 1));
+    // One sample per posted send or receive; rank 0 posts its send and
+    // its receive before rank 1 runs, so each queue peaks at one.
+    for series in ["matcher.queued_sends", "matcher.queued_recvs", "mpi.wildcard_queue"] {
+        let g = &d.gauges[&(series.to_owned(), String::new())];
+        assert_eq!(g.count, 4, "{series}");
+        assert_eq!(g.max, (series != "mpi.wildcard_queue") as i64, "{series}");
+    }
+    assert_eq!(d.kinds[EventKind::Pt2ptMatch.index()].count, 2);
+    // A silent machine still counts one network draw per match.
+    assert_eq!(d.kinds[EventKind::NoiseDraw.index()].count, 2);
 }

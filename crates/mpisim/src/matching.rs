@@ -8,8 +8,6 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use nrlt_engineprof::RunProf;
-
 /// Key of a matching queue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Channel {
@@ -52,9 +50,9 @@ pub struct Match<S, R> {
 
 /// Running queue statistics, maintained incrementally on every post and
 /// match so current depths are O(1) and high-water marks are exact.
-/// These power both the engine introspection layer (`nrlt-engineprof`
-/// gauges and high-water marks) and the drain checks, and replace the
-/// old O(channels) pending scans.
+/// The engine reads them through [`Matcher::stats`] for its profiler's
+/// queue gauges and high-water marks; they also power the drain checks
+/// and replace the old O(channels) pending scans.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MatchStats {
     /// Sends currently waiting for a receive.
@@ -187,13 +185,6 @@ impl<S, R> Matcher<S, R> {
     /// queue allocations).
     pub fn stats(&self) -> MatchStats {
         self.stats
-    }
-
-    /// Record the current queue depths as engine-profiler gauges under
-    /// `phase`.
-    pub fn profile_queues(&self, prof: &RunProf, phase: &str) {
-        prof.gauge("matcher.queued_sends", phase, self.stats.queued_sends as i64);
-        prof.gauge("matcher.queued_recvs", phase, self.stats.queued_recvs as i64);
     }
 
     /// Number of sends still waiting.
@@ -337,17 +328,6 @@ mod tests {
         assert!(m.take_last_send(CH).is_some());
         assert_eq!(m.stats().queued_sends, 0);
         assert!(m.is_drained());
-    }
-
-    #[test]
-    fn profile_queues_records_gauges() {
-        let mut m: Matcher<u32, u32> = Matcher::new();
-        m.post_send(CH, 1, 0);
-        let prof = RunProf::new("r");
-        m.profile_queues(&prof, "main");
-        let (_, d) = prof.finish();
-        let g = &d.gauges[&("matcher.queued_sends".to_owned(), "main".to_owned())];
-        assert_eq!((g.count, g.max), (1, 1));
     }
 
     #[test]

@@ -18,7 +18,4 @@ pub mod overhead;
 pub mod schedule;
 
 pub use overhead::OmpOverheadModel;
-pub use schedule::{
-    simulate_dynamic, simulate_dynamic_prof, static_partition, DynamicResult, IterRange,
-    LoopPartition,
-};
+pub use schedule::{simulate_dynamic, static_partition, DynamicResult, IterRange, LoopPartition};

@@ -6,7 +6,6 @@
 //! The simulation is deterministic — ties break by thread id, matching
 //! the deterministic traces the paper needs.
 
-use nrlt_engineprof::{EventKind, RunProf};
 use nrlt_prog::Schedule;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -174,25 +173,8 @@ pub fn simulate_dynamic(
     iters: u64,
     schedule: Schedule,
     ready: &[f64],
-    range_cost: impl FnMut(u32, u64, u64) -> f64,
-    dispatch: f64,
-) -> DynamicResult {
-    simulate_dynamic_prof(iters, schedule, ready, range_cost, dispatch, None, "")
-}
-
-/// [`simulate_dynamic`] with engine profiling: when `prof` is some,
-/// every dispatched chunk is accounted as a [`EventKind::LoopChunk`]
-/// (virtual time = the chunk's simulated duration) and the remaining
-/// iteration count is sampled as the `omp.pending_iters` gauge under
-/// `phase` before each grab.
-pub fn simulate_dynamic_prof(
-    iters: u64,
-    schedule: Schedule,
-    ready: &[f64],
     mut range_cost: impl FnMut(u32, u64, u64) -> f64,
     dispatch: f64,
-    prof: Option<&RunProf>,
-    phase: &str,
 ) -> DynamicResult {
     let nthreads = ready.len() as u32;
     let mut heap: BinaryHeap<ReadyThread> =
@@ -214,17 +196,7 @@ pub fn simulate_dynamic_prof(
         let end = (next + chunk).min(iters);
         next = end;
         chunks[thread as usize].push(IterRange { begin, end });
-        let cost = match prof {
-            None => range_cost(thread, begin, end),
-            Some(p) => {
-                p.gauge("omp.pending_iters", phase, (iters - begin) as i64);
-                p.enter(EventKind::LoopChunk);
-                let cost = range_cost(thread, begin, end);
-                p.leave(EventKind::LoopChunk, (cost * 1e9) as u64);
-                cost
-            }
-        };
-        let done = time + dispatch + cost;
+        let done = time + dispatch + range_cost(thread, begin, end);
         finish[thread as usize] = done;
         heap.push(ReadyThread { time: done, thread });
     }
@@ -345,30 +317,6 @@ mod tests {
     #[should_panic(expected = "runtime simulation")]
     fn static_partition_rejects_dynamic() {
         static_partition(10, 2, Schedule::Dynamic(1));
-    }
-
-    #[test]
-    fn prof_variant_matches_plain_and_counts_chunks() {
-        let plain =
-            simulate_dynamic(50, Schedule::Dynamic(3), &[0.0; 4], |_, b, e| (e - b) as f64, 0.1);
-        let run = RunProf::new("r");
-        let prof = simulate_dynamic_prof(
-            50,
-            Schedule::Dynamic(3),
-            &[0.0; 4],
-            |_, b, e| (e - b) as f64,
-            0.1,
-            Some(&run),
-            "loop",
-        );
-        assert_eq!(plain, prof, "profiling must not perturb the schedule");
-        let (_, d) = run.finish();
-        let k = &d.kinds[EventKind::LoopChunk.index()];
-        assert_eq!(k.count as usize, prof.partition.total_chunks());
-        assert_eq!(k.virtual_ns, 50 * 1_000_000_000, "50 iterations at 1s each");
-        let g = &d.gauges[&("omp.pending_iters".to_owned(), "loop".to_owned())];
-        assert_eq!(g.count, k.count);
-        assert_eq!(g.max, 50);
     }
 
     #[test]

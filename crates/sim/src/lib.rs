@@ -31,7 +31,7 @@ pub mod topology;
 
 pub use chacha::{warm4, ChaCha8};
 pub use memory::{cache_bandwidth_share, dram_fraction, memory_time, shared_bandwidth};
-pub use noise::{KernelNoise, NoiseConfig, NoiseModel, NOISE_BATCH_SITE};
+pub use noise::{KernelNoise, NoiseConfig, NoiseModel};
 pub use placement::{JobLayout, Location, PinPolicy, Placement};
 pub use rng::{jitter_factor, RngFactory, StreamKind};
 pub use time::{VirtualDuration, VirtualTime};

@@ -22,17 +22,12 @@
 
 use crate::chacha::ChaCha8;
 use crate::rng::{jitter_factor, RngFactory, StreamKind};
-use nrlt_engineprof::{EventKind, RunProf};
 use std::cell::RefCell;
 
 /// Largest core id the per-core bias cache will grow to cover; draws for
 /// cores beyond it stay uncached (they are equally deterministic, just
 /// re-derived).
 const BIAS_CACHE_MAX_CORES: u64 = 1 << 16;
-
-/// Engine-profiler allocation site counting interleaved ChaCha warm-ups
-/// (one count = one four-lane first-block batch).
-pub const NOISE_BATCH_SITE: &str = "noise.warm_batch";
 
 /// Tunable noise intensities. All default values are calibrated so that
 /// uninstrumented run-to-run variation stays in the low single-digit
@@ -132,11 +127,6 @@ impl NoiseModel {
         NoiseModel { config, rng, bias_cache: RefCell::new(Vec::new()) }
     }
 
-    /// The configuration in effect.
-    pub fn config(&self) -> &NoiseConfig {
-        &self.config
-    }
-
     /// Multiplicative factor on the CPU part of the `instance`-th kernel
     /// on `core`.
     pub fn cpu_factor(&self, core: u64, instance: u64) -> f64 {
@@ -165,19 +155,10 @@ impl NoiseModel {
     /// mean `detour_rate × span`, each detour contributing an exponential
     /// duration with the configured mean.
     pub fn detour_time(&self, core: u64, instance: u64, span_secs: f64) -> f64 {
-        if self.config.detour_rate == 0.0 || self.config.detour_mean == 0.0 || span_secs <= 0.0 {
+        if !self.detour_on() || span_secs <= 0.0 {
             return 0.0;
         }
-        let mut rng = self.rng.stream(StreamKind::OsDetour, core, instance);
-        let mean_events = self.config.detour_rate * span_secs;
-        let n = poisson(&mut rng, mean_events);
-        let mut total = 0.0;
-        for _ in 0..n {
-            // Exponential via inverse transform.
-            let u: f64 = rng.range_f64(f64::EPSILON, 1.0);
-            total += -self.config.detour_mean * u.ln();
-        }
-        total
+        self.detours(&mut self.rng.stream(StreamKind::OsDetour, core, instance), span_secs)
     }
 
     /// Persistent memory-speed factor of `core` for this repetition.
@@ -211,100 +192,21 @@ impl NoiseModel {
         self.bias_cache.borrow().get(core as usize).is_some_and(|f| !f.is_nan())
     }
 
-    /// Multiplicative factor on the transfer time of message or collective
-    /// `msg_id`.
-    pub fn net_factor(&self, msg_id: u64) -> f64 {
+    /// Multiplicative factor on the transfer time of one message or
+    /// collective, keyed by `(entity, seq)`: the engine keys a message by
+    /// its channel and per-channel FIFO sequence number, a collective by
+    /// `(u64::MAX, instance index)`.
+    pub fn net_factor(&self, entity: u64, seq: u64) -> f64 {
         if self.config.net_sigma == 0.0 {
             return 1.0;
         }
-        let mut rng = self.rng.stream(StreamKind::Network, msg_id, 0);
+        let mut rng = self.rng.stream(StreamKind::Network, entity, seq);
         jitter_factor(&mut rng, self.config.net_sigma)
     }
 
-    /// [`cpu_factor`](Self::cpu_factor), counting the draw against
-    /// `prof` when profiling is on and the CPU channel actually draws.
-    pub fn cpu_factor_prof(&self, core: u64, instance: u64, prof: Option<&RunProf>) -> f64 {
-        match prof {
-            Some(p) if self.config.cpu_sigma != 0.0 => {
-                p.enter(EventKind::NoiseDraw);
-                let f = self.cpu_factor(core, instance);
-                p.leave(EventKind::NoiseDraw, 0);
-                f
-            }
-            _ => self.cpu_factor(core, instance),
-        }
-    }
-
-    /// [`mem_factor`](Self::mem_factor), counting the draw against
-    /// `prof` when profiling is on and the memory channel actually
-    /// draws.
-    pub fn mem_factor_prof(&self, core: u64, instance: u64, prof: Option<&RunProf>) -> f64 {
-        match prof {
-            Some(p) if self.config.mem_sigma != 0.0 => {
-                p.enter(EventKind::NoiseDraw);
-                let f = self.mem_factor(core, instance);
-                p.leave(EventKind::NoiseDraw, 0);
-                f
-            }
-            _ => self.mem_factor(core, instance),
-        }
-    }
-
-    /// [`detour_time`](Self::detour_time), counting the draw against
-    /// `prof` when profiling is on and the detour channel actually
-    /// draws. The stolen time is attributed as virtual nanoseconds of
-    /// the noise draw.
-    pub fn detour_time_prof(
-        &self,
-        core: u64,
-        instance: u64,
-        span_secs: f64,
-        prof: Option<&RunProf>,
-    ) -> f64 {
-        match prof {
-            Some(p)
-                if self.config.detour_rate != 0.0
-                    && self.config.detour_mean != 0.0
-                    && span_secs > 0.0 =>
-            {
-                p.enter(EventKind::NoiseDraw);
-                let t = self.detour_time(core, instance, span_secs);
-                p.leave(EventKind::NoiseDraw, (t * 1e9) as u64);
-                t
-            }
-            _ => self.detour_time(core, instance, span_secs),
-        }
-    }
-
-    /// [`mem_bias`](Self::mem_bias), counting the draw against `prof`
-    /// when profiling is on and the bias channel actually draws — i.e.
-    /// on the first, cache-filling call per core; memoised hits do no
-    /// ChaCha work and are not counted.
-    pub fn mem_bias_prof(&self, core: u64, prof: Option<&RunProf>) -> f64 {
-        match prof {
-            Some(p) if self.config.mem_bias_sigma != 0.0 && !self.bias_cached(core) => {
-                p.enter(EventKind::NoiseDraw);
-                let f = self.mem_bias(core);
-                p.leave(EventKind::NoiseDraw, 0);
-                f
-            }
-            _ => self.mem_bias(core),
-        }
-    }
-
-    /// [`net_factor`](Self::net_factor), counting the draw against
-    /// `prof` when profiling is on and the network channel actually
-    /// draws.
-    pub fn net_factor_prof(&self, msg_id: u64, prof: Option<&RunProf>) -> f64 {
-        match prof {
-            Some(p) if self.config.net_sigma != 0.0 => {
-                p.enter(EventKind::NoiseDraw);
-                let f = self.net_factor(msg_id);
-                p.leave(EventKind::NoiseDraw, 0);
-                f
-            }
-            _ => self.net_factor(msg_id),
-        }
+    /// True if the OS-detour channel can steal time at all.
+    fn detour_on(&self) -> bool {
+        self.config.detour_rate != 0.0 && self.config.detour_mean != 0.0
     }
 
     /// Pre-draw every noise channel of one kernel in a single interleaved
@@ -320,37 +222,29 @@ impl NoiseModel {
     /// fewer than two channels are live the batch would waste block
     /// computations, so the call falls through to the scalar paths.
     ///
-    /// Draw accounting against `prof` is unchanged: one `NoiseDraw` per
-    /// channel that actually derives a value, plus one
-    /// [`NOISE_BATCH_SITE`] allocation count per interleaved warm-up.
-    /// The warm-up's wall time is charged to the first channel's frame.
-    pub fn kernel_noise(
-        &self,
-        core: u64,
-        instance: u64,
-        want_mem: bool,
-        prof: Option<&RunProf>,
-    ) -> KernelNoise {
+    /// The result reports what was drawn ([`KernelNoise::draws`],
+    /// [`KernelNoise::warmed`]) so a caller can account for it.
+    pub fn kernel_noise(&self, core: u64, instance: u64, want_mem: bool) -> KernelNoise {
         let cpu_on = self.config.cpu_sigma != 0.0;
         let mem_on = want_mem && self.config.mem_sigma != 0.0;
-        let det_on = self.config.detour_rate != 0.0 && self.config.detour_mean != 0.0;
-        if (cpu_on as u32) + (mem_on as u32) + (det_on as u32) < 2 {
-            return KernelNoise {
-                cpu_factor: self.cpu_factor_prof(core, instance, prof),
-                mem_bias: if want_mem { self.mem_bias_prof(core, prof) } else { 1.0 },
-                mem_factor: if want_mem { self.mem_factor_prof(core, instance, prof) } else { 1.0 },
-                core,
-                instance,
-                detour: None,
-            };
-        }
-        let mem_bias = if want_mem { self.mem_bias_prof(core, prof) } else { 1.0 };
-        // The warm-up runs inside the first live channel's `NoiseDraw`
-        // frame (cpu, else mem: with two channels live, one of them is),
-        // so the engine profile charges it to noise, not to whatever
-        // frame encloses the kernel.
-        if let Some(p) = prof {
-            p.enter(EventKind::NoiseDraw);
+        let bias_draw = want_mem && self.config.mem_bias_sigma != 0.0 && !self.bias_cached(core);
+        let mem_bias = if want_mem { self.mem_bias(core) } else { 1.0 };
+        let mut kn = KernelNoise {
+            cpu_factor: 1.0,
+            mem_bias,
+            mem_factor: 1.0,
+            draws: cpu_on as u32 + mem_on as u32 + bias_draw as u32,
+            warmed: false,
+            core,
+            instance,
+            detour: None,
+        };
+        if (cpu_on as u32) + (mem_on as u32) + (self.detour_on() as u32) < 2 {
+            kn.cpu_factor = self.cpu_factor(core, instance);
+            if want_mem {
+                kn.mem_factor = self.mem_factor(core, instance);
+            }
+            return kn;
         }
         // Lane 3 pads the SIMD batch (its block is discarded); streams
         // are keyed independently, so computing an unused block changes
@@ -361,70 +255,44 @@ impl NoiseModel {
             (StreamKind::OsDetour, core, instance),
             (StreamKind::OsDetour, core, instance),
         ]);
-        let first = if cpu_on {
-            jitter_factor(&mut cpu_rng, self.config.cpu_sigma)
-        } else {
-            jitter_factor(&mut mem_rng, self.config.mem_sigma)
-        };
-        if let Some(p) = prof {
-            p.leave(EventKind::NoiseDraw, 0);
-            p.alloc(NOISE_BATCH_SITE, 1);
+        if cpu_on {
+            kn.cpu_factor = jitter_factor(&mut cpu_rng, self.config.cpu_sigma);
         }
-        let (cpu_factor, mem_factor) = match (cpu_on, mem_on) {
-            (true, true) => {
-                (first, count_draw(prof, || jitter_factor(&mut mem_rng, self.config.mem_sigma)))
-            }
-            (true, false) => (first, 1.0),
-            (false, _) => (1.0, first),
-        };
-        KernelNoise {
-            cpu_factor,
-            mem_bias,
-            mem_factor,
-            core,
-            instance,
-            detour: det_on.then_some(det_rng),
+        if mem_on {
+            kn.mem_factor = jitter_factor(&mut mem_rng, self.config.mem_sigma);
         }
+        kn.warmed = true;
+        kn.detour = self.detour_on().then_some(det_rng);
+        kn
     }
 
     /// [`detour_time`](Self::detour_time) drawn from the stream warmed by
     /// [`kernel_noise`](Self::kernel_noise); identical values, the block
-    /// is just already computed. Falls back to the scalar path when the
-    /// batch skipped the detour lane. Counts one `NoiseDraw` against
-    /// `prof` when the channel actually draws, attributing the stolen
-    /// time as virtual nanoseconds, exactly like
-    /// [`detour_time_prof`](Self::detour_time_prof).
-    pub fn detour_time_warmed(
-        &self,
-        kn: &mut KernelNoise,
-        span_secs: f64,
-        prof: Option<&RunProf>,
-    ) -> f64 {
-        let Some(mut rng) = kn.detour.take() else {
-            return self.detour_time_prof(kn.core, kn.instance, span_secs, prof);
-        };
-        if span_secs <= 0.0 {
-            return 0.0;
+    /// is just already computed (the scalar stream is derived when the
+    /// batch skipped the detour lane). `None` when the channel draws
+    /// nothing: detours off, or an empty span.
+    pub fn detour_time_warmed(&self, kn: &mut KernelNoise, span_secs: f64) -> Option<f64> {
+        if !self.detour_on() || span_secs <= 0.0 {
+            return None;
         }
-        let draw = |rng: &mut ChaCha8| {
-            let mean_events = self.config.detour_rate * span_secs;
-            let n = poisson(rng, mean_events);
-            let mut total = 0.0;
-            for _ in 0..n {
-                let u: f64 = rng.range_f64(f64::EPSILON, 1.0);
-                total += -self.config.detour_mean * u.ln();
-            }
-            total
-        };
-        match prof {
-            Some(p) => {
-                p.enter(EventKind::NoiseDraw);
-                let t = draw(&mut rng);
-                p.leave(EventKind::NoiseDraw, (t * 1e9) as u64);
-                t
-            }
-            None => draw(&mut rng),
+        let mut rng = kn
+            .detour
+            .take()
+            .unwrap_or_else(|| self.rng.stream(StreamKind::OsDetour, kn.core, kn.instance));
+        Some(self.detours(&mut rng, span_secs))
+    }
+
+    /// The OS-detour draw of [`detour_time`](Self::detour_time), read
+    /// from `rng`.
+    fn detours(&self, rng: &mut ChaCha8, span_secs: f64) -> f64 {
+        let n = poisson(rng, self.config.detour_rate * span_secs);
+        let mut total = 0.0;
+        for _ in 0..n {
+            // Exponential via inverse transform.
+            let u: f64 = rng.range_f64(f64::EPSILON, 1.0);
+            total += -self.config.detour_mean * u.ln();
         }
+        total
     }
 }
 
@@ -441,22 +309,15 @@ pub struct KernelNoise {
     pub mem_bias: f64,
     /// Multiplicative factor on the kernel's memory term.
     pub mem_factor: f64,
+    /// Channels that derived a value: cpu and mem jitter when live, the
+    /// memory bias only on its cache-filling draw (memoised hits do no
+    /// ChaCha work).
+    pub draws: u32,
+    /// True when the interleaved four-lane warm-up ran.
+    pub warmed: bool,
     core: u64,
     instance: u64,
     detour: Option<ChaCha8>,
-}
-
-/// Run `f` inside a `NoiseDraw` enter/leave pair when profiling is on.
-fn count_draw(prof: Option<&RunProf>, f: impl FnOnce() -> f64) -> f64 {
-    match prof {
-        Some(p) => {
-            p.enter(EventKind::NoiseDraw);
-            let v = f();
-            p.leave(EventKind::NoiseDraw, 0);
-            v
-        }
-        None => f(),
-    }
 }
 
 /// Poisson sampler (Knuth's method for small means, normal approximation
@@ -498,7 +359,7 @@ mod tests {
         assert_eq!(m.cpu_factor(0, 0), 1.0);
         assert_eq!(m.mem_factor(0, 0), 1.0);
         assert_eq!(m.detour_time(0, 0, 1.0), 0.0);
-        assert_eq!(m.net_factor(0), 1.0);
+        assert_eq!(m.net_factor(0, 0), 1.0);
         assert!(NoiseConfig::silent().is_silent());
         assert!(!NoiseConfig::realistic().is_silent());
     }
@@ -507,7 +368,8 @@ mod tests {
     fn factors_are_deterministic_per_key() {
         let m = model(NoiseConfig::realistic());
         assert_eq!(m.cpu_factor(3, 9), m.cpu_factor(3, 9));
-        assert_eq!(m.net_factor(11), m.net_factor(11));
+        assert_eq!(m.net_factor(11, 2), m.net_factor(11, 2));
+        assert_ne!(m.net_factor(11, 2), m.net_factor(11, 3));
         assert_ne!(m.cpu_factor(3, 9), m.cpu_factor(3, 10));
     }
 
@@ -535,20 +397,32 @@ mod tests {
     }
 
     #[test]
-    fn prof_variants_count_only_real_draws() {
+    fn net_factor_is_the_keyed_network_stream() {
+        // The factor the engine applies to a message or collective: one
+        // jitter draw from the `(Network, entity, seq)` stream.
+        let cfg = NoiseConfig::realistic();
+        let m = model(cfg.clone());
+        for (entity, seq) in [(0, 0), ((1 << 40) | (2 << 20) | 7, 5), (u64::MAX, 3)] {
+            let mut rng = RngFactory::new(7).stream(StreamKind::Network, entity, seq);
+            assert_eq!(m.net_factor(entity, seq), jitter_factor(&mut rng, cfg.net_sigma));
+        }
+    }
+
+    #[test]
+    fn kernel_noise_reports_only_real_draws() {
         let m = model(NoiseConfig::realistic());
-        let run = RunProf::new("n");
-        assert_eq!(m.cpu_factor_prof(3, 9, Some(&run)), m.cpu_factor(3, 9));
-        assert_eq!(m.mem_factor_prof(3, 9, Some(&run)), m.mem_factor(3, 9));
-        assert_eq!(m.mem_bias_prof(1, Some(&run)), m.mem_bias(1));
-        assert_eq!(m.net_factor_prof(5, Some(&run)), m.net_factor(5));
-        assert_eq!(m.detour_time_prof(0, 0, 0.001, Some(&run)), m.detour_time(0, 0, 0.001));
+        let mut kn = m.kernel_noise(3, 9, true);
+        assert_eq!((kn.cpu_factor, kn.mem_factor), (m.cpu_factor(3, 9), m.mem_factor(3, 9)));
+        assert_eq!(kn.mem_bias, m.mem_bias(3));
+        assert_eq!((kn.draws, kn.warmed), (3, true), "cpu + filling bias + mem");
+        // An empty span leaves the detour channel undrawn.
+        assert_eq!(m.detour_time_warmed(&mut kn, 0.0), None);
+        // Short-circuited channels draw nothing.
         let silent = model(NoiseConfig::silent());
-        // Short-circuited channels draw nothing and are not counted.
-        assert_eq!(silent.cpu_factor_prof(0, 0, Some(&run)), 1.0);
-        assert_eq!(m.detour_time_prof(0, 0, 0.0, Some(&run)), 0.0);
-        let (_, d) = run.finish();
-        assert_eq!(d.kinds[EventKind::NoiseDraw.index()].count, 5);
+        let mut kn = silent.kernel_noise(0, 0, true);
+        assert_eq!((kn.cpu_factor, kn.mem_bias, kn.mem_factor), (1.0, 1.0, 1.0));
+        assert_eq!((kn.draws, kn.warmed), (0, false));
+        assert_eq!(silent.detour_time_warmed(&mut kn, 0.001), None);
     }
 
     #[test]
@@ -564,29 +438,18 @@ mod tests {
     }
 
     #[test]
-    fn mem_bias_prof_counts_only_the_filling_draw() {
-        let m = model(NoiseConfig::realistic());
-        let run = RunProf::new("b");
-        assert_eq!(m.mem_bias_prof(2, Some(&run)), m.mem_bias(2));
-        // Second call hits the cache: no ChaCha work, no count.
-        assert_eq!(m.mem_bias_prof(2, Some(&run)), m.mem_bias(2));
-        let (_, d) = run.finish();
-        assert_eq!(d.kinds[EventKind::NoiseDraw.index()].count, 1);
-    }
-
-    #[test]
     fn kernel_noise_batch_matches_scalar_draws() {
         let m = model(NoiseConfig::realistic());
         let scalar = model(NoiseConfig::realistic());
         for instance in 0..50u64 {
-            let mut kn = m.kernel_noise(1, instance, true, None);
+            let mut kn = m.kernel_noise(1, instance, true);
             assert_eq!(kn.cpu_factor, scalar.cpu_factor(1, instance));
             assert_eq!(kn.mem_bias, scalar.mem_bias(1));
             assert_eq!(kn.mem_factor, scalar.mem_factor(1, instance));
             let span = 0.001 * (instance + 1) as f64;
             assert_eq!(
-                m.detour_time_warmed(&mut kn, span, None),
-                scalar.detour_time(1, instance, span),
+                m.detour_time_warmed(&mut kn, span),
+                Some(scalar.detour_time(1, instance, span)),
                 "warmed detour stream must continue the scalar keystream (instance {instance})"
             );
         }
@@ -595,7 +458,7 @@ mod tests {
     #[test]
     fn kernel_noise_without_mem_skips_mem_channels() {
         let m = model(NoiseConfig::realistic());
-        let kn = m.kernel_noise(0, 4, false, None);
+        let kn = m.kernel_noise(0, 4, false);
         assert_eq!(kn.mem_bias, 1.0);
         assert_eq!(kn.mem_factor, 1.0);
         assert_eq!(kn.cpu_factor, m.cpu_factor(0, 4));
@@ -607,28 +470,31 @@ mod tests {
         let cfg = NoiseConfig { detour_rate: 100.0, detour_mean: 1e-5, ..NoiseConfig::silent() };
         let m = model(cfg.clone());
         let scalar = model(cfg);
-        let mut kn = m.kernel_noise(0, 9, true, None);
+        let mut kn = m.kernel_noise(0, 9, true);
         assert_eq!(kn.cpu_factor, 1.0);
         assert_eq!(kn.mem_factor, 1.0);
-        assert_eq!(m.detour_time_warmed(&mut kn, 0.002, None), scalar.detour_time(0, 9, 0.002));
+        assert_eq!((kn.draws, kn.warmed), (0, false));
+        assert_eq!(m.detour_time_warmed(&mut kn, 0.002), Some(scalar.detour_time(0, 9, 0.002)));
     }
 
     #[test]
     fn kernel_noise_counts_draws_and_batches() {
         let m = model(NoiseConfig::realistic());
-        let run = RunProf::new("k");
-        let mut kn = m.kernel_noise(0, 0, true, Some(&run));
-        let _ = m.detour_time_warmed(&mut kn, 0.001, Some(&run));
-        // Same core again: the bias is memoised, so one draw fewer.
-        let mut kn = m.kernel_noise(0, 1, true, Some(&run));
-        let _ = m.detour_time_warmed(&mut kn, 0.001, Some(&run));
-        // Zero span: the detour channel does not draw.
-        let mut kn = m.kernel_noise(0, 2, true, Some(&run));
-        let _ = m.detour_time_warmed(&mut kn, 0.0, Some(&run));
-        let (_, d) = run.finish();
-        // (cpu+bias+mem+detour) + (cpu+mem+detour) + (cpu+mem) = 9.
-        assert_eq!(d.kinds[EventKind::NoiseDraw.index()].count, 9);
-        assert_eq!(d.allocs.get(NOISE_BATCH_SITE).copied(), Some(3));
+        let mut draws = Vec::new();
+        let mut detours = 0;
+        let mut warm_ups = 0;
+        // Same core each time, so only the first call fills the bias
+        // cache; the third has a zero span, so its detour does not draw.
+        for (instance, span) in [(0, 0.001), (1, 0.001), (2, 0.0)] {
+            let mut kn = m.kernel_noise(0, instance, true);
+            draws.push(kn.draws);
+            warm_ups += kn.warmed as u32;
+            detours += m.detour_time_warmed(&mut kn, span).is_some() as u32;
+        }
+        // (cpu+bias+mem) + (cpu+mem) + (cpu+mem), plus two detours.
+        assert_eq!(draws, [3, 2, 2]);
+        assert_eq!(detours, 2);
+        assert_eq!(warm_ups, 3);
     }
 
     #[test]

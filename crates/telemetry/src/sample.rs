@@ -71,44 +71,41 @@ pub mod frames {
     pub const ENGINE_RUN: FrameId = 3;
     /// One rank's scheduling quantum inside the engine.
     pub const ENGINE_RANK: FrameId = 4;
-    /// Batched noise-stream warm-up (`crates/sim/noise.rs`).
-    pub const NOISE_BATCH: FrameId = 5;
     /// Trace finalization in the measurement observer
     /// (`crates/measure/observer.rs`).
-    pub const TRACE_BUILD: FrameId = 6;
+    pub const TRACE_BUILD: FrameId = 5;
     /// Trace replay during analysis.
-    pub const ANALYZE_REPLAY: FrameId = 7;
+    pub const ANALYZE_REPLAY: FrameId = 6;
     /// Point-to-point wait-state detection.
-    pub const ANALYZE_P2P: FrameId = 8;
+    pub const ANALYZE_P2P: FrameId = 7;
     /// Collective wait-state detection.
-    pub const ANALYZE_COLLECTIVES: FrameId = 9;
+    pub const ANALYZE_COLLECTIVES: FrameId = 8;
     /// OpenMP barrier wait-state detection.
-    pub const ANALYZE_OMP: FrameId = 10;
+    pub const ANALYZE_OMP: FrameId = 9;
     /// Idle-thread accounting.
-    pub const ANALYZE_IDLE: FrameId = 11;
+    pub const ANALYZE_IDLE: FrameId = 10;
     /// Delay-cost (root-cause) analysis.
-    pub const ANALYZE_DELAY: FrameId = 12;
+    pub const ANALYZE_DELAY: FrameId = 11;
     /// Deterministic result merge after the cell fan-out.
-    pub const EXPERIMENT_MERGE: FrameId = 13;
+    pub const EXPERIMENT_MERGE: FrameId = 12;
     /// Harness-level work outside any experiment (report rendering,
     /// bundle writing).
-    pub const HARNESS: FrameId = 14;
+    pub const HARNESS: FrameId = 13;
     /// Spilling trace chunks to the out-of-core segment store
     /// (`crates/trace/segment.rs`).
-    pub const TRACE_SPILL: FrameId = 15;
+    pub const TRACE_SPILL: FrameId = 14;
     /// K-way merge over per-location cursors during streaming analysis.
-    pub const ANALYZE_MERGE: FrameId = 16;
+    pub const ANALYZE_MERGE: FrameId = 15;
     /// Pseudo-frame appended when a stack exceeded [`super::MAX_FRAMES`].
-    pub const TRUNCATED: FrameId = 17;
+    pub const TRUNCATED: FrameId = 16;
 
     /// Display names, indexed by `FrameId`.
-    pub const NAMES: [&str; 18] = [
+    pub const NAMES: [&str; 17] = [
         "experiment.reference",
         "experiment.mode_cell",
         "measure.run",
         "engine.run",
         "engine.rank",
-        "sim.noise_batch",
         "measure.trace_build",
         "analysis.replay",
         "analysis.p2p",
@@ -588,7 +585,7 @@ mod tests {
         let prof = SampleProf::new(); // constructed but never installed
         {
             let _f = frame(frames::ENGINE_RUN);
-            let _g = frame(frames::NOISE_BATCH);
+            let _g = frame(frames::ENGINE_RANK);
             assert!(!attached());
         }
         assert_eq!(prof.publishes(), 0);

@@ -15,7 +15,7 @@
 //! * [`assign_vector_clocks`] — per-event vector timestamps, supporting
 //!   exact concurrency queries (`a ∥ b` iff neither vector dominates).
 
-use crate::replay::{replay, LocalReplay};
+use crate::replay::replay;
 use nrlt_trace::Trace;
 use std::collections::HashMap;
 
@@ -216,12 +216,6 @@ pub fn assign_lamport_postprocess(trace: &Trace) -> Vec<Vec<u64>> {
         out[l][i] = c + 1;
     }
     out
-}
-
-/// Also checked by [`verify_clock_condition`], exposed for `LocalReplay`
-/// consumers that already replayed.
-pub fn replay_for_causality(trace: &Trace) -> Vec<LocalReplay> {
-    replay(trace).1
 }
 
 #[cfg(test)]

@@ -8,9 +8,9 @@
 //! protocol the *shapes* (who wins, rough factors, crossovers) are the
 //! comparison targets, recorded in EXPERIMENTS.md.
 
+use nrlt_core::engineprof::{EngineProf, ProfBundle};
 use nrlt_core::prelude::*;
 use nrlt_core::ExperimentResult;
-use nrlt_engineprof::{EngineProf, ProfBundle};
 use nrlt_observe::export::ObserveBundle;
 use nrlt_observe::Observe;
 use nrlt_telemetry::sample::{self, frames, SampleProf};
@@ -64,12 +64,14 @@ const REPORT_TOP_N: usize = 10;
 ///   byte-identical either way.
 /// * `--engine-prof <dir>` (also `--engine-prof=<dir>`) turns on the
 ///   engine self-profiler for every harness-driven experiment —
-///   per-event-kind cost accounting, queue-occupancy timelines,
-///   hot-loop allocation counts — and writes `engineprof.json`
-///   (deterministic) + `engineprof.wall.json` (wall-clock) into the
-///   directory on [`Harness::finish`]. Without the flag the engine runs
-///   on its `None` paths and performs zero profiling work; printed
-///   output is byte-identical either way.
+///   per-event-kind counts, queue-occupancy timelines, hot-loop
+///   allocation counts — and writes the deterministic `engineprof.json`
+///   into the directory on [`Harness::finish`]. With `--sample-prof`
+///   also on, the sampler sees one `engine.<kind>` frame per event
+///   kind; naming the same directory for both puts `samples.folded`
+///   next to `engineprof.json`, where `nrlt-report engine` joins them.
+///   Without the flag the engine runs on its `None` paths and performs
+///   zero profiling work; printed output is byte-identical either way.
 /// * `--sample-prof <dir>` (also `--sample-prof=<dir>`) installs the
 ///   cooperative wall-clock sampling profiler for the whole invocation:
 ///   pipeline threads publish their current logical frame into
@@ -275,7 +277,7 @@ impl Harness {
 
     /// The engine self-profiler (`None` without `--engine-prof`), for
     /// binaries that drive measurement directly and attach their own
-    /// [`nrlt_engineprof::RunProf`] runs.
+    /// [`nrlt_core::engineprof::RunProf`] runs.
     pub fn engineprof(&self) -> Option<&EngineProf> {
         self.prof.as_ref()
     }

@@ -11,9 +11,9 @@
 //! 4. compare: overheads against the reference, Jaccard scores against
 //!    `tsc`, minimum run-to-run Jaccard within each mode.
 
+use crate::engineprof::{EngineProf, RunProf};
 use crate::parallel::{effective_jobs, parallel_map_ordered};
 use nrlt_analysis::{analyze_view, AnalysisConfig};
-use nrlt_engineprof::{EngineProf, RunProf};
 use nrlt_exec::{overhead_percent, ExecConfig, ExecResult};
 use nrlt_measure::{
     measure_prepared_spilled, prepare_measure, reference_run_instrumented, ClockMode, FilterRules,
@@ -304,7 +304,7 @@ fn mode_repetitions(mode: ClockMode, options: &ExperimentOptions) -> u32 {
 ///   records counter timelines, noise draws, and wait-state provenance
 ///   for the simulated machine under the run name
 ///   `{instance}:{mode}:rep{rep}`;
-/// * `prof` — the engine self-profiler ([`nrlt_engineprof`]): every cell
+/// * `prof` — the engine self-profiler ([`crate::engineprof`]): every cell
 ///   accounts the replay engine's own per-event-kind costs, queue
 ///   occupancy, and hot-loop allocations under the same run name.
 ///
@@ -378,7 +378,7 @@ enum CellOutput {
 /// * `obs` — the resource observatory ([`nrlt_observe`]): every cell —
 ///   reference and measured — records counter timelines, noise
 ///   attribution, and wait-state provenance for the simulated machine;
-/// * `prof` — the engine self-profiler ([`nrlt_engineprof`]): every cell
+/// * `prof` — the engine self-profiler ([`crate::engineprof`]): every cell
 ///   accounts the replay engine's per-event-kind costs, queue occupancy,
 ///   and hot-loop allocations.
 ///

@@ -46,8 +46,8 @@ pub use parallel::{effective_jobs, parallel_map_ordered};
 
 // Re-export the component crates under stable names.
 pub use nrlt_analysis as analysis;
-pub use nrlt_engineprof as engineprof;
 pub use nrlt_exec as exec;
+pub use nrlt_exec::engineprof;
 pub use nrlt_measure as measure_sys;
 pub use nrlt_miniapps as miniapps;
 pub use nrlt_mpisim as mpisim;

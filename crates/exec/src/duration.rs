@@ -8,7 +8,7 @@
 //! threads of a domain execute the same phase concurrently, so occupancy
 //! is an accurate stand-in for instantaneous activity.
 
-use nrlt_engineprof::{EventKind, RunProf};
+use crate::engineprof::{EventKind, RunProf};
 use nrlt_prog::Cost;
 use nrlt_sim::{
     cache_bandwidth_share, dram_fraction, memory_time, shared_bandwidth, Location, NoiseModel,

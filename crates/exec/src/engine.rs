@@ -13,6 +13,7 @@
 
 use crate::config::ExecConfig;
 use crate::duration::{DurationModel, ExecPhase, KernelProbe};
+use crate::engineprof::{EventKind, RunProf};
 use crate::ladder::LadderQueue;
 use crate::observer::{EventInfo, Observer, RuntimeKind, WorkItem};
 use crate::regions::{
@@ -20,7 +21,6 @@ use crate::regions::{
     ParallelRegions,
 };
 use crate::result::ExecResult;
-use nrlt_engineprof::{EventKind, RunProf};
 use nrlt_mpisim::{message_timing, Channel, CommScope, LinkKind, Matcher};
 use nrlt_observe::{NoiseKind, PhaseId as ObsPhase, RunObserve, SeriesId};
 use nrlt_ompsim::{simulate_dynamic, static_partition};
@@ -72,7 +72,7 @@ pub fn execute<O: Observer>(
 ///   histogram, and the final virtual time;
 /// * `obs` — the resource observatory (`nrlt-observe`): counter
 ///   timelines and noise draws from the simulated machine;
-/// * `prof` — the engine self-profiler (`nrlt-engineprof`):
+/// * `prof` — the engine self-profiler ([`crate::engineprof`]):
 ///   per-event-kind costs, queue occupancy, and hot-loop allocations.
 ///
 /// Every probe reads only already-determined virtual times and stateless

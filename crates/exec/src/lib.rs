@@ -14,6 +14,7 @@
 pub mod config;
 pub mod duration;
 pub mod engine;
+pub mod engineprof;
 pub mod ladder;
 pub mod observer;
 pub mod regions;

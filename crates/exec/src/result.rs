@@ -19,8 +19,8 @@ pub struct ExecResult {
     /// Job run time: the latest completion over all locations.
     pub total: VirtualDuration,
     /// Engine events dispatched to produce this result — the
-    /// denominator-free side of the events/sec throughput KPI (the
-    /// numerator of `events_per_sec`; wall time comes from the caller).
+    /// numerator of the events-per-second throughput KPI (wall time
+    /// comes from the caller).
     pub events: u64,
 }
 

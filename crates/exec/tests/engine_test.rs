@@ -1,7 +1,7 @@
 //! Engine behaviour tests: synchronisation semantics, determinism,
 //! observer callback protocol.
 
-use nrlt_engineprof::{EventKind, RunProf};
+use nrlt_exec::engineprof::{EventKind, RunProf};
 use nrlt_exec::{
     execute, execute_prepared_instrumented, overhead_percent, prepare_regions, EventInfo,
     ExecConfig, NullObserver, Observer, RuntimeKind, WorkItem,
@@ -436,7 +436,7 @@ fn rendezvous_send_blocks_until_recv() {
 fn profiled(
     p: &nrlt_prog::Program,
     cfg: &ExecConfig,
-) -> (nrlt_engineprof::ProfData, Recorder, nrlt_exec::ExecResult) {
+) -> (nrlt_exec::engineprof::ProfData, Recorder, nrlt_exec::ExecResult) {
     let run = RunProf::new("r");
     let mut rec = Recorder::default();
     let res = execute_prepared_instrumented(
@@ -477,7 +477,7 @@ fn dynamic_loop_profile_counts_chunks_draws_and_pending_iters() {
         rec.work.iter().map(|(_, w)| (w.duration.as_secs_f64() * 1e9) as u64).sum();
     assert_eq!(chunks.virtual_ns, virtual_ns);
     // The remaining-iterations gauge is sampled before every grab.
-    let g = &d.gauges[&("omp.pending_iters".to_owned(), String::new())];
+    let g = &d.gauges["omp.pending_iters"][""];
     assert_eq!((g.count, g.max), (17, 50));
     // Compute-only chunks draw cpu jitter and an OS detour, warmed in
     // one batch each; no memory channel, no network.
@@ -491,7 +491,7 @@ fn profile_samples_matcher_queues_and_draws_network_noise_per_match() {
     // One sample per posted send or receive; rank 0 posts its send and
     // its receive before rank 1 runs, so each queue peaks at one.
     for series in ["matcher.queued_sends", "matcher.queued_recvs", "mpi.wildcard_queue"] {
-        let g = &d.gauges[&(series.to_owned(), String::new())];
+        let g = &d.gauges[series][""];
         assert_eq!(g.count, 4, "{series}");
         assert_eq!(g.max, (series != "mpi.wildcard_queue") as i64, "{series}");
     }

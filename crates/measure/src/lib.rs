@@ -31,7 +31,7 @@ pub use observer::{
 pub use params::{EffortParams, HwCounterSource, OverheadParams};
 pub use profiling::{profile_run, OnlineProfile, ProfilingObserver};
 
-use nrlt_engineprof::RunProf;
+use nrlt_exec::engineprof::RunProf;
 use nrlt_exec::{execute_prepared_instrumented, ExecConfig, ExecResult, NullObserver};
 use nrlt_observe::RunObserve;
 use nrlt_prog::Program;
@@ -101,7 +101,7 @@ pub fn prepare_measure(program: &Program, exec_config: &ExecConfig) -> MeasurePr
 /// * `obs` records the simulated machine underneath the measurement
 ///   (`nrlt-observe`) without perturbing the trace.
 /// * `prof` accounts what the replay engine itself spends producing this
-///   run (`nrlt-engineprof`), plus the spill gauges when a budget is set.
+///   run (`nrlt_exec::engineprof`), plus the spill gauges when a budget is set.
 ///
 /// Each `None` probe performs zero work.
 #[allow(clippy::too_many_arguments)]

@@ -155,11 +155,6 @@ impl Profile {
         raw.into_iter().map(|(c, v)| (c, 100.0 * v / total)).collect()
     }
 
-    /// `%_M` of one call path for a metric.
-    pub fn pct_m(&self, metric: Metric, path: CallPathId) -> f64 {
-        self.map_c(metric).get(&path).copied().unwrap_or(0.0)
-    }
-
     /// Sum a metric (inclusive) over one location.
     pub fn metric_at_location(&self, metric: Metric, location: usize) -> f64 {
         metric

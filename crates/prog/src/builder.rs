@@ -33,11 +33,6 @@ impl ProgramBuilder {
         }
     }
 
-    /// Intern a user region up front (optional; builders intern lazily).
-    pub fn user_region(&mut self, name: &str) -> RegionId {
-        self.regions.intern(name, RegionKind::User)
-    }
-
     /// Get the builder for one rank's action list.
     pub fn rank(&mut self, rank: u32) -> RankBuilder<'_> {
         assert!((rank as usize) < self.ranks.len(), "rank {rank} out of range");
@@ -242,30 +237,6 @@ impl<'a> OmpBuilder<'a> {
         iter_cost: IterCost,
         working_set: u64,
     ) {
-        self.push_for(loop_name, iters, schedule, iter_cost, working_set, false);
-    }
-
-    /// Worksharing loop with `nowait`.
-    pub fn for_loop_nowait(
-        &mut self,
-        loop_name: &str,
-        iters: u64,
-        schedule: Schedule,
-        iter_cost: IterCost,
-        working_set: u64,
-    ) {
-        self.push_for(loop_name, iters, schedule, iter_cost, working_set, true);
-    }
-
-    fn push_for(
-        &mut self,
-        loop_name: &str,
-        iters: u64,
-        schedule: Schedule,
-        iter_cost: IterCost,
-        working_set: u64,
-        nowait: bool,
-    ) {
         let region = self.regions.intern(&format!("!$omp for @{loop_name}"), RegionKind::OmpLoop);
         self.body.push(OmpAction::For(OmpFor {
             region,
@@ -273,7 +244,7 @@ impl<'a> OmpBuilder<'a> {
             schedule,
             iter_cost,
             working_set,
-            nowait,
+            nowait: false,
         }));
     }
 

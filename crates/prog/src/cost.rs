@@ -42,19 +42,6 @@ impl Cost {
         }
     }
 
-    /// A floating-point kernel: `flops` useful flops with `instr_per_flop`
-    /// total instructions per flop and `bytes_per_flop` memory traffic.
-    pub fn fp_kernel(flops: u64, instr_per_flop: f64, bytes_per_flop: f64) -> Cost {
-        let instructions = (flops as f64 * instr_per_flop) as u64;
-        Cost {
-            instructions,
-            basic_blocks: instructions / 10,
-            statements: (instructions as f64 / 1.3) as u64,
-            flops,
-            mem_bytes: (flops as f64 * bytes_per_flop) as u64,
-        }
-    }
-
     /// Override the basic-block count (branchy code has more blocks per
     /// instruction than streaming loops).
     pub fn with_basic_blocks(mut self, bb: u64) -> Cost {
@@ -62,27 +49,10 @@ impl Cost {
         self
     }
 
-    /// Override the statement count.
-    pub fn with_statements(mut self, stmt: u64) -> Cost {
-        self.statements = stmt;
-        self
-    }
-
     /// Override the memory traffic.
     pub fn with_mem_bytes(mut self, bytes: u64) -> Cost {
         self.mem_bytes = bytes;
         self
-    }
-
-    /// Override the instruction count.
-    pub fn with_instructions(mut self, instructions: u64) -> Cost {
-        self.instructions = instructions;
-        self
-    }
-
-    /// True if every component is zero.
-    pub fn is_zero(&self) -> bool {
-        *self == Cost::ZERO
     }
 
     /// Scale every component by a non-negative factor, rounding.
@@ -190,14 +160,6 @@ impl IterCost {
     /// Cost of the whole loop of `total` iterations.
     pub fn total_cost(&self, total: u64) -> Cost {
         self.range_cost(0, total, total)
-    }
-
-    /// Mean per-iteration cost (for schedule balancing heuristics).
-    pub fn mean_cost(&self, total: u64) -> Cost {
-        if total == 0 {
-            return Cost::ZERO;
-        }
-        self.total_cost(total).scale(1.0 / total as f64)
     }
 }
 

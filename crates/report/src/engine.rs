@@ -1,27 +1,31 @@
 //! The `nrlt-report engine` view: KPI rollup over an `--engine-prof`
 //! bundle, plus a diff between two bundles.
 //!
-//! The bundle splits along the determinism boundary (see
-//! `nrlt_engineprof::export`): `engineprof.json` carries the
-//! deterministic accounting (per-kind counts and virtual nanoseconds,
-//! gauge aggregates, high-water marks, allocation counts) and
-//! `engineprof.wall.json` the wall-clock readings (inclusive/exclusive
-//! cost per kind, events/sec). This module parses both back with the
-//! shared `nrlt_telemetry::json` parser — the profiler crate itself
-//! stays dependency-free — and renders:
+//! `engineprof.json` carries the engine profiler's deterministic
+//! accounting (per-kind counts and virtual nanoseconds, gauge
+//! aggregates, high-water marks, allocation counts; see
+//! `nrlt_exec::engineprof::export`). Wall time comes from the sampling
+//! profiler: when a `samples.folded` sits next to it (a bin run with
+//! `--engine-prof D --sample-prof D`), each kind's `engine.<kind>`
+//! frame is counted in the sampled stacks, exclusively (the kind is the
+//! leaf) and inclusively (anywhere in the stack). This module renders:
 //!
-//! * a bundle-level KPI table: total events, wall time, events/sec,
-//!   per-event-kind cost ranked by exclusive wall cost (virtual cost as
-//!   the tiebreak, so the ranking still works on the deterministic file
-//!   alone),
+//! * a bundle-level KPI table: total events and per-event-kind cost
+//!   ranked by exclusive samples (virtual cost as the tiebreak, so the
+//!   ranking still works on `engineprof.json` alone),
 //! * the top queue-pressure `(series, phase)` cells by mean depth,
 //! * hot-loop allocation sites and high-water marks,
-//! * a per-run throughput table,
+//! * a per-run event table,
 //! * `diff`: per-kind count/virtual deltas between two bundles.
 
+use nrlt_core::engineprof::EventKind;
 use nrlt_telemetry::json::{parse, Value};
+use nrlt_telemetry::sample::frames;
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::Path;
+
+use crate::flame::parse_folded;
 
 /// One event-kind row of a run (or of the bundle rollup).
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -32,11 +36,17 @@ pub struct KindRow {
     pub count: u64,
     /// Virtual nanoseconds the kind accounted for.
     pub virtual_ns: u64,
-    /// Wall nanoseconds inside the kind, children included (0 when the
-    /// wall file is absent).
-    pub inclusive_ns: u64,
-    /// Wall nanoseconds inside the kind, children excluded.
-    pub exclusive_ns: u64,
+    /// Sampled wall time inside the kind (zero without samples).
+    pub samples: KindSamples,
+}
+
+/// Sampler hits on one kind's `engine.<kind>` frame.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct KindSamples {
+    /// Stacks containing the frame, nested kinds included.
+    pub inclusive: u64,
+    /// Stacks whose leaf is the frame.
+    pub exclusive: u64,
 }
 
 /// One `(series, phase)` gauge aggregate.
@@ -65,8 +75,7 @@ impl GaugeRow {
     }
 }
 
-/// One run of an engine-profile bundle, deterministic and wall parts
-/// merged.
+/// One run of an engine-profile bundle.
 #[derive(Debug, Clone, Default)]
 pub struct EngineRun {
     /// Run name (`{instance}:{mode}:rep{rep}`).
@@ -81,11 +90,6 @@ pub struct EngineRun {
     pub hwm: Vec<(String, u64)>,
     /// Hot-loop allocation counts (site, count).
     pub allocs: Vec<(String, u64)>,
-    /// Wall nanoseconds of the whole run (0 when the wall file is
-    /// absent).
-    pub total_wall_ns: u64,
-    /// Events per wall second (0 when the wall file is absent).
-    pub events_per_sec: f64,
 }
 
 /// A parsed `--engine-prof` bundle.
@@ -93,10 +97,14 @@ pub struct EngineRun {
 pub struct EngineBundle {
     /// Runs in bundle (name-sorted) order.
     pub runs: Vec<EngineRun>,
+    /// Per-kind samples keyed by event name, from the `samples.folded`
+    /// next to `engineprof.json`; `None` without one. The sampler
+    /// aggregates over the whole process, so these are not per run.
+    pub samples: Option<BTreeMap<String, KindSamples>>,
 }
 
-/// Load `engineprof.json` (required) and `engineprof.wall.json`
-/// (optional) from `dir`.
+/// Load `engineprof.json` (required) and `samples.folded` (optional)
+/// from `dir`.
 pub fn load_engine_bundle(dir: &Path) -> Result<EngineBundle, String> {
     let det_path = dir.join("engineprof.json");
     let text = std::fs::read_to_string(&det_path)
@@ -106,27 +114,29 @@ pub fn load_engine_bundle(dir: &Path) -> Result<EngineBundle, String> {
     for run in arr(&det, "runs")? {
         runs.push(parse_run(run)?);
     }
-    // The wall file is a sidecar: merge by run name when present.
-    if let Ok(text) = std::fs::read_to_string(dir.join("engineprof.wall.json")) {
-        if let Ok(wall) = parse(&text) {
-            for wrun in arr(&wall, "runs").unwrap_or(&[]) {
-                let name = str_field(wrun, "run").unwrap_or_default();
-                if let Some(run) = runs.iter_mut().find(|r| r.name == name) {
-                    run.total_wall_ns = u64_field(wrun, "total_wall_ns");
-                    run.events_per_sec =
-                        wrun.get("events_per_sec").and_then(Value::as_f64).unwrap_or(0.0);
-                    for wkind in arr(wrun, "kinds").unwrap_or(&[]) {
-                        let event = str_field(wkind, "event").unwrap_or_default();
-                        if let Some(k) = run.kinds.iter_mut().find(|k| k.event == event) {
-                            k.inclusive_ns = u64_field(wkind, "inclusive_ns");
-                            k.exclusive_ns = u64_field(wkind, "exclusive_ns");
-                        }
-                    }
-                }
+    let samples = std::fs::read_to_string(dir.join("samples.folded"))
+        .ok()
+        .map(|doc| kind_samples(&parse_folded(&doc)));
+    Ok(EngineBundle { runs, samples })
+}
+
+/// Count each kind's `engine.<kind>` frame over sampled stacks.
+fn kind_samples(stacks: &[(Vec<String>, u64)]) -> BTreeMap<String, KindSamples> {
+    let mut out = BTreeMap::new();
+    for kind in EventKind::ALL {
+        let frame = frames::name(kind.frame());
+        let mut s = KindSamples::default();
+        for (stack, n) in stacks {
+            if stack.iter().any(|f| f == frame) {
+                s.inclusive += n;
+            }
+            if stack.last().is_some_and(|f| f == frame) {
+                s.exclusive += n;
             }
         }
+        out.insert(kind.name().to_owned(), s);
     }
-    Ok(EngineBundle { runs })
+    out
 }
 
 fn parse_run(run: &Value) -> Result<EngineRun, String> {
@@ -140,8 +150,7 @@ fn parse_run(run: &Value) -> Result<EngineRun, String> {
             event: str_field(kind, "event").ok_or("kind without an event name")?,
             count: u64_field(kind, "count"),
             virtual_ns: u64_field(kind, "virtual_ns"),
-            inclusive_ns: 0,
-            exclusive_ns: 0,
+            samples: KindSamples::default(),
         });
     }
     for gauge in arr(run, "gauges").unwrap_or(&[]) {
@@ -189,8 +198,6 @@ fn rollup_kinds(runs: &[&EngineRun]) -> Vec<KindRow> {
                 Some(o) => {
                     o.count += k.count;
                     o.virtual_ns += k.virtual_ns;
-                    o.inclusive_ns += k.inclusive_ns;
-                    o.exclusive_ns += k.exclusive_ns;
                 }
                 None => out.push(k.clone()),
             }
@@ -199,13 +206,13 @@ fn rollup_kinds(runs: &[&EngineRun]) -> Vec<KindRow> {
     out
 }
 
-/// Rank kinds most-expensive first: by exclusive wall cost, virtual
-/// cost as the deterministic tiebreak, then count. Kinds that never
-/// fired sort last.
+/// Rank kinds most-expensive first: by exclusive samples, virtual cost
+/// as the deterministic tiebreak, then count. Kinds that never fired
+/// sort last.
 fn rank_kinds(kinds: &mut [KindRow]) {
     kinds.sort_by(|a, b| {
-        (b.exclusive_ns, b.virtual_ns, b.count, &a.event).cmp(&(
-            a.exclusive_ns,
+        (b.samples.exclusive, b.virtual_ns, b.count, &a.event).cmp(&(
+            a.samples.exclusive,
             a.virtual_ns,
             a.count,
             &b.event,
@@ -217,20 +224,12 @@ fn fmt_ms(ns: u64) -> String {
     format!("{:.2}", ns as f64 / 1e6)
 }
 
-fn fmt_eps(eps: f64) -> String {
-    if eps >= 1e6 {
-        format!("{:.2}M", eps / 1e6)
-    } else if eps >= 1e3 {
-        format!("{:.1}k", eps / 1e3)
-    } else {
-        format!("{eps:.0}")
-    }
-}
-
 /// Render the KPI report for `bundle`.
 ///
 /// * `run_filter` restricts to one named run (`None` = roll up all
-///   runs, plus a per-run throughput table).
+///   runs, joined with the bundle's samples, plus a per-run event
+///   table). Samples are not split by run, so a filtered view ranks by
+///   virtual cost.
 /// * `top` bounds the queue-pressure and allocation tables.
 ///
 /// Errors when the filter matches nothing or the bundle is empty.
@@ -255,30 +254,39 @@ pub fn engine_text(
     let _ = writeln!(out, "=== engine profile ({scope}) ===");
 
     let events: u64 = runs.iter().map(|r| r.events).sum();
-    let wall_ns: u64 = runs.iter().map(|r| r.total_wall_ns).sum();
-    let eps = if wall_ns > 0 { events as f64 / (wall_ns as f64 / 1e9) } else { 0.0 };
-    let _ = write!(out, "events: {events}");
-    if wall_ns > 0 {
-        let _ = write!(out, "   wall: {:.3}s   events/sec: {}", wall_ns as f64 / 1e9, fmt_eps(eps));
-    } else {
-        let _ = write!(out, "   (no wall file — deterministic view only)");
-    }
-    let _ = writeln!(out);
+    let samples = bundle.samples.as_ref().filter(|_| run_filter.is_none());
+    let _ = writeln!(out, "events: {events}");
 
     let mut kinds = rollup_kinds(&runs);
+    if let Some(samples) = samples {
+        for k in &mut kinds {
+            k.samples = samples.get(&k.event).copied().unwrap_or_default();
+        }
+    }
     rank_kinds(&mut kinds);
-    let excl_total: u64 = kinds.iter().map(|k| k.exclusive_ns).sum();
-    let _ = writeln!(out, "\nper-event-kind cost (ranked by exclusive wall cost):");
+    let excl_total: u64 = kinds.iter().map(|k| k.samples.exclusive).sum();
+    let ranking = if excl_total > 0 {
+        "exclusive samples"
+    } else if samples.is_none() && bundle.samples.is_some() {
+        "virtual cost; samples are not split by run"
+    } else {
+        "virtual cost; no engine kind samples"
+    };
+    let _ = writeln!(out, "\nper-event-kind cost (ranked by {ranking}):");
     let _ = writeln!(
         out,
         "  {:<16} {:>12} {:>12} {:>10} {:>10} {:>6}",
-        "kind", "count", "virtual(ms)", "incl(ms)", "excl(ms)", "excl%"
+        "kind", "count", "virtual(ms)", "incl(smp)", "excl(smp)", "excl%"
     );
     for k in &kinds {
-        let pct = if excl_total > 0 {
-            format!("{:.1}", 100.0 * k.exclusive_ns as f64 / excl_total as f64)
+        let (incl, excl, pct) = if excl_total > 0 {
+            (
+                k.samples.inclusive.to_string(),
+                k.samples.exclusive.to_string(),
+                format!("{:.1}", 100.0 * k.samples.exclusive as f64 / excl_total as f64),
+            )
         } else {
-            "-".to_owned()
+            ("-".to_owned(), "-".to_owned(), "-".to_owned())
         };
         let _ = writeln!(
             out,
@@ -286,8 +294,8 @@ pub fn engine_text(
             k.event,
             k.count,
             fmt_ms(k.virtual_ns),
-            fmt_ms(k.inclusive_ns),
-            fmt_ms(k.exclusive_ns),
+            incl,
+            excl,
             pct
         );
     }
@@ -363,13 +371,11 @@ pub fn engine_text(
         }
     }
 
-    // Per-run throughput table only in the rollup view.
+    // Per-run event table only in the rollup view.
     if run_filter.is_none() && runs.len() > 1 {
-        let _ = writeln!(out, "\nper-run throughput:");
-        let _ = writeln!(out, "  {:<40} {:>12} {:>12}", "run", "events", "events/sec");
+        let _ = writeln!(out, "\nper-run events:");
         for r in &runs {
-            let eps = if r.events_per_sec > 0.0 { fmt_eps(r.events_per_sec) } else { "-".into() };
-            let _ = writeln!(out, "  {:<40} {:>12} {:>12}", r.name, r.events, eps);
+            let _ = writeln!(out, "  {:<40} {:>12}", r.name, r.events);
         }
     }
     Ok(out)
@@ -377,8 +383,8 @@ pub fn engine_text(
 
 /// Render the deterministic diff between two bundles: per-kind count
 /// and virtual-cost deltas of the rollups, plus events and run-set
-/// changes. Wall readings are deliberately excluded — they differ
-/// between any two real runs.
+/// changes. Samples are deliberately excluded — they differ between
+/// any two real runs.
 pub fn engine_diff(a: &EngineBundle, b: &EngineBundle) -> String {
     let ra: Vec<&EngineRun> = a.runs.iter().collect();
     let rb: Vec<&EngineRun> = b.runs.iter().collect();
@@ -451,7 +457,7 @@ pub fn engine_diff(a: &EngineBundle, b: &EngineBundle) -> String {
 mod tests {
     use super::*;
 
-    fn run(name: &str, events: u64, kernel: (u64, u64, u64, u64)) -> EngineRun {
+    fn run(name: &str, events: u64, kernel: (u64, u64)) -> EngineRun {
         EngineRun {
             name: name.into(),
             events,
@@ -460,16 +466,9 @@ mod tests {
                     event: "kernel_advance".into(),
                     count: kernel.0,
                     virtual_ns: kernel.1,
-                    inclusive_ns: kernel.2,
-                    exclusive_ns: kernel.3,
+                    ..KindRow::default()
                 },
-                KindRow {
-                    event: "noise_draw".into(),
-                    count: 2,
-                    virtual_ns: 0,
-                    inclusive_ns: 10,
-                    exclusive_ns: 10,
-                },
+                KindRow { event: "noise_draw".into(), count: 2, ..KindRow::default() },
             ],
             gauges: vec![GaugeRow {
                 series: "matcher.queued_sends".into(),
@@ -480,37 +479,49 @@ mod tests {
             }],
             hwm: vec![("matcher.channel_depth".into(), 3)],
             allocs: vec![("rank.pending".into(), 7)],
-            total_wall_ns: 2_000_000,
-            events_per_sec: events as f64 / 2e-3,
         }
+    }
+
+    fn bundle(runs: Vec<EngineRun>) -> EngineBundle {
+        EngineBundle { runs, samples: None }
+    }
+
+    /// Samples where noise draws dominate although kernels carry all
+    /// the virtual time.
+    fn noisy_samples() -> BTreeMap<String, KindSamples> {
+        kind_samples(&parse_folded(
+            "engine.run;engine.rank;engine.kernel_advance 10\n\
+             engine.run;engine.rank;engine.kernel_advance;engine.noise_draw 30\n\
+             engine.run;engine.rank 7\n",
+        ))
     }
 
     #[test]
     fn text_ranks_kinds_by_exclusive_cost_and_reports_throughput() {
-        let bundle = EngineBundle {
-            runs: vec![
-                run("x:tsc:rep0", 100, (5, 1000, 900, 800)),
-                run("x:ref:rep0", 50, (3, 500, 450, 400)),
-            ],
-        };
-        let text = engine_text(&bundle, None, 5).unwrap();
+        let mut b =
+            bundle(vec![run("x:tsc:rep0", 100, (5, 1000)), run("x:ref:rep0", 50, (3, 500))]);
+        b.samples = Some(noisy_samples());
+        let text = engine_text(&b, None, 5).unwrap();
         assert!(text.contains("events: 150"), "{text}");
-        assert!(text.contains("events/sec"), "{text}");
-        // kernel_advance dominates exclusive cost and must rank first.
+        assert!(text.contains("ranked by exclusive samples"), "{text}");
+        // noise_draw holds most exclusive samples and must rank first.
         let kernel = text.find("kernel_advance").unwrap();
         let noise = text.find("noise_draw").unwrap();
-        assert!(kernel < noise, "{text}");
+        assert!(noise < kernel, "{text}");
+        assert!(text.contains("75.0"), "noise_draw's exclusive share: {text}");
         assert!(text.contains("matcher.queued_sends"), "{text}");
         assert!(text.contains("rank.pending"), "{text}");
-        assert!(text.contains("per-run throughput"), "{text}");
+        assert!(text.contains("per-run events"), "{text}");
     }
 
     #[test]
     fn run_filter_selects_and_unknown_run_errors() {
-        let bundle = EngineBundle { runs: vec![run("x:tsc:rep0", 100, (5, 1000, 900, 800))] };
-        let text = engine_text(&bundle, Some("x:tsc:rep0"), 5).unwrap();
+        let mut b = bundle(vec![run("x:tsc:rep0", 100, (5, 1000))]);
+        b.samples = Some(noisy_samples());
+        let text = engine_text(&b, Some("x:tsc:rep0"), 5).unwrap();
         assert!(text.contains("run x:tsc:rep0"), "{text}");
-        assert!(engine_text(&bundle, Some("nope"), 5).is_err());
+        assert!(text.contains("samples are not split by run"), "{text}");
+        assert!(engine_text(&b, Some("nope"), 5).is_err());
     }
 
     #[test]
@@ -521,14 +532,14 @@ mod tests {
         ];
         rank_kinds(&mut kinds);
         assert_eq!(kinds[0].event, "b");
+        let text = engine_text(&bundle(vec![run("x:tsc:rep0", 1, (1, 1))]), None, 5).unwrap();
+        assert!(text.contains("ranked by virtual cost; no engine kind samples"), "{text}");
     }
 
     #[test]
     fn diff_reports_count_deltas() {
-        let a = EngineBundle { runs: vec![run("x:tsc:rep0", 100, (5, 1000, 0, 0))] };
-        let b = EngineBundle {
-            runs: vec![run("x:tsc:rep0", 120, (8, 1500, 0, 0)), run("y:tsc:rep0", 1, (1, 1, 0, 0))],
-        };
+        let a = bundle(vec![run("x:tsc:rep0", 100, (5, 1000))]);
+        let b = bundle(vec![run("x:tsc:rep0", 120, (8, 1500)), run("y:tsc:rep0", 1, (1, 1))]);
         let text = engine_diff(&a, &b);
         assert!(text.contains("events: 100 → 121"), "{text}");
         assert!(text.contains("+4"), "{text}"); // kernel count 5 → 9 across rollup
@@ -538,8 +549,8 @@ mod tests {
 
     #[test]
     fn diff_of_non_overlapping_bundles_lists_missing_runs_per_side() {
-        let a = EngineBundle { runs: vec![run("left:tsc:rep0", 10, (1, 1, 0, 0))] };
-        let b = EngineBundle { runs: vec![run("right:tsc:rep0", 20, (2, 2, 0, 0))] };
+        let a = bundle(vec![run("left:tsc:rep0", 10, (1, 1))]);
+        let b = bundle(vec![run("right:tsc:rep0", 20, (2, 2))]);
         let text = engine_diff(&a, &b);
         assert!(text.contains("run coverage: 0 shared, 1 only in A, 1 only in B"), "{text}");
         assert!(text.contains("runs only in A (missing in B):\n  left:tsc:rep0"), "{text}");
@@ -553,11 +564,13 @@ mod tests {
 
     #[test]
     fn bundle_roundtrips_through_the_exporter() {
-        use nrlt_engineprof::{EngineProf, EventKind, ProfBundle, RunProf};
+        use nrlt_core::engineprof::{EngineProf, ProfBundle, RunProf};
         let sink = EngineProf::new();
         let r = RunProf::new("it:tsc:rep0");
         r.enter(EventKind::KernelAdvance);
         r.leave(EventKind::KernelAdvance, 1234);
+        r.enter(EventKind::NoiseDraw);
+        r.leave(EventKind::NoiseDraw, 0);
         r.gauge("matcher.queued_sends", "main", 3);
         r.hwm("matcher.channel_depth", 2);
         r.alloc("rank.pending", 1);
@@ -566,17 +579,34 @@ mod tests {
         sink.attach(n, d);
         let dir = std::env::temp_dir().join(format!("nrlt-engine-view-{}", std::process::id()));
         ProfBundle::from_prof(&sink).write(&dir).unwrap();
-        let bundle = load_engine_bundle(&dir).unwrap();
+        let plain = load_engine_bundle(&dir).unwrap();
+        std::fs::write(
+            dir.join("samples.folded"),
+            "engine.run;engine.rank;engine.kernel_advance 2\n\
+             engine.run;engine.rank;engine.kernel_advance;engine.noise_draw 6\n",
+        )
+        .unwrap();
+        let joined = load_engine_bundle(&dir).unwrap();
         std::fs::remove_dir_all(&dir).ok();
-        assert_eq!(bundle.runs.len(), 1);
-        let run = &bundle.runs[0];
+
+        assert!(plain.samples.is_none());
+        assert_eq!(plain.runs.len(), 1);
+        let run = &plain.runs[0];
         assert_eq!(run.name, "it:tsc:rep0");
         assert_eq!(run.events, 9);
         let kernel = run.kinds.iter().find(|k| k.event == "kernel_advance").unwrap();
         assert_eq!((kernel.count, kernel.virtual_ns), (1, 1234));
-        assert!(kernel.inclusive_ns > 0, "wall sidecar must merge in");
-        assert!(run.total_wall_ns > 0);
-        let text = engine_text(&bundle, None, 5).unwrap();
-        assert!(text.contains("kernel_advance"));
+        let text = engine_text(&plain, None, 5).unwrap();
+        assert!(text.find("kernel_advance") < text.find("noise_draw"), "{text}");
+
+        // The folded join ranks kinds by exclusive samples, overriding
+        // the virtual-cost order.
+        let samples = joined.samples.as_ref().unwrap();
+        assert_eq!(samples["kernel_advance"], KindSamples { inclusive: 8, exclusive: 2 });
+        assert_eq!(samples["noise_draw"], KindSamples { inclusive: 6, exclusive: 6 });
+        assert_eq!(samples["barrier"], KindSamples::default());
+        let text = engine_text(&joined, None, 5).unwrap();
+        assert!(text.contains("ranked by exclusive samples"), "{text}");
+        assert!(text.find("noise_draw") < text.find("kernel_advance"), "{text}");
     }
 }

@@ -24,8 +24,9 @@
 //!   bundles (`nrlt-observe`): top contended resources per phase,
 //!   noise share per wait-metric cell, wait-state provenance chains.
 //! * [`engine`] — the engine-introspection view over `--engine-prof`
-//!   bundles (`nrlt-engineprof`): per-event-kind cost KPIs, queue
-//!   pressure, hot-loop allocations, and a bundle diff.
+//!   bundles (`nrlt_exec::engineprof`): per-event-kind counts ranked by
+//!   the sampler's `engine.<kind>` frames, queue pressure, hot-loop
+//!   allocations, and a bundle diff.
 //! * [`query`] — the load-then-render query layer behind this crate's
 //!   CLI.
 //!

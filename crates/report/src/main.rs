@@ -16,7 +16,9 @@
 //! nrlt-report observe <bundle-dir> [--run NAME] [--top K] [--wait metric#i]
 //! ```
 //!
-//! The engine-introspection view over `--engine-prof` bundles:
+//! The engine-introspection view over `--engine-prof` bundles, ranked
+//! by the `samples.folded` a `--sample-prof` run left in the same
+//! directory (by virtual cost without one):
 //!
 //! ```text
 //! nrlt-report engine <bundle-dir> [--run NAME] [--top K] [--diff <bundle-dir>]
@@ -42,16 +44,17 @@ commands:
                                phase, noise share per wait cell, provenance of
                                a named (default: the dominant) wait state
   engine <bundle-dir> [--run <name>] [--top <k>] [--diff <bundle-dir>]
-                               engine introspection: per-event-kind cost KPIs,
-                               events/sec, queue pressure, hot-loop allocations;
-                               --diff compares the deterministic accounting of
-                               two bundles
+                               engine introspection: per-event-kind counts and
+                               virtual cost ranked by sampled wall time, queue
+                               pressure, hot-loop allocations; --diff compares
+                               the accounting of two bundles
 
 a bundle-dir is a directory containing metrics.jsonl, as written by the
 bench bins' --telemetry/--report flags; for `observe` it is a directory
 containing observe.jsonl, as written by the bins' --observe flag; for
 `engine` it is a directory containing engineprof.json, as written by the
-bins' --engine-prof flag.";
+bins' --engine-prof flag, plus optionally the samples.folded that
+--sample-prof writes when given the same directory.";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();

@@ -412,6 +412,12 @@ mod tests {
     use super::*;
 
     #[test]
+    fn string_escapes() {
+        assert_eq!(string("a\"b\\c\n"), "\"a\\\"b\\\\c\\n\"");
+        assert_eq!(string("\u{1}"), "\"\\u0001\"");
+    }
+
+    #[test]
     fn escapes_roundtrip_through_the_parser() {
         let nasty = "a\"b\\c\nd\te\u{1}f — ünïcode";
         let doc = format!("{{\"k\": {}}}", string(nasty));

@@ -96,11 +96,25 @@ pub mod frames {
     pub const TRACE_SPILL: FrameId = 14;
     /// K-way merge over per-location cursors during streaming analysis.
     pub const ANALYZE_MERGE: FrameId = 15;
+    /// Engine event kinds, published under [`ENGINE_RANK`] only while
+    /// an engine profiler (`nrlt_exec::engineprof::RunProf`) is live:
+    /// a kernel advancing virtual time.
+    pub const ENGINE_KERNEL_ADVANCE: FrameId = 16;
+    /// One OpenMP worksharing-loop chunk.
+    pub const ENGINE_LOOP_CHUNK: FrameId = 17;
+    /// A point-to-point send/recv match.
+    pub const ENGINE_PT2PT_MATCH: FrameId = 18;
+    /// A collective instance completing.
+    pub const ENGINE_COLLECTIVE: FrameId = 19;
+    /// An OpenMP barrier joining a team.
+    pub const ENGINE_BARRIER: FrameId = 20;
+    /// Noise-model draws.
+    pub const ENGINE_NOISE_DRAW: FrameId = 21;
     /// Pseudo-frame appended when a stack exceeded [`super::MAX_FRAMES`].
-    pub const TRUNCATED: FrameId = 16;
+    pub const TRUNCATED: FrameId = 22;
 
     /// Display names, indexed by `FrameId`.
-    pub const NAMES: [&str; 17] = [
+    pub const NAMES: [&str; 23] = [
         "experiment.reference",
         "experiment.mode_cell",
         "measure.run",
@@ -117,6 +131,12 @@ pub mod frames {
         "harness",
         "measure.trace_spill",
         "analysis.merge",
+        "engine.kernel_advance",
+        "engine.loop_chunk",
+        "engine.pt2pt_match",
+        "engine.collective",
+        "engine.barrier",
+        "engine.noise_draw",
         "(truncated)",
     ];
 
@@ -557,6 +577,12 @@ pub fn leaf_handle() -> Option<LeafHandle> {
 pub struct LeafHandle {
     inner: Arc<ProfInner>,
     idx: usize,
+}
+
+impl std::fmt::Debug for LeafHandle {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("LeafHandle").field("slot", &self.idx).finish_non_exhaustive()
+    }
 }
 
 impl LeafHandle {

@@ -27,13 +27,16 @@ echo "regenerating results/observe/fig3 ..."
     --observe results/observe/fig3 > /dev/null
 
 # Regenerate the exemplar engine-profile bundle: LULESH-1 under fig3's
-# protocol with the engine self-profiler attached. Like the observe
-# bundle, the deterministic half (engineprof.json) is byte-identical
-# for every JOBS value; only the wall sidecar (engineprof.wall.json)
-# reflects this host's clock.
+# protocol with the engine self-profiler attached and the sampler
+# writing into the same directory. Like the observe bundle,
+# engineprof.json is byte-identical for every JOBS value; the sampled
+# stacks (samples.folded, with one engine.<kind> frame per event kind)
+# and sampleprof.wall.json reflect this host's clock, and
+# `nrlt-report engine results/engineprof/fig3` joins the two.
 echo "regenerating results/engineprof/fig3 ..."
 ./target/release/fig3 --only LULESH-1 --jobs "$JOBS" \
-    --engine-prof results/engineprof/fig3 > /dev/null
+    --engine-prof results/engineprof/fig3 \
+    --sample-prof results/engineprof/fig3 > /dev/null
 
 # Regenerate the exemplar sampled profile: LULESH-1 under fig3's
 # protocol with the wall-clock sampling profiler installed. The folded

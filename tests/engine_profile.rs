@@ -1,10 +1,9 @@
 //! The engine self-profiler's two contracts:
 //!
-//! 1. **Determinism** — the deterministic half of an `--engine-prof`
-//!    bundle (`engineprof.json`: per-kind counts and virtual costs,
-//!    gauge aggregates, high-water marks, allocation counts) is
-//!    byte-identical across worker counts and repeats. Only the wall
-//!    sidecar (`engineprof.wall.json`) may vary.
+//! 1. **Determinism** — an `--engine-prof` bundle (`engineprof.json`:
+//!    per-kind counts and virtual costs, gauge aggregates, high-water
+//!    marks, allocation counts) is byte-identical across worker counts
+//!    and repeats.
 //! 2. **Zero overhead when off** — a `None`-profiler run performs no
 //!    accounting work at all (the sink's attach counter proves no
 //!    counter struct was ever constructed) and produces exactly the

@@ -39,8 +39,8 @@ const REPORT_TOP_N: usize = 10;
 /// Without the flag the harness is inert: no [`Telemetry`] handle
 /// exists, the pipeline runs on its `None` paths, and output is
 /// byte-identical to before the flag existed. With the flag,
-/// [`Harness::finish`] writes `manifest.json`, `metrics.jsonl`,
-/// `pipeline.trace.json`, and `summary.txt` into the directory.
+/// [`Harness::finish`] writes `manifest.json`, `metrics.jsonl` and
+/// `pipeline.trace.json` into the directory.
 ///
 /// Further flags:
 ///
@@ -50,9 +50,8 @@ const REPORT_TOP_N: usize = 10;
 ///   byte-identical for every value — the flag only changes wall time.
 /// * `--report <dir>` writes the severity report of every experiment
 ///   the harness drove (`report.txt` + `report.json`, deterministic —
-///   derived from the analysis profiles only) and a collapsed-stack
-///   `flamegraph.folded` over the run's telemetry spans. Implies a
-///   telemetry handle even without `--telemetry`.
+///   derived from the analysis profiles only). It records no telemetry
+///   of its own.
 /// * `--only <name>` restricts harness-driven experiments to the named
 ///   configuration; binaries consult [`Harness::wants`].
 /// * `--observe <dir>` (also `--observe=<dir>`) records the resource
@@ -207,7 +206,7 @@ impl Harness {
         let harness_frame = sprof_guard.is_some().then(|| sample::frame(frames::HARNESS));
         Harness {
             bin: bin.to_owned(),
-            tel: (flags.telemetry.is_some() || flags.report.is_some()).then(Telemetry::new),
+            tel: flags.telemetry.is_some().then(Telemetry::new),
             manifest: Manifest::new(bin),
             dir: flags.telemetry,
             report_dir: flags.report,
@@ -448,8 +447,7 @@ impl Harness {
 
     /// `report.txt` and `report.json` carry the severity sections (pure
     /// analysis output — byte-identical across worker counts and
-    /// repeats); `flamegraph.folded` collapses the run's own telemetry
-    /// spans (wall-clock, varies run to run).
+    /// repeats).
     fn write_report(&self, dir: &PathBuf) -> std::io::Result<()> {
         std::fs::create_dir_all(dir)?;
         std::fs::write(dir.join("report.txt"), &self.report_text)?;
@@ -459,12 +457,7 @@ impl Harness {
             nrlt_telemetry::json::string(&self.bin),
             runs.join(",\n")
         );
-        std::fs::write(dir.join("report.json"), json)?;
-        let folded = match &self.tel {
-            Some(tel) => nrlt_report::folded(&tel.spans()),
-            None => String::new(),
-        };
-        std::fs::write(dir.join("flamegraph.folded"), folded)
+        std::fs::write(dir.join("report.json"), json)
     }
 }
 
@@ -610,6 +603,22 @@ mod tests {
             let err = parse(bad).expect_err(&format!("{bad:?} must be rejected"));
             assert!(err.starts_with(bad[0].split('=').next().unwrap()), "{err}");
         }
+    }
+
+    #[test]
+    fn report_alone_records_no_telemetry_and_writes_only_the_report() {
+        let dir = std::env::temp_dir().join(format!("nrlt-bench-report-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let h = Harness::new("test", Flags { report: Some(dir.clone()), ..Flags::default() });
+        assert!(h.telemetry().is_none());
+        assert_eq!(h.finish(), None);
+        let mut files: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        files.sort();
+        std::fs::remove_dir_all(&dir).ok();
+        assert_eq!(files, ["report.json", "report.txt"]);
     }
 
     #[test]

@@ -4,8 +4,13 @@
 //! `metrics.jsonl` — one self-contained JSON object per line, tagged
 //! with a `"kind"` field. This module parses that file (with the
 //! in-repo JSON parser; the workspace stays dependency-free) back into
-//! counters, [`Histogram`]s, and [`SpanRecord`]s, which is everything
-//! the inspector, flamegraph, hot-path, and diff views need.
+//! counters, [`Histogram`]s, and [`SpanRecord`]s for the inspector.
+//!
+//! The file comes from disk, so every number is checked: a count or a
+//! duration must be a non-negative integer no larger than 2^53 (the
+//! largest the `f64`-backed parser holds exactly), and a track or depth
+//! must fit a `u32`. A value outside those ranges is an error naming
+//! its line, never a silent clamp or wrap.
 
 use nrlt_telemetry::json::{self, Value};
 use nrlt_telemetry::{Histogram, SpanRecord};
@@ -45,39 +50,34 @@ impl Bundle {
     pub fn from_jsonl(text: &str) -> Result<Bundle, String> {
         let mut bundle = Bundle::default();
         for (i, line) in text.lines().enumerate() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            let v = json::parse(line).map_err(|e| format!("line {}: {e}", i + 1))?;
-            let kind = v.get("kind").and_then(Value::as_str).unwrap_or("");
-            match kind {
-                "counter" => {
-                    bundle.counters.insert(str_field(&v, "name")?, u64_field(&v, "value")?);
-                }
-                "histogram" => {
-                    bundle.hists.insert(str_field(&v, "name")?, parse_hist(&v)?);
-                }
-                "span" => {
-                    bundle.spans.push(SpanRecord {
-                        name: str_field(&v, "name")?,
-                        cat: str_field(&v, "cat")?,
-                        track: u64_field(&v, "track")? as u32,
-                        depth: u64_field(&v, "depth")? as u32,
-                        start_ns: u64_field(&v, "start_ns")?,
-                        dur_ns: u64_field(&v, "dur_ns")?,
-                        closed: matches!(v.get("closed"), Some(Value::Bool(true))),
-                    });
-                }
-                _ => {}
+            if !line.trim().is_empty() {
+                bundle.parse_line(line).map_err(|e| format!("line {}: {e}", i + 1))?;
             }
         }
         Ok(bundle)
     }
 
-    /// Total duration over all root (depth-0) spans — the wall time the
-    /// bundle's tracks spent inside instrumented phases.
-    pub fn root_span_total_ns(&self) -> u64 {
-        self.spans.iter().filter(|s| s.depth == 0).map(|s| s.dur_ns).sum()
+    fn parse_line(&mut self, line: &str) -> Result<(), String> {
+        let v = json::parse(line)?;
+        match v.get("kind").and_then(Value::as_str).unwrap_or("") {
+            "counter" => {
+                self.counters.insert(str_field(&v, "name")?, u64_field(&v, "value")?);
+            }
+            "histogram" => {
+                self.hists.insert(str_field(&v, "name")?, parse_hist(&v)?);
+            }
+            "span" => self.spans.push(SpanRecord {
+                name: str_field(&v, "name")?,
+                cat: str_field(&v, "cat")?,
+                track: u32_field(&v, "track")?,
+                depth: u32_field(&v, "depth")?,
+                start_ns: u64_field(&v, "start_ns")?,
+                dur_ns: u64_field(&v, "dur_ns")?,
+                closed: matches!(v.get("closed"), Some(Value::Bool(true))),
+            }),
+            _ => {}
+        }
+        Ok(())
     }
 }
 
@@ -88,14 +88,24 @@ fn str_field(v: &Value, key: &str) -> Result<String, String> {
         .ok_or_else(|| format!("missing string field {key:?}"))
 }
 
-/// A `u64` field. The parser stores numbers as `f64`, so values above
-/// 2^53 lose precision — fine for durations and counts read back for
-/// reporting.
+/// A `u64` field: a non-negative integer no larger than 2^53, above
+/// which the `f64`-backed parser no longer holds every integer exactly.
 fn u64_field(v: &Value, key: &str) -> Result<u64, String> {
-    v.get(key)
+    const MAX_EXACT: f64 = (1u64 << 53) as f64;
+    let f = v
+        .get(key)
         .and_then(Value::as_f64)
-        .map(|f| f.max(0.0) as u64)
-        .ok_or_else(|| format!("missing numeric field {key:?}"))
+        .ok_or_else(|| format!("missing numeric field {key:?}"))?;
+    if !(0.0..=MAX_EXACT).contains(&f) || f.fract() != 0.0 {
+        return Err(format!("field {key:?} is {f}, not an integer in [0, 2^53]"));
+    }
+    Ok(f as u64)
+}
+
+/// A `u32` field (a span's track or depth).
+fn u32_field(v: &Value, key: &str) -> Result<u32, String> {
+    let n = u64_field(v, key)?;
+    u32::try_from(n).map_err(|_| format!("field {key:?} is {n}, above u32::MAX"))
 }
 
 /// Rebuild a [`Histogram`] from its exported digest: bucket counts slot
@@ -151,7 +161,6 @@ mod tests {
     fn empty_and_blank_lines_are_fine() {
         let b = Bundle::from_jsonl("\n\n").unwrap();
         assert!(b.counters.is_empty() && b.spans.is_empty());
-        assert_eq!(b.root_span_total_ns(), 0);
     }
 
     #[test]
@@ -165,5 +174,37 @@ mod tests {
     fn unknown_kinds_are_skipped() {
         let b = Bundle::from_jsonl("{\"kind\":\"future-thing\",\"name\":\"x\"}").unwrap();
         assert!(b.counters.is_empty() && b.hists.is_empty() && b.spans.is_empty());
+    }
+
+    #[test]
+    fn out_of_range_numbers_are_rejected_with_their_line() {
+        let span = |track: &str, depth: &str, dur: &str| {
+            format!(
+                "{{\"kind\":\"span\",\"name\":\"s\",\"cat\":\"c\",\"track\":{track},\
+                 \"depth\":{depth},\"start_ns\":0,\"dur_ns\":{dur}}}"
+            )
+        };
+        let ok = span("0", "0", "5");
+        assert_eq!(Bundle::from_jsonl(&ok).unwrap().spans[0].dur_ns, 5);
+        for (field, line) in [
+            ("dur_ns", span("0", "0", "-3")),
+            ("dur_ns", span("0", "0", "1.9")),
+            ("dur_ns", span("0", "0", "9007199254740994")),
+            ("depth", span("0", "4294967297", "5")),
+            ("track", span("4294967296", "0", "5")),
+            ("value", "{\"kind\":\"counter\",\"name\":\"a\",\"value\":-1}".to_owned()),
+        ] {
+            let err = Bundle::from_jsonl(&format!("{ok}\n{line}")).unwrap_err();
+            assert!(err.starts_with("line 2:") && err.contains(field), "{line}: {err}");
+        }
+        // Non-finite numbers never reach the field check: the parser
+        // rejects them, still on their line.
+        let err = Bundle::from_jsonl(&format!("{ok}\n{}", span("0", "0", "1e400"))).unwrap_err();
+        assert!(err.starts_with("line 2:"), "{err}");
+        // The largest exact values still load.
+        let edge =
+            format!("{}\n{}", span("0", "0", "9007199254740992"), span("0", "4294967295", "5"));
+        let b = Bundle::from_jsonl(&edge).unwrap();
+        assert_eq!((b.spans[0].dur_ns, b.spans[1].depth), (1 << 53, u32::MAX));
     }
 }

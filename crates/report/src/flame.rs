@@ -1,34 +1,22 @@
-//! Flamegraph export and per-track hot-path extraction.
+//! The collapsed-stack codec of the sampling profiler.
 //!
-//! [`folded`] renders pipeline spans in the collapsed-stack format of
-//! Brendan Gregg's `flamegraph.pl` / [inferno]: one line per distinct
-//! stack, `root;child;grandchild <self-nanoseconds>`, aggregated over
-//! all tracks. Because each line carries *self* time, the totals are
-//! conservative: the sum over every line equals the sum over root spans
-//! of self + descendant time — i.e. exactly the root spans' inclusive
-//! durations when spans nest properly (the acceptance invariant, covered
-//! by a test).
-//!
-//! [`hot_paths_text`] is the span-tree analog of the trace-level
-//! critical path in `nrlt-analysis`: per track, starting from the
-//! longest root span, repeatedly descend into the child with the
-//! largest inclusive duration. The resulting chain is the dominant
-//! cost path a human would walk in a flamegraph viewer.
+//! Sampled stacks travel in the folded format of Brendan Gregg's
+//! `flamegraph.pl` / [inferno]: one line per distinct stack,
+//! `root;child;grandchild <samples>`. The harness and the repository
+//! benchmark write them with [`folded_from_counts`] (`samples.folded`),
+//! and `nrlt-report engine` reads them back with [`parse_folded`].
 //!
 //! [inferno]: https://github.com/jonhoo/inferno
 
-use nrlt_telemetry::SpanRecord;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-
-use crate::inspect::self_times;
 
 /// Escape one frame name for the folded format. `;` separates frames
 /// and the *last* space separates the stack from its value, so both
 /// must be escaped — reversibly ([`unescape_frame`]), because sampled
 /// stacks round-trip through this format (written by the harness, read
 /// back by `parse_folded`).
-pub fn escape_frame(name: &str) -> String {
+fn escape_frame(name: &str) -> String {
     let mut out = String::with_capacity(name.len());
     for c in name.chars() {
         match c {
@@ -44,7 +32,7 @@ pub fn escape_frame(name: &str) -> String {
 }
 
 /// Invert [`escape_frame`].
-pub fn unescape_frame(frame: &str) -> String {
+fn unescape_frame(frame: &str) -> String {
     let mut out = String::with_capacity(frame.len());
     let mut chars = frame.chars();
     while let Some(c) = chars.next() {
@@ -93,8 +81,8 @@ fn split_stack(stack: &str) -> Vec<String> {
 }
 
 /// Parse a folded document back into `(frames, value)` rows, inverting
-/// [`folded`] / [`folded_from_counts`]. Lines without a parseable
-/// trailing value are skipped.
+/// [`folded_from_counts`]. Lines without a parseable trailing value are
+/// skipped.
 pub fn parse_folded(doc: &str) -> Vec<(Vec<String>, u64)> {
     doc.lines()
         .filter_map(|l| {
@@ -106,10 +94,9 @@ pub fn parse_folded(doc: &str) -> Vec<(Vec<String>, u64)> {
 
 /// Render sampled stack counts in the collapsed-stack format: one line
 /// per distinct stack, `a;b;c <samples>`, frames escaped, sorted by
-/// stack. Unlike [`folded`], the values are *sample counts*, not
-/// nanoseconds, and conserve nothing — a cooperative sampler only sees
-/// threads that currently publish a stack, so totals carry no
-/// inclusive-time invariant.
+/// stack. The values are *sample counts* and conserve nothing — a
+/// cooperative sampler only sees threads that currently publish a
+/// stack, so totals carry no inclusive-time invariant.
 pub fn folded_from_counts(counts: &BTreeMap<Vec<&str>, u64>) -> String {
     let mut agg: BTreeMap<String, u64> = BTreeMap::new();
     for (stack, &n) in counts {
@@ -123,166 +110,17 @@ pub fn folded_from_counts(counts: &BTreeMap<Vec<&str>, u64>) -> String {
     out
 }
 
-/// Stack-chain names per span: each span's ancestry joined with `;`,
-/// names escaped via [`escape_frame`] so the chain is unambiguous.
-fn stacks(spans: &[SpanRecord]) -> Vec<String> {
-    let mut by_track: BTreeMap<u32, Vec<usize>> = BTreeMap::new();
-    for (i, s) in spans.iter().enumerate() {
-        by_track.entry(s.track).or_default().push(i);
-    }
-    let mut out = vec![String::new(); spans.len()];
-    for idx in by_track.into_values() {
-        let mut idx = idx;
-        idx.sort_by_key(|&i| (spans[i].start_ns, spans[i].depth, i));
-        let mut chain: Vec<String> = Vec::new();
-        for i in idx {
-            chain.truncate(spans[i].depth as usize);
-            chain.push(escape_frame(&spans[i].name));
-            out[i] = chain.join(";");
-        }
-    }
-    out
-}
-
-/// Collapsed-stack flamegraph document over all tracks: unique stacks
-/// with their aggregate self time in nanoseconds, one per line, sorted
-/// by stack for deterministic output.
-pub fn folded(spans: &[SpanRecord]) -> String {
-    let selfs = self_times(spans);
-    let mut agg: BTreeMap<String, u64> = BTreeMap::new();
-    for (chain, &self_ns) in stacks(spans).into_iter().zip(&selfs) {
-        *agg.entry(chain).or_insert(0) += self_ns;
-    }
-    let mut out = String::new();
-    for (chain, ns) in agg {
-        let _ = writeln!(out, "{chain} {ns}");
-    }
-    out
-}
-
-/// Sum of the values of a folded document (the left-hand side of the
-/// conservation invariant).
-pub fn folded_totals(folded: &str) -> u64 {
-    folded
-        .lines()
-        .filter_map(|l| l.rsplit_once(' '))
-        .filter_map(|(_, v)| v.parse::<u64>().ok())
-        .sum()
-}
-
-/// One step of a hot path.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HotPathStep {
-    /// Span name.
-    pub name: String,
-    /// Inclusive duration of the chosen span.
-    pub dur_ns: u64,
-    /// Depth in the span tree.
-    pub depth: u32,
-}
-
-/// The dominant cost chain of one track: from the longest root span,
-/// descend into the largest child until a leaf. Empty when the track has
-/// no spans.
-pub fn hot_path(spans: &[SpanRecord], track: u32) -> Vec<HotPathStep> {
-    let idx: Vec<usize> = {
-        let mut v: Vec<usize> = (0..spans.len()).filter(|&i| spans[i].track == track).collect();
-        v.sort_by_key(|&i| (spans[i].start_ns, spans[i].depth, i));
-        v
-    };
-    // children[i] = direct children of span i, via the depth stack.
-    let mut children: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-    let mut roots: Vec<usize> = Vec::new();
-    let mut stack: Vec<usize> = Vec::new();
-    for &i in &idx {
-        stack.truncate(spans[i].depth as usize);
-        match stack.last() {
-            Some(&parent) => children.entry(parent).or_default().push(i),
-            None => roots.push(i),
-        }
-        stack.push(i);
-    }
-    // Longest root, then repeatedly the longest child. Ties break on
-    // earliest start then name for determinism.
-    let pick = |candidates: &[usize]| -> Option<usize> {
-        candidates.iter().copied().max_by(|&a, &b| {
-            spans[a]
-                .dur_ns
-                .cmp(&spans[b].dur_ns)
-                .then_with(|| spans[b].start_ns.cmp(&spans[a].start_ns))
-                .then_with(|| spans[b].name.cmp(&spans[a].name))
-        })
-    };
-    let mut path = Vec::new();
-    let mut cur = pick(&roots);
-    while let Some(i) = cur {
-        path.push(HotPathStep {
-            name: spans[i].name.clone(),
-            dur_ns: spans[i].dur_ns,
-            depth: spans[i].depth,
-        });
-        cur = children.get(&i).and_then(|c| pick(c));
-    }
-    path
-}
-
-/// Render the hot path of every track that has spans.
-pub fn hot_paths_text(spans: &[SpanRecord]) -> String {
-    let mut tracks: Vec<u32> = spans.iter().map(|s| s.track).collect();
-    tracks.sort_unstable();
-    tracks.dedup();
-    let mut out = String::new();
-    let _ = writeln!(out, "=== hot paths (dominant span chain per track) ===");
-    for track in tracks {
-        let path = hot_path(spans, track);
-        let Some(root) = path.first() else { continue };
-        let label =
-            if track == 0 { "pipeline".to_owned() } else { format!("worker {}", track - 1) };
-        let _ = writeln!(out, "track {track} ({label})");
-        for step in &path {
-            let pct = if root.dur_ns == 0 {
-                0.0
-            } else {
-                100.0 * step.dur_ns as f64 / root.dur_ns as f64
-            };
-            let _ = writeln!(
-                out,
-                "  {:indent$}{:<32} {:>14} ns  {:>5.1}%",
-                "",
-                step.name,
-                step.dur_ns,
-                pct,
-                indent = step.depth as usize * 2
-            );
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn span(name: &str, track: u32, depth: u32, start: u64, dur: u64) -> SpanRecord {
-        SpanRecord {
-            name: name.into(),
-            cat: "pipeline".into(),
-            track,
-            depth,
-            start_ns: start,
-            dur_ns: dur,
-            closed: true,
-        }
-    }
-
     #[test]
     fn folded_builds_semicolon_stacks() {
-        let spans = [
-            span("root", 0, 0, 0, 100),
-            span("mode;weird", 0, 1, 10, 30),
-            span("analyze", 0, 2, 15, 10),
-        ];
-        let f = folded(&spans);
+        let mut counts: BTreeMap<Vec<&str>, u64> = BTreeMap::new();
+        counts.insert(vec!["root"], 70);
+        counts.insert(vec!["root", "mode;weird"], 20);
+        counts.insert(vec!["root", "mode;weird", "analyze"], 10);
+        let f = folded_from_counts(&counts);
         assert!(f.contains("root 70\n"), "{f}");
         assert!(f.contains("root;mode\\;weird 20\n"), "{f}");
         assert!(f.contains("root;mode\\;weird;analyze 10\n"), "{f}");
@@ -307,9 +145,7 @@ mod tests {
     fn sampled_counts_export_and_parse_without_conservation() {
         // Sampled stacks are non-conserving by nature: a parent can have
         // fewer samples than its children (the sampler only sees what is
-        // published at tick time). The export must carry them verbatim —
-        // conservation is asserted only for span-derived folded docs
-        // (`folded_totals_equal_root_inclusive_time` above).
+        // published at tick time). The export must carry them verbatim.
         let mut counts: BTreeMap<Vec<&str>, u64> = BTreeMap::new();
         counts.insert(vec!["experiment.mode_cell", "measure.run", "engine.run"], 90);
         counts.insert(vec!["experiment.mode_cell"], 3);
@@ -317,61 +153,13 @@ mod tests {
         let doc = folded_from_counts(&counts);
         assert!(doc.contains("experiment.mode_cell;measure.run;engine.run 90\n"), "{doc}");
         assert!(doc.contains("odd\\sname\\;x 7\n"), "{doc}");
-        assert_eq!(folded_totals(&doc), 100);
         let rows = parse_folded(&doc);
         assert_eq!(rows.len(), 3);
+        assert_eq!(rows.iter().map(|(_, v)| v).sum::<u64>(), 100);
         assert!(rows.iter().any(|(s, v)| s == &vec!["odd name;x"] && *v == 7));
         assert!(rows
             .iter()
             .any(|(s, v)| s == &vec!["experiment.mode_cell", "measure.run", "engine.run"]
                 && *v == 90));
-    }
-
-    #[test]
-    fn folded_totals_equal_root_inclusive_time() {
-        // Two tracks, properly nested spans.
-        let spans = [
-            span("root", 0, 0, 0, 100),
-            span("a", 0, 1, 10, 30),
-            span("b", 0, 1, 50, 40),
-            span("c", 0, 2, 55, 5),
-            span("w", 1, 0, 0, 250),
-            span("wa", 1, 1, 10, 240),
-        ];
-        let total = folded_totals(&folded(&spans));
-        let roots: u64 = spans.iter().filter(|s| s.depth == 0).map(|s| s.dur_ns).sum();
-        assert_eq!(total, roots);
-        assert_eq!(total, 350);
-    }
-
-    #[test]
-    fn identical_stacks_aggregate() {
-        let spans =
-            [span("root", 0, 0, 0, 100), span("rep", 0, 1, 10, 20), span("rep", 0, 1, 40, 30)];
-        let f = folded(&spans);
-        assert!(f.contains("root;rep 50\n"), "{f}");
-        assert_eq!(folded_totals(&f), 100);
-    }
-
-    #[test]
-    fn hot_path_follows_the_largest_child() {
-        let spans = [
-            span("root", 0, 0, 0, 100),
-            span("small", 0, 1, 5, 20),
-            span("big", 0, 1, 30, 60),
-            span("leaf", 0, 2, 35, 40),
-        ];
-        let path = hot_path(&spans, 0);
-        let names: Vec<&str> = path.iter().map(|s| s.name.as_str()).collect();
-        assert_eq!(names, vec!["root", "big", "leaf"]);
-    }
-
-    #[test]
-    fn hot_paths_text_covers_each_track() {
-        let spans = [span("root", 0, 0, 0, 100), span("w", 3, 0, 0, 50)];
-        let s = hot_paths_text(&spans);
-        assert!(s.contains("track 0 (pipeline)"), "{s}");
-        assert!(s.contains("track 3 (worker 2)"), "{s}");
-        assert_eq!(hot_path(&spans, 9), Vec::new());
     }
 }

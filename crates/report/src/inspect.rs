@@ -159,7 +159,7 @@ fn fmt_ns(ns: u64) -> String {
 mod tests {
     use super::*;
 
-    pub(crate) fn span(name: &str, track: u32, depth: u32, start: u64, dur: u64) -> SpanRecord {
+    fn span(name: &str, track: u32, depth: u32, start: u64, dur: u64) -> SpanRecord {
         SpanRecord {
             name: name.into(),
             cat: "pipeline".into(),
@@ -185,6 +185,24 @@ mod tests {
         let spans = [span("w", 1, 0, 0, 50), span("w", 2, 0, 0, 80), span("inner", 2, 1, 10, 30)];
         let selfs = self_times(&spans);
         assert_eq!(selfs, vec![50, 50, 30]);
+    }
+
+    #[test]
+    fn self_times_conserve_root_inclusive_time() {
+        // Two tracks, properly nested spans: self times add up to the
+        // root spans' inclusive durations.
+        let spans = [
+            span("root", 0, 0, 0, 100),
+            span("a", 0, 1, 10, 30),
+            span("b", 0, 1, 50, 40),
+            span("c", 0, 2, 55, 5),
+            span("w", 1, 0, 0, 250),
+            span("wa", 1, 1, 10, 240),
+        ];
+        let total: u64 = self_times(&spans).iter().sum();
+        let roots: u64 = spans.iter().filter(|s| s.depth == 0).map(|s| s.dur_ns).sum();
+        assert_eq!(total, roots);
+        assert_eq!(total, 350);
     }
 
     #[test]

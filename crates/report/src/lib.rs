@@ -14,10 +14,13 @@
 //! * [`bundle`] — loads a telemetry bundle's `metrics.jsonl` back into
 //!   counters, histograms, and span records.
 //! * [`inspect`] — per-span-name statistics (count, total, self time,
-//!   self-time percentiles via [`nrlt_telemetry::Histogram`]).
-//! * [`flame`] — collapsed-stack flamegraph export and per-track hot-path
-//!   (critical-chain) extraction over pipeline spans.
-//! * [`diff`] — span and counter deltas between two bundles.
+//!   self-time percentiles via [`nrlt_telemetry::Histogram`]), the
+//!   read side's only span view: span names split wall time per clock
+//!   mode (`mode:tsc` vs `mode:lt_1`), which the sampler's static frames
+//!   cannot. Where wall time goes otherwise is the sampler's question
+//!   (`samples.folded`).
+//! * [`flame`] — the collapsed-stack codec of the sampler's
+//!   `samples.folded`.
 //! * [`bench`] — host parallelism and peak-RSS (`VmHWM`) probes shared
 //!   by the bench harness and the repository benchmark.
 //! * [`observe`] — the resource-observatory explorer over `--observe`
@@ -31,8 +34,8 @@
 //!   CLI.
 //!
 //! The `nrlt-report` binary exposes all of it on the command line; the
-//! bench harness's `--report <dir>` flag writes `report.txt`,
-//! `report.json`, and `flamegraph.folded` through the same code.
+//! bench harness's `--report <dir>` flag writes `report.txt` and
+//! `report.json` through the same code.
 //!
 //! Everything is deterministic by construction: reports over noise-free
 //! runs are byte-identical across worker counts and repeats, which is
@@ -42,7 +45,6 @@
 
 pub mod bench;
 pub mod bundle;
-pub mod diff;
 pub mod engine;
 pub mod flame;
 pub mod inspect;
@@ -51,13 +53,9 @@ pub mod query;
 pub mod severity;
 
 pub use bundle::Bundle;
-pub use diff::diff_text;
 pub use engine::{engine_diff, engine_text, load_engine_bundle, EngineBundle, EngineRun};
-pub use flame::{
-    escape_frame, folded, folded_from_counts, folded_totals, hot_paths_text, parse_folded,
-    unescape_frame,
-};
-pub use inspect::{inspect_text, span_stats, SpanStats};
+pub use flame::{folded_from_counts, parse_folded};
+pub use inspect::inspect_text;
 pub use observe::{observe_text, wait_names};
 pub use query::{engine_query, observe_query};
 pub use severity::{mode_text, severity_json, severity_text};

@@ -1,13 +1,10 @@
 //! `nrlt-report` — post-hoc explorer over run artifacts.
 //!
-//! Subcommands over a telemetry bundle directory (as written by any
-//! bench bin's `--telemetry <dir>` / `--report <dir>` flags):
+//! The inspector over a telemetry bundle directory (as written by any
+//! bench bin's `--telemetry <dir>` flag):
 //!
 //! ```text
 //! nrlt-report inspect <bundle-dir>            span/counter/histogram stats
-//! nrlt-report flamegraph <bundle-dir>         collapsed stacks on stdout
-//! nrlt-report critical-path <bundle-dir>      dominant span chain per track
-//! nrlt-report diff <bundle-a> <bundle-b>      what changed between two runs
 //! ```
 //!
 //! The resource-observatory explorer over `--observe` bundles:
@@ -29,16 +26,13 @@
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use nrlt_report::{diff_text, folded, hot_paths_text, inspect_text, Bundle};
+use nrlt_report::{inspect_text, Bundle};
 
 const USAGE: &str = "\
 usage: nrlt-report <command> [args]
 
 commands:
   inspect <bundle-dir>         span statistics, counters, histograms
-  flamegraph <bundle-dir>      collapsed-stack flamegraph to stdout
-  critical-path <bundle-dir>   dominant span chain per track
-  diff <bundle-a> <bundle-b>   compare two bundles
   observe <bundle-dir> [--run <name>] [--top <k>] [--wait <metric#i>]
                                resource observatory: contended resources per
                                phase, noise share per wait cell, provenance of
@@ -50,7 +44,7 @@ commands:
                                the accounting of two bundles
 
 a bundle-dir is a directory containing metrics.jsonl, as written by the
-bench bins' --telemetry/--report flags; for `observe` it is a directory
+bench bins' --telemetry flag; for `observe` it is a directory
 containing observe.jsonl, as written by the bins' --observe flag; for
 `engine` it is a directory containing engineprof.json, as written by the
 bins' --engine-prof flag, plus optionally the samples.folded that
@@ -71,10 +65,10 @@ fn main() -> ExitCode {
 fn run(args: &[String]) -> Result<(), String> {
     let cmd = args.first().map(String::as_str).ok_or("missing command")?;
     let text = match cmd {
-        "inspect" => inspect_text(&load_bundle(args.get(1))?),
-        "flamegraph" => folded(&load_bundle(args.get(1))?.spans),
-        "critical-path" => hot_paths_text(&load_bundle(args.get(1))?.spans),
-        "diff" => diff_text(&load_bundle(args.get(1))?, &load_bundle(args.get(2))?),
+        "inspect" => {
+            let dir = args.get(1).ok_or("missing bundle directory argument")?;
+            inspect_text(&Bundle::load(Path::new(dir))?)
+        }
         "observe" => {
             let q = Query::parse(cmd, &["run", "top", "wait"], &args[1..])?;
             nrlt_report::observe_query(&q.dir, q.run.as_deref(), q.top, q.wait.as_deref())?
@@ -94,11 +88,6 @@ fn run(args: &[String]) -> Result<(), String> {
     };
     print!("{text}");
     Ok(())
-}
-
-fn load_bundle(arg: Option<&String>) -> Result<Bundle, String> {
-    let dir = arg.ok_or("missing bundle directory argument")?;
-    Bundle::load(Path::new(dir))
 }
 
 /// The arguments of `observe` and `engine`: a bundle directory plus

@@ -2,14 +2,16 @@
 //!
 //! 1. The severity report of a noise-free run is byte-identical across
 //!    worker counts and across repeated pipeline invocations.
-//! 2. The flamegraph's folded-stack totals equal the sum of root-span
-//!    inclusive times of the telemetry it collapsed.
+//! 2. Per-name span self times, as the inspector aggregates them, add
+//!    up to the root spans' inclusive times of a real pipeline run.
 //! 3. The `nrlt-report` query subcommands reject a zero `--top`, a flag
-//!    without its value, and an unknown flag with exit status 2.
+//!    without its value, and an unknown flag with exit status 2, and
+//!    the retired span views are unknown commands.
 
 use nrlt_core::miniapps::{MiniFeConfig, MiniFeCosts};
 use nrlt_core::prelude::*;
-use nrlt_report::{folded, folded_totals, severity_json, severity_text};
+use nrlt_report::inspect::span_stats;
+use nrlt_report::{severity_json, severity_text};
 
 /// A deliberately tiny MiniFE so the whole protocol runs in seconds.
 fn tiny_instance() -> BenchmarkInstance {
@@ -56,15 +58,15 @@ fn severity_report_is_byte_identical_across_jobs_and_repeats() {
 }
 
 #[test]
-fn flamegraph_totals_equal_root_span_inclusive_time() {
+fn span_self_times_conserve_root_span_inclusive_time() {
     let instance = tiny_instance();
     let tel = Telemetry::new();
     nrlt_core::run_experiment_instrumented(&instance, &options(2), Some(&tel), None, None);
     let spans = tel.spans();
     assert!(!spans.is_empty(), "pipeline emitted no spans");
-    let doc = folded(&spans);
+    let self_ns: u64 = span_stats(&spans).iter().map(|s| s.self_ns).sum();
     let roots: u64 = spans.iter().filter(|s| s.depth == 0).map(|s| s.dur_ns).sum();
-    assert_eq!(folded_totals(&doc), roots, "folded self-times do not conserve root time");
+    assert_eq!(self_ns, roots, "span self times do not conserve root time");
 }
 
 /// Run `nrlt-report <cmd> <bundle> <args>` over a bundle directory
@@ -105,5 +107,14 @@ fn query_cli_rejects_an_unknown_flag_with_status_2() {
         let (code, stderr) = query_cli(cmd, &[flag, "x"]);
         assert_eq!(code, Some(2), "{cmd} {flag}: {stderr}");
         assert!(stderr.contains(&format!("unknown {cmd} argument \"{flag}\"")), "{stderr}");
+    }
+}
+
+#[test]
+fn retired_span_views_are_unknown_commands() {
+    for cmd in ["flamegraph", "critical-path", "diff"] {
+        let (code, stderr) = query_cli(cmd, &[]);
+        assert_eq!(code, Some(2), "{cmd}: {stderr}");
+        assert!(stderr.contains(&format!("unknown command \"{cmd}\"")), "{stderr}");
     }
 }

@@ -1,5 +1,5 @@
-//! Text exporters: machine-readable JSON-lines metrics and a
-//! human-readable summary table.
+//! The machine-readable JSON-lines metrics exporter. Its human-readable
+//! rendering is read-side: `nrlt-report inspect` over the same file.
 
 use crate::json;
 use crate::Telemetry;
@@ -54,79 +54,6 @@ pub fn metrics_jsonl(tel: &Telemetry) -> String {
     out
 }
 
-/// Human-readable summary: spans as an indented per-phase timing table,
-/// then counters, then histogram digests.
-///
-/// Ordering is fully deterministic: counters and histograms are stored
-/// sorted by name, and spans are sorted by (name, track, start) before
-/// rendering — a parallel run records spans in whatever order the
-/// scheduler interleaved the workers, so the raw open order would make
-/// two identical runs produce differently-ordered summaries.
-pub fn summary_table(tel: &Telemetry) -> String {
-    let mut out = String::new();
-
-    let mut spans = tel.spans();
-    spans.sort_by(|a, b| {
-        (&a.name, a.track, a.start_ns, a.depth).cmp(&(&b.name, b.track, b.start_ns, b.depth))
-    });
-    if !spans.is_empty() {
-        let _ = writeln!(out, "phase timings (host wall clock)");
-        let _ = writeln!(out, "  {:<44} {:>12}  track", "span", "duration");
-        for s in &spans {
-            let label = format!(
-                "{}{}{}",
-                "  ".repeat(s.depth as usize),
-                s.name,
-                if s.closed { "" } else { " (open)" }
-            );
-            let _ = writeln!(out, "  {:<44} {:>12}  {}", label, fmt_ns(s.dur_ns), s.track);
-        }
-        let _ = writeln!(out);
-    }
-
-    let counters = tel.counters();
-    if !counters.is_empty() {
-        let _ = writeln!(out, "counters");
-        for (name, value) in &counters {
-            let _ = writeln!(out, "  {name:<44} {value:>16}");
-        }
-        let _ = writeln!(out);
-    }
-
-    let hists = tel.histograms();
-    if !hists.is_empty() {
-        let _ = writeln!(out, "histograms (log-scale buckets)");
-        for (name, h) in &hists {
-            let _ = writeln!(
-                out,
-                "  {:<44} n={} min={} mean={:.1} max={}",
-                name,
-                h.count,
-                if h.is_empty() { 0 } else { h.min },
-                h.mean(),
-                h.max
-            );
-            for (_, lo, hi, c) in h.nonzero_buckets() {
-                let _ = writeln!(out, "    [{lo:>20}, {hi:>20}] {c:>12}");
-            }
-        }
-    }
-
-    out
-}
-
-fn fmt_ns(ns: u64) -> String {
-    if ns >= 1_000_000_000 {
-        format!("{:.3} s", ns as f64 / 1e9)
-    } else if ns >= 1_000_000 {
-        format!("{:.3} ms", ns as f64 / 1e6)
-    } else if ns >= 1_000 {
-        format!("{:.3} µs", ns as f64 / 1e3)
-    } else {
-        format!("{ns} ns")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -151,67 +78,8 @@ mod tests {
     }
 
     #[test]
-    fn summary_mentions_everything() {
-        let t = Telemetry::new();
-        t.add("engine.events", 7);
-        t.observe("engine.ready_queue_depth", 5);
-        {
-            let _s = t.span("analyze");
-        }
-        let s = summary_table(&t);
-        assert!(s.contains("engine.events"));
-        assert!(s.contains("engine.ready_queue_depth"));
-        assert!(s.contains("analyze"));
-    }
-
-    #[test]
     fn empty_handle_exports_cleanly() {
         let t = Telemetry::new();
         assert_eq!(metrics_jsonl(&t), "");
-        assert_eq!(summary_table(&t), "");
-    }
-
-    #[test]
-    fn summary_is_byte_identical_across_recording_orders() {
-        use crate::SpanRecord;
-        // The same logical run, with worker spans arriving in two
-        // different scheduler interleavings.
-        let mk = |name: &str, track: u32, start_ns: u64| SpanRecord {
-            name: name.into(),
-            cat: "experiment".into(),
-            track,
-            depth: 0,
-            start_ns,
-            dur_ns: 1_000_000,
-            closed: true,
-        };
-        let spans =
-            [mk("mode:tsc", 1, 10), mk("mode:tsc", 2, 12), mk("mode:lt_1", 1, 20), mk("ref", 2, 5)];
-        let a = Telemetry::new();
-        let b = Telemetry::new();
-        for s in &spans {
-            a.record_span(s.clone());
-        }
-        for s in spans.iter().rev() {
-            b.record_span(s.clone());
-        }
-        for t in [&a, &b] {
-            t.add("experiment.repetitions", 4);
-            t.observe("engine.ready_queue_depth", 3);
-        }
-        assert_eq!(summary_table(&a), summary_table(&b));
-        // And the order is the documented one: name, then track, then start.
-        let s = summary_table(&a);
-        let pos = |needle: &str| s.find(needle).unwrap_or_else(|| panic!("{needle} in {s}"));
-        assert!(pos("mode:lt_1") < pos("mode:tsc"));
-        assert!(pos("mode:tsc") < pos("ref"));
-    }
-
-    #[test]
-    fn fmt_ns_scales() {
-        assert_eq!(fmt_ns(17), "17 ns");
-        assert_eq!(fmt_ns(1_500), "1.500 µs");
-        assert_eq!(fmt_ns(2_500_000), "2.500 ms");
-        assert_eq!(fmt_ns(3_000_000_000), "3.000 s");
     }
 }

@@ -10,10 +10,10 @@
 //! * **counters** — monotonic `u64` counters and settable gauges,
 //! * **histograms** — log-scale (power-of-two bucket) distributions,
 //!
-//! and three exporters:
+//! and two exporters:
 //!
-//! * [`export::metrics_jsonl`] — machine-readable JSON-lines dump,
-//! * [`export::summary_table`] — human-readable per-phase summary,
+//! * [`export::metrics_jsonl`] — machine-readable JSON-lines dump
+//!   (rendered for humans by `nrlt-report inspect`),
 //! * [`chrome::pipeline_trace_json`] — Chrome trace-event format
 //!   (loadable in `chrome://tracing` / [Perfetto](https://ui.perfetto.dev)),
 //!   plus [`chrome::trace_to_chrome`], which renders any

@@ -4,8 +4,9 @@
 //! name, command line, git revision, start time, wall-clock duration,
 //! and one [`RunInfo`] row per experiment (configuration, seed,
 //! repetitions). [`write_exports`] writes the full bundle the
-//! `--telemetry <dir>` flag promises: `manifest.json`, `metrics.jsonl`,
-//! `pipeline.trace.json`, and a human-readable `summary.txt`.
+//! `--telemetry <dir>` flag promises: `manifest.json`, `metrics.jsonl`
+//! and `pipeline.trace.json`. `nrlt-report inspect` renders
+//! `metrics.jsonl` for humans; Perfetto opens the trace.
 
 use crate::{chrome, export, json, Telemetry};
 use std::fmt::Write as _;
@@ -116,14 +117,12 @@ pub fn git_rev() -> String {
 }
 
 /// Write the telemetry bundle to `dir` (created if needed):
-/// `manifest.json`, `metrics.jsonl`, `pipeline.trace.json`, `summary.txt`.
+/// `manifest.json`, `metrics.jsonl` and `pipeline.trace.json`.
 pub fn write_exports(dir: &Path, tel: &Telemetry, manifest: &Manifest) -> io::Result<()> {
     std::fs::create_dir_all(dir)?;
     std::fs::write(dir.join("manifest.json"), manifest.to_json())?;
     std::fs::write(dir.join("metrics.jsonl"), export::metrics_jsonl(tel))?;
-    std::fs::write(dir.join("pipeline.trace.json"), chrome::pipeline_trace_json(tel))?;
-    std::fs::write(dir.join("summary.txt"), export::summary_table(tel))?;
-    Ok(())
+    std::fs::write(dir.join("pipeline.trace.json"), chrome::pipeline_trace_json(tel))
 }
 
 #[cfg(test)]

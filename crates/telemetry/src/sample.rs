@@ -9,9 +9,9 @@
 //! background sampler thread snapshots every slot at a configurable
 //! rate (default [`DEFAULT_RATE_HZ`] = 97 Hz, prime so the sampler does
 //! not phase-lock with periodic pipeline work). Each snapshot folds the
-//! observed stack into a collapsed-stack histogram, which exports
-//! through the same format as [`nrlt-report`'s flamegraph
-//! path](https://github.com/jonhoo/inferno): `a;b;c <count>`.
+//! observed stack into a collapsed-stack histogram, which exports in
+//! the folded format of flamegraph tools such as
+//! [inferno](https://github.com/jonhoo/inferno): `a;b;c <count>`.
 //!
 //! The cost model is the whole point:
 //!

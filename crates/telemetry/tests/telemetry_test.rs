@@ -189,11 +189,14 @@ fn write_exports_produces_the_bundle() {
     });
 
     let dir = std::env::temp_dir().join(format!("nrlt-telemetry-test-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
     nrlt_telemetry::write_exports(&dir, &tel, &manifest).unwrap();
-    for f in ["manifest.json", "metrics.jsonl", "pipeline.trace.json", "summary.txt"] {
-        let path = dir.join(f);
-        assert!(path.is_file(), "{f} missing");
-    }
+    let mut files: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    files.sort();
+    assert_eq!(files, ["manifest.json", "metrics.jsonl", "pipeline.trace.json"]);
     let manifest_doc =
         json::parse(&std::fs::read_to_string(dir.join("manifest.json")).unwrap()).unwrap();
     assert_eq!(manifest_doc.get("bin").unwrap().as_str(), Some("telemetry-test"));

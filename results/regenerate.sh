@@ -57,6 +57,6 @@ echo "running weak-scaling sweep (scale) ..."
 ./target/release/scale > results/scale.txt
 
 echo "done; outputs in results/, telemetry in results/telemetry/,"
-echo "report artifacts (report.txt, report.json, flamegraph.folded) in results/report/,"
+echo "report artifacts (report.txt, report.json) in results/report/,"
 echo "observe exemplar in results/observe/fig3/, engine profile in results/engineprof/fig3/,"
 echo "sampled profile in results/prof/fig3/"

@@ -1,7 +1,7 @@
-//! Weak-scaling sweep through the sharded columnar trace store: each
+//! Weak-scaling sweep through the sharded trace store: each
 //! mini-app grows to ~10,000 simulated ranks with per-rank work held
 //! constant, measured under a resident trace budget (default 64 MiB)
-//! small enough that the big sizes must spill columnar segments to disk
+//! small enough that the big sizes must spill event segments to disk
 //! and stream them back through the out-of-core analysis path.
 //!
 //! Two claims are demonstrated per series:

@@ -84,7 +84,7 @@ const REPORT_TOP_N: usize = 10;
 /// * `--trace-budget <bytes>` (also `--trace-budget=<bytes>`, with
 ///   optional `k`/`m`/`g` suffixes, e.g. `--trace-budget 64m`) caps
 ///   resident event storage for every harness-driven experiment:
-///   per-location streams spill columnar chunks to temp segment files
+///   per-location streams spill event chunks to temp segment files
 ///   beyond the budget and analysis streams them back. Output is
 ///   byte-identical with and without the flag — spilling changes peak
 ///   RSS and wall time, never results. Without the flag traces stay

@@ -45,7 +45,7 @@ pub struct ExperimentOptions {
     /// byte-identical for every value.
     pub jobs: usize,
     /// Resident trace budget in bytes: `None` keeps every recorded event
-    /// in memory (the historical path); `Some(bytes)` spills columnar
+    /// in memory (the historical path); `Some(bytes)` spills event
     /// chunks to a per-cell temp segment once the per-location streams
     /// exceed the budget, and analysis streams the segments back. The
     /// recorded event sequence is identical either way, so all results

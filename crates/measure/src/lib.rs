@@ -91,7 +91,7 @@ pub fn prepare_measure(program: &Program, exec_config: &ExecConfig) -> MeasurePr
 /// optional.
 ///
 /// * `trace_budget` caps resident event storage at that many bytes:
-///   per-location streams spill columnar chunks to a temp segment file
+///   per-location streams spill event chunks to a temp segment file
 ///   and the returned [`TraceData`] is `Spilled`. `None` keeps the trace
 ///   `Resident`. Either way the recorded event sequence — and hence
 ///   every analysis result — is byte-identical.

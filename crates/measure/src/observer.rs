@@ -329,7 +329,7 @@ impl<'a> TracingObserver<'a> {
     }
 
     /// Cap resident event storage at roughly `budget` bytes: streams
-    /// spill fixed-capacity columnar chunks to a temp segment file once
+    /// spill fixed-capacity event chunks to a temp segment file once
     /// they fill, and [`TracingObserver::into_trace_data`] returns a
     /// [`TraceData::Spilled`]. Must be called before any event is
     /// recorded (the pre-sized streams are replaced by chunk-sized

@@ -1,22 +1,16 @@
-//! Chrome trace-event exporters.
+//! Chrome trace-event exporter.
 //!
-//! Both functions emit the JSON object format understood by
-//! `chrome://tracing` and [Perfetto](https://ui.perfetto.dev):
-//! `{"traceEvents": [...]}` with `ph` = `B`/`E` (nested begin/end),
-//! `X` (complete), `i` (instant) and `M` (metadata) records, timestamps
-//! in microseconds.
+//! Emits the JSON object format understood by `chrome://tracing` and
+//! [Perfetto](https://ui.perfetto.dev): `{"traceEvents": [...]}` with
+//! `ph` = `B`/`E` (nested begin/end), `C` (counter), `i` (instant) and
+//! `M` (metadata) records, timestamps in microseconds.
 //!
 //! [`pipeline_trace_json`] renders the *host-side* telemetry of a run —
-//! the pipeline spans recorded through a [`Telemetry`] handle.
-//! [`trace_to_chrome`] renders a *simulated* [`Trace`] — whatever the
-//! measurement layer produced — with one track (tid) per location. For a
-//! physical-clock trace, virtual nanoseconds become microseconds; for a
-//! logical-clock trace the Lamport counter values are rendered as-is, so
-//! the horizontal axis reads "Lamport time" rather than wall time.
+//! the pipeline spans recorded through a [`Telemetry`] handle; the
+//! builders below it let other layers emit documents in the same form.
 
 use crate::json;
 use crate::Telemetry;
-use nrlt_trace::{ClockKind, EventKind, Trace};
 
 /// Render the host-side pipeline spans and counters of a run as a Chrome
 /// trace document. Spans become `B`/`E` pairs on their track's tid;
@@ -75,120 +69,6 @@ pub fn pipeline_trace_json(tel: &Telemetry) -> String {
     wrap(events)
 }
 
-/// Render a simulated [`Trace`] as a Chrome trace document with one
-/// track per location.
-///
-/// * `Enter`/`Leave` become `B`/`E` pairs named after the region.
-/// * `CallBurst` becomes a single `X` (complete) slice spanning
-///   `[start, time]`, with the call count in `args`.
-/// * Sends, receives, and collective completions become instant events.
-///
-/// Physical timestamps (virtual nanoseconds) are converted to
-/// microseconds; logical (Lamport) timestamps are emitted verbatim —
-/// one Lamport tick renders as one "microsecond" on an axis that should
-/// be read as Lamport time.
-pub fn trace_to_chrome(trace: &Trace) -> String {
-    let logical = matches!(trace.defs.clock, ClockKind::Logical { .. });
-    let clock = trace.defs.clock.name();
-    let mut events: Vec<String> = Vec::new();
-    events.push(meta_event(0, 0, "process_name", &format!("nrlt trace (clock: {clock})")));
-
-    let ts = |t: u64| -> String {
-        if logical {
-            format!("{t}")
-        } else {
-            ns_to_us(t)
-        }
-    };
-
-    for (i, stream) in trace.streams.iter().enumerate() {
-        let loc = trace.defs.location(nrlt_trace::LocationRef(i as u32));
-        let tid = i as u32;
-        events.push(meta_event(
-            0,
-            tid,
-            "thread_name",
-            &format!("rank {} thread {} (core {})", loc.rank, loc.thread, loc.core),
-        ));
-        for ev in stream {
-            match ev.kind {
-                EventKind::Enter { region } => {
-                    let name = &trace.defs.region(region).name;
-                    events.push(format!(
-                        "{{\"name\":{},\"cat\":\"region\",\"ph\":\"B\",\"ts\":{},\"pid\":0,\"tid\":{}}}",
-                        json::string(name),
-                        ts(ev.time),
-                        tid
-                    ));
-                }
-                EventKind::Leave { region } => {
-                    let name = &trace.defs.region(region).name;
-                    events.push(format!(
-                        "{{\"name\":{},\"cat\":\"region\",\"ph\":\"E\",\"ts\":{},\"pid\":0,\"tid\":{}}}",
-                        json::string(name),
-                        ts(ev.time),
-                        tid
-                    ));
-                }
-                EventKind::CallBurst { region, count, start } => {
-                    let name = &trace.defs.region(region).name;
-                    let dur = if logical {
-                        format!("{}", ev.time.saturating_sub(start))
-                    } else {
-                        ns_to_us(ev.time.saturating_sub(start))
-                    };
-                    events.push(format!(
-                        "{{\"name\":{},\"cat\":\"burst\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":0,\"tid\":{},\"args\":{{\"calls\":{}}}}}",
-                        json::string(name),
-                        ts(start),
-                        dur,
-                        tid,
-                        count
-                    ));
-                }
-                EventKind::SendPost { peer, tag, bytes } => {
-                    events.push(instant(
-                        "send",
-                        "p2p",
-                        &ts(ev.time),
-                        tid,
-                        &format!("\"peer\":{peer},\"tag\":{tag},\"bytes\":{bytes}"),
-                    ));
-                }
-                EventKind::RecvPost { peer, tag, bytes } => {
-                    events.push(instant(
-                        "recv.post",
-                        "p2p",
-                        &ts(ev.time),
-                        tid,
-                        &format!("\"peer\":{peer},\"tag\":{tag},\"bytes\":{bytes}"),
-                    ));
-                }
-                EventKind::RecvComplete { peer, tag, bytes } => {
-                    events.push(instant(
-                        "recv.complete",
-                        "p2p",
-                        &ts(ev.time),
-                        tid,
-                        &format!("\"peer\":{peer},\"tag\":{tag},\"bytes\":{bytes}"),
-                    ));
-                }
-                EventKind::CollectiveEnd { op, bytes, root } => {
-                    events.push(instant(
-                        &format!("collective.{op:?}"),
-                        "collective",
-                        &ts(ev.time),
-                        tid,
-                        &format!("\"bytes\":{bytes},\"root\":{root}"),
-                    ));
-                }
-            }
-        }
-    }
-
-    wrap(events)
-}
-
 /// Assemble trace events into a complete Chrome trace document.
 pub fn document(events: Vec<String>) -> String {
     wrap(events)
@@ -228,17 +108,6 @@ fn meta_event(pid: u32, tid: u32, kind: &str, name: &str) -> String {
         pid,
         tid,
         json::string(name)
-    )
-}
-
-fn instant(name: &str, cat: &str, ts: &str, tid: u32, args: &str) -> String {
-    format!(
-        "{{\"name\":{},\"cat\":{},\"ph\":\"i\",\"s\":\"t\",\"ts\":{},\"pid\":0,\"tid\":{},\"args\":{{{}}}}}",
-        json::string(name),
-        json::string(cat),
-        ts,
-        tid,
-        args
     )
 }
 
@@ -325,39 +194,5 @@ mod tests {
         assert_eq!(v.get("cat").unwrap().as_str(), Some(nasty));
         assert_eq!(v.get("ph").unwrap().as_str(), Some("C"));
         assert_eq!(v.get("args").unwrap().get("value").and_then(|x| x.as_f64()), Some(-7.0));
-    }
-
-    #[test]
-    fn trace_region_names_are_escaped() {
-        use nrlt_trace::{
-            ClockKind, Definitions, Event, LocationDef, RegionDef, RegionRef, RegionRole,
-        };
-        let nasty = "kern\"el\\ {weird}\nname";
-        let defs = Definitions {
-            regions: std::sync::Arc::new(vec![RegionDef {
-                name: nasty.into(),
-                role: RegionRole::Function,
-            }]),
-            locations: std::sync::Arc::new(vec![LocationDef { rank: 0, thread: 0, core: 0 }]),
-            threads_per_rank: 1,
-            clock: ClockKind::Physical,
-        };
-        let stream = vec![
-            Event::new(0, EventKind::Enter { region: RegionRef(0) }),
-            Event::new(10, EventKind::CallBurst { region: RegionRef(0), count: 2, start: 5 }),
-            Event::new(20, EventKind::Leave { region: RegionRef(0) }),
-        ];
-        let trace = Trace { defs, streams: vec![stream.into()] };
-        let doc = trace_to_chrome(&trace);
-        let v = json::parse(&doc).expect("escaped region names still parse");
-        let evs = v.get("traceEvents").unwrap().as_arr().unwrap();
-        let named: Vec<&str> = evs
-            .iter()
-            .filter(|e| {
-                matches!(e.get("ph").and_then(|p| p.as_str()), Some("B") | Some("E") | Some("X"))
-            })
-            .map(|e| e.get("name").unwrap().as_str().unwrap())
-            .collect();
-        assert_eq!(named, vec![nasty; 3]);
     }
 }

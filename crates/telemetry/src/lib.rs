@@ -15,10 +15,7 @@
 //! * [`export::metrics_jsonl`] — machine-readable JSON-lines dump
 //!   (rendered for humans by `nrlt-report inspect`),
 //! * [`chrome::pipeline_trace_json`] — Chrome trace-event format
-//!   (loadable in `chrome://tracing` / [Perfetto](https://ui.perfetto.dev)),
-//!   plus [`chrome::trace_to_chrome`], which renders any
-//!   [`nrlt_trace::Trace`] — physical *or* logical timestamps — as a
-//!   Chrome trace with one track per location.
+//!   (loadable in `chrome://tracing` / [Perfetto](https://ui.perfetto.dev)).
 //!
 //! Everything is opt-in: instrumented layers take `Option<&Telemetry>`
 //! and perform no telemetry work (not even an atomic increment) when
@@ -180,16 +177,6 @@ impl Telemetry {
         });
         inner.stacks.entry(track).or_default().push(idx);
         Span { tel: self, idx, track }
-    }
-
-    /// Import an already-completed span record verbatim (no clock reads,
-    /// no stack bookkeeping). The report layer uses this to rebuild a
-    /// handle from an exported bundle; tests use it to construct span
-    /// sets with exact timings.
-    pub fn record_span(&self, rec: SpanRecord) {
-        self.bump();
-        let mut inner = self.inner.lock().expect("telemetry poisoned");
-        inner.spans.push(rec);
     }
 
     fn close_span(&self, idx: usize, track: u32) {

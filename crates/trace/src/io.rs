@@ -7,14 +7,15 @@
 //! monotonically non-decreasing per location, which makes the deltas
 //! small.
 
-use crate::defs::{ClockKind, Definitions, LocationDef, RegionDef, RegionRef, RegionRole};
-use crate::event::{CollectiveOp, Event, EventKind};
+use crate::defs::{ClockKind, Definitions, LocationDef, RegionDef, RegionRole};
+use crate::event::CollectiveOp;
+use crate::stream::{EventStream, T_BURST, T_COLLECTIVE_END, T_ENTER, T_LEAVE, T_MAX};
 use crate::Trace;
 
 /// Magic bytes at the start of every trace file.
 pub const MAGIC: &[u8; 4] = b"NRLT";
 /// Current format version.
-pub const VERSION: u16 = 1;
+pub const VERSION: u16 = 2;
 
 /// A decoding failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -31,6 +32,8 @@ pub enum DecodeError {
     BadString,
     /// Timestamps in a stream went backwards (corrupt delta).
     NonMonotoneTime,
+    /// A varint did not fit its field.
+    Overflow,
 }
 
 impl std::fmt::Display for DecodeError {
@@ -42,6 +45,7 @@ impl std::fmt::Display for DecodeError {
             DecodeError::BadTag(t) => write!(f, "invalid tag byte {t:#x}"),
             DecodeError::BadString => write!(f, "invalid UTF-8 in string"),
             DecodeError::NonMonotoneTime => write!(f, "timestamps not monotone"),
+            DecodeError::Overflow => write!(f, "integer field out of range"),
         }
     }
 }
@@ -106,7 +110,7 @@ pub(crate) fn get_varint(buf: &mut Reader<'_>) -> Result<u64, DecodeError> {
     loop {
         let byte = buf.get_u8()?;
         if shift >= 64 {
-            return Err(DecodeError::BadTag(byte));
+            return Err(DecodeError::Overflow);
         }
         v |= ((byte & 0x7f) as u64) << shift;
         if byte & 0x80 == 0 {
@@ -127,14 +131,78 @@ fn get_string(buf: &mut Reader<'_>) -> Result<String, DecodeError> {
     String::from_utf8(raw.to_vec()).map_err(|_| DecodeError::BadString)
 }
 
-// Event tag bytes.
-const TAG_ENTER: u8 = 1;
-const TAG_LEAVE: u8 = 2;
-const TAG_BURST: u8 = 3;
-const TAG_SEND_POST: u8 = 4;
-const TAG_RECV_POST: u8 = 5;
-const TAG_RECV_COMPLETE: u8 = 6;
-const TAG_COLLECTIVE_END: u8 = 7;
+/// A varint that must fit a `u32` field; larger values are rejected
+/// rather than truncated.
+fn get_u32(buf: &mut Reader<'_>) -> Result<u32, DecodeError> {
+    u32::try_from(get_varint(buf)?).map_err(|_| DecodeError::Overflow)
+}
+
+/// Append the rows of one event stream — the one event encoding both the
+/// whole-trace format here and the spill chunks of `segment.rs` use.
+///
+/// Each event is its time delta from the previous event (the first from
+/// 0), its [`EventStream`] tag byte, then only the columns that tag uses:
+/// `a` for `Enter`/`Leave`; `a`, `x` and the backwards delta to its start
+/// for `CallBurst`; `a`, `b`, `x` for sends, receives and `CollectiveEnd`.
+pub(crate) fn put_events(buf: &mut Vec<u8>, stream: &EventStream) {
+    let c = stream.columns();
+    let mut last = 0u64;
+    for (i, (&time, &tag)) in c.times.iter().zip(c.tags).enumerate() {
+        debug_assert!(time >= last, "stream timestamps must be monotone");
+        put_varint(buf, time - last);
+        last = time;
+        buf.push(tag);
+        put_varint(buf, c.a[i] as u64);
+        match tag {
+            T_ENTER | T_LEAVE => {}
+            T_BURST => {
+                put_varint(buf, c.x[i]);
+                // start <= event time; store the backwards delta.
+                put_varint(buf, time - c.y[i]);
+            }
+            _ => {
+                put_varint(buf, c.b[i] as u64);
+                put_varint(buf, c.x[i]);
+            }
+        }
+    }
+}
+
+/// Read `n` rows written by [`put_events`]. Every tag, collective op and
+/// `u32` field is checked, so a stream that decodes `Ok` can be iterated
+/// without panicking.
+pub(crate) fn get_events(buf: &mut Reader<'_>, n: usize) -> Result<EventStream, DecodeError> {
+    // `n` is untrusted: every row takes at least one byte, so the input
+    // length bounds the pre-allocation.
+    let mut out = EventStream::with_capacity(n.min(buf.remaining()));
+    let mut last = 0u64;
+    for _ in 0..n {
+        let time = last.checked_add(get_varint(buf)?).ok_or(DecodeError::NonMonotoneTime)?;
+        last = time;
+        let tag = buf.get_u8()?;
+        if tag > T_MAX {
+            return Err(DecodeError::BadTag(tag));
+        }
+        let a = get_u32(buf)?;
+        let (b, x, y) = match tag {
+            T_ENTER | T_LEAVE => (0, 0, 0),
+            T_BURST => {
+                let count = get_varint(buf)?;
+                let back = get_varint(buf)?;
+                (0, count, time.checked_sub(back).ok_or(DecodeError::NonMonotoneTime)?)
+            }
+            T_COLLECTIVE_END => {
+                // A defined op is below 0x80, so its varint is one byte.
+                let op = buf.get_u8()?;
+                CollectiveOp::from_u8(op).ok_or(DecodeError::BadTag(op))?;
+                (op as u32, get_varint(buf)?, 0)
+            }
+            _ => (get_u32(buf)?, get_varint(buf)?, 0),
+        };
+        out.push_raw(time, tag, a, b, x, y);
+    }
+    Ok(out)
+}
 
 /// Serialise a trace to bytes.
 pub fn encode(trace: &Trace) -> Vec<u8> {
@@ -171,53 +239,7 @@ pub fn encode(trace: &Trace) -> Vec<u8> {
     put_varint(&mut buf, trace.streams.len() as u64);
     for stream in &trace.streams {
         put_varint(&mut buf, stream.len() as u64);
-        let mut last = 0u64;
-        for ev in stream {
-            debug_assert!(ev.time >= last, "stream timestamps must be monotone");
-            put_varint(&mut buf, ev.time - last);
-            last = ev.time;
-            match ev.kind {
-                EventKind::Enter { region } => {
-                    buf.push(TAG_ENTER);
-                    put_varint(&mut buf, region.0 as u64);
-                }
-                EventKind::Leave { region } => {
-                    buf.push(TAG_LEAVE);
-                    put_varint(&mut buf, region.0 as u64);
-                }
-                EventKind::CallBurst { region, count, start } => {
-                    buf.push(TAG_BURST);
-                    put_varint(&mut buf, region.0 as u64);
-                    put_varint(&mut buf, count);
-                    // start <= event time; store backwards delta.
-                    put_varint(&mut buf, ev.time - start);
-                }
-                EventKind::SendPost { peer, tag, bytes } => {
-                    buf.push(TAG_SEND_POST);
-                    put_varint(&mut buf, peer as u64);
-                    put_varint(&mut buf, tag as u64);
-                    put_varint(&mut buf, bytes);
-                }
-                EventKind::RecvPost { peer, tag, bytes } => {
-                    buf.push(TAG_RECV_POST);
-                    put_varint(&mut buf, peer as u64);
-                    put_varint(&mut buf, tag as u64);
-                    put_varint(&mut buf, bytes);
-                }
-                EventKind::RecvComplete { peer, tag, bytes } => {
-                    buf.push(TAG_RECV_COMPLETE);
-                    put_varint(&mut buf, peer as u64);
-                    put_varint(&mut buf, tag as u64);
-                    put_varint(&mut buf, bytes);
-                }
-                EventKind::CollectiveEnd { op, bytes, root } => {
-                    buf.push(TAG_COLLECTIVE_END);
-                    buf.push(op as u8);
-                    put_varint(&mut buf, bytes);
-                    put_varint(&mut buf, root as u64);
-                }
-            }
-        }
+        put_events(&mut buf, stream);
     }
 
     buf
@@ -235,7 +257,7 @@ pub fn decode(data: &[u8]) -> Result<Trace, DecodeError> {
         return Err(DecodeError::BadVersion(version));
     }
 
-    let clock = match require_u8(&mut buf)? {
+    let clock = match buf.get_u8()? {
         0 => ClockKind::Physical,
         1 => ClockKind::Logical { model: get_string(&mut buf)? },
         t => return Err(DecodeError::BadTag(t)),
@@ -248,19 +270,19 @@ pub fn decode(data: &[u8]) -> Result<Trace, DecodeError> {
     let mut regions = Vec::with_capacity(n_regions.min(CAP));
     for _ in 0..n_regions {
         let name = get_string(&mut buf)?;
-        let role_byte = require_u8(&mut buf)?;
+        let role_byte = buf.get_u8()?;
         let role = RegionRole::from_u8(role_byte).ok_or(DecodeError::BadTag(role_byte))?;
         regions.push(RegionDef { name, role });
     }
 
-    let threads_per_rank = get_varint(&mut buf)? as u32;
+    let threads_per_rank = get_u32(&mut buf)?;
     let n_locations = get_varint(&mut buf)? as usize;
     let mut locations = Vec::with_capacity(n_locations.min(CAP));
     for _ in 0..n_locations {
         locations.push(LocationDef {
-            rank: get_varint(&mut buf)? as u32,
-            thread: get_varint(&mut buf)? as u32,
-            core: get_varint(&mut buf)? as u32,
+            rank: get_u32(&mut buf)?,
+            thread: get_u32(&mut buf)?,
+            core: get_u32(&mut buf)?,
         });
     }
 
@@ -268,50 +290,7 @@ pub fn decode(data: &[u8]) -> Result<Trace, DecodeError> {
     let mut streams = Vec::with_capacity(n_streams.min(CAP));
     for _ in 0..n_streams {
         let n_events = get_varint(&mut buf)? as usize;
-        let mut stream = crate::EventStream::with_capacity(n_events.min(CAP));
-        let mut last = 0u64;
-        for _ in 0..n_events {
-            let delta = get_varint(&mut buf)?;
-            let time = last.checked_add(delta).ok_or(DecodeError::NonMonotoneTime)?;
-            last = time;
-            let tag = require_u8(&mut buf)?;
-            let kind = match tag {
-                TAG_ENTER => EventKind::Enter { region: RegionRef(get_varint(&mut buf)? as u32) },
-                TAG_LEAVE => EventKind::Leave { region: RegionRef(get_varint(&mut buf)? as u32) },
-                TAG_BURST => {
-                    let region = RegionRef(get_varint(&mut buf)? as u32);
-                    let count = get_varint(&mut buf)?;
-                    let back = get_varint(&mut buf)?;
-                    let start = time.checked_sub(back).ok_or(DecodeError::NonMonotoneTime)?;
-                    EventKind::CallBurst { region, count, start }
-                }
-                TAG_SEND_POST => EventKind::SendPost {
-                    peer: get_varint(&mut buf)? as u32,
-                    tag: get_varint(&mut buf)? as u32,
-                    bytes: get_varint(&mut buf)?,
-                },
-                TAG_RECV_POST => EventKind::RecvPost {
-                    peer: get_varint(&mut buf)? as u32,
-                    tag: get_varint(&mut buf)? as u32,
-                    bytes: get_varint(&mut buf)?,
-                },
-                TAG_RECV_COMPLETE => EventKind::RecvComplete {
-                    peer: get_varint(&mut buf)? as u32,
-                    tag: get_varint(&mut buf)? as u32,
-                    bytes: get_varint(&mut buf)?,
-                },
-                TAG_COLLECTIVE_END => {
-                    let op_byte = require_u8(&mut buf)?;
-                    let op = CollectiveOp::from_u8(op_byte).ok_or(DecodeError::BadTag(op_byte))?;
-                    let bytes = get_varint(&mut buf)?;
-                    let root = get_varint(&mut buf)? as u32;
-                    EventKind::CollectiveEnd { op, bytes, root }
-                }
-                t => return Err(DecodeError::BadTag(t)),
-            };
-            stream.push(Event { time, kind });
-        }
-        streams.push(stream);
+        streams.push(get_events(&mut buf, n_events)?);
     }
 
     Ok(Trace {
@@ -325,14 +304,11 @@ pub fn decode(data: &[u8]) -> Result<Trace, DecodeError> {
     })
 }
 
-fn require_u8(buf: &mut Reader<'_>) -> Result<u8, DecodeError> {
-    buf.get_u8()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::defs::LocationDef;
+    use crate::defs::RegionRef;
+    use crate::event::{Event, EventKind};
 
     fn sample_trace() -> Trace {
         let defs = Definitions {
@@ -417,6 +393,20 @@ mod tests {
             assert_eq!(get_varint(&mut reader).unwrap(), v);
         }
         assert_eq!(reader.remaining(), 0);
+    }
+
+    #[test]
+    fn fields_past_u32_are_rejected() {
+        use crate::stream::T_SEND_POST;
+        let big = u32::MAX as u64 + 1;
+        // One Enter whose region (`a`) overflows, one send whose tag
+        // (`b`) does: both must fail instead of truncating.
+        for row in [vec![0, T_ENTER], vec![0, T_SEND_POST, 0]] {
+            let mut buf = row;
+            put_varint(&mut buf, big);
+            put_varint(&mut buf, 0);
+            assert_eq!(get_events(&mut Reader::new(&buf), 1), Err(DecodeError::Overflow));
+        }
     }
 
     #[test]

@@ -1,10 +1,10 @@
-//! Sharded columnar spill segments — the out-of-core trace store.
+//! Sharded spill segments — the out-of-core trace store.
 //!
 //! The resident [`Trace`](crate::Trace) keeps every event of every
 //! location in memory, which caps experiments at the host's RAM
-//! (~33 bytes/event across the six SoA columns). This module spills the
-//! [`EventStream`] columns to an append-only segment file in
-//! fixed-capacity **chunks** so recording and analysis both run in
+//! (~33 bytes/event across the six SoA columns). This module spills an
+//! [`EventStream`] to an append-only segment file in fixed-capacity
+//! **chunks** so recording and analysis both run in
 //! O(locations × chunk) memory instead of O(events).
 //!
 //! ## File layout
@@ -17,13 +17,12 @@
 //! ```
 //!
 //! * **header** — magic `NRLS` + big-endian `u16` version.
-//! * **chunk** — the columnar encoding of ≤ `chunk_events` events of
-//!   one location: varint event count, the time column (absolute first
-//!   timestamp, then monotone deltas), the raw tag bytes, then the
-//!   `a`/`b`/`x`/`y` payload columns as varints (`y` of a `CallBurst`
-//!   is stored as a backwards delta from the event time, mirroring the
-//!   wire format in `io.rs`). Chunks of different locations interleave
-//!   in spill order; chunks of one location appear in time order.
+//! * **chunk** — ≤ `chunk_events` events of one location: a varint
+//!   event count, then one row per event in the event encoding the
+//!   whole-trace format uses too (`io::put_events`: time delta, tag
+//!   byte, the columns that tag uses). Chunks of different locations
+//!   interleave in spill order; chunks of one location appear in time
+//!   order.
 //! * **footer** — varint chunk count, then one record per chunk:
 //!   location, byte offset, byte length, event count, first and last
 //!   timestamp. This is the whole index — a reader seeks straight to
@@ -45,15 +44,15 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::defs::Definitions;
 use crate::event::Event;
-use crate::io::{get_varint, put_varint, Reader};
-use crate::stream::{self, EventStream};
+use crate::io::{get_events, get_varint, put_events, put_varint, Reader};
+use crate::stream::EventStream;
 
 /// Magic bytes at the start of every segment file.
 pub const SEG_MAGIC: &[u8; 4] = b"NRLS";
 /// Magic bytes ending the trailer (last 4 bytes of the file).
 pub const FOOTER_MAGIC: &[u8; 4] = b"NRLF";
 /// Current segment format version.
-pub const SEG_VERSION: u16 = 1;
+pub const SEG_VERSION: u16 = 2;
 /// Byte size of the fixed trailer (footer length + checksum + magic).
 const TRAILER_LEN: u64 = 20;
 
@@ -131,11 +130,11 @@ pub struct SpillStats {
     pub events: u64,
 }
 
-/// Appends columnar chunks to a segment file.
+/// Appends event chunks to a segment file.
 ///
 /// The writer owns a scratch encode buffer reused across chunks; a
 /// [`spill`](SegmentWriter::spill) encodes one location's resident
-/// columns, appends them, and clears the stream in place so recording
+/// events, appends them, and clears the stream in place so recording
 /// continues into the same allocations.
 pub struct SegmentWriter {
     file: BufWriter<File>,
@@ -167,43 +166,17 @@ impl SegmentWriter {
         if stream.is_empty() {
             return Ok(());
         }
-        let cols = stream.columns();
-        let n = cols.times.len();
+        let n = stream.len();
         self.scratch.clear();
         put_varint(&mut self.scratch, n as u64);
-        // Time column: absolute first value, then monotone deltas.
-        put_varint(&mut self.scratch, cols.times[0]);
-        for i in 1..n {
-            debug_assert!(cols.times[i] >= cols.times[i - 1], "stream timestamps must be monotone");
-            put_varint(&mut self.scratch, cols.times[i] - cols.times[i - 1]);
-        }
-        self.scratch.extend_from_slice(cols.tags);
-        for &a in cols.a {
-            put_varint(&mut self.scratch, a as u64);
-        }
-        for &b in cols.b {
-            put_varint(&mut self.scratch, b as u64);
-        }
-        for &x in cols.x {
-            put_varint(&mut self.scratch, x);
-        }
-        for i in 0..n {
-            // `y` is only populated for CallBurst, where it is a start
-            // time ≤ the event time: store the backwards delta, which
-            // is small. Other kinds carry y = 0.
-            if cols.tags[i] == stream::T_BURST {
-                put_varint(&mut self.scratch, cols.times[i] - cols.y[i]);
-            } else {
-                put_varint(&mut self.scratch, cols.y[i]);
-            }
-        }
+        put_events(&mut self.scratch, stream);
         let meta = ChunkMeta {
             loc,
             offset: self.pos,
             len: self.scratch.len() as u64,
             n_events: n as u64,
-            first_time: cols.times[0],
-            last_time: cols.times[n - 1],
+            first_time: stream.time(0),
+            last_time: stream.time(n - 1),
         };
         self.file.write_all(&self.scratch)?;
         self.pos += meta.len;
@@ -357,46 +330,7 @@ impl SegmentIndex {
 pub fn decode_chunk(data: &[u8]) -> Result<EventStream, crate::DecodeError> {
     let mut r = Reader::new(data);
     let n = get_varint(&mut r)? as usize;
-    let mut out = EventStream::with_capacity(n.min(1 << 24));
-    let mut times = Vec::with_capacity(n.min(1 << 24));
-    let mut last = 0u64;
-    for i in 0..n {
-        let d = get_varint(&mut r)?;
-        let t = if i == 0 {
-            d
-        } else {
-            last.checked_add(d).ok_or(crate::DecodeError::NonMonotoneTime)?
-        };
-        times.push(t);
-        last = t;
-    }
-    let tags = r.get_slice(n)?.to_vec();
-    for &tag in &tags {
-        if tag > stream::T_MAX {
-            return Err(crate::DecodeError::BadTag(tag));
-        }
-    }
-    let mut col_a = Vec::with_capacity(n);
-    for _ in 0..n {
-        col_a.push(get_varint(&mut r)? as u32);
-    }
-    let mut col_b = Vec::with_capacity(n);
-    for _ in 0..n {
-        col_b.push(get_varint(&mut r)? as u32);
-    }
-    let mut col_x = Vec::with_capacity(n);
-    for _ in 0..n {
-        col_x.push(get_varint(&mut r)?);
-    }
-    for i in 0..n {
-        let enc = get_varint(&mut r)?;
-        let y = if tags[i] == stream::T_BURST {
-            times[i].checked_sub(enc).ok_or(crate::DecodeError::NonMonotoneTime)?
-        } else {
-            enc
-        };
-        out.push_raw(times[i], tags[i], col_a[i], col_b[i], col_x[i], y);
-    }
+    let out = get_events(&mut r, n)?;
     if r.remaining() != 0 {
         return Err(crate::DecodeError::Truncated);
     }
@@ -413,7 +347,7 @@ pub fn temp_segment_path(tag: &str) -> PathBuf {
 }
 
 /// A trace whose events live in a segment file: Arc-shared definition
-/// tables in memory, columnar chunks on disk. The file is deleted when
+/// tables in memory, event chunks on disk. The file is deleted when
 /// the value drops.
 #[derive(Debug)]
 pub struct SpilledTrace {
@@ -769,6 +703,13 @@ mod tests {
         w.spill(0, &mut s).unwrap();
         w.finish().unwrap();
         (path, events)
+    }
+
+    #[test]
+    fn undefined_collective_op_is_rejected() {
+        // One CollectiveEnd (tag 6) at time 5 with root 0, op 99, 8 bytes.
+        let bytes = [1, 5, 6, 0, 99, 8, 0];
+        assert!(matches!(decode_chunk(&bytes), Err(crate::DecodeError::BadTag(_))));
     }
 
     #[test]

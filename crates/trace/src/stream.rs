@@ -16,9 +16,8 @@
 use crate::defs::RegionRef;
 use crate::event::{CollectiveOp, Event, EventKind};
 
-// Column tag bytes, one per `EventKind` variant. Shared with the
-// segment spill format (`segment.rs`), which serialises the columns
-// verbatim.
+// Column tag bytes, one per `EventKind` variant. They are also the tag
+// bytes of the on-disk event encoding (`io::put_events`).
 pub(crate) const T_ENTER: u8 = 0;
 pub(crate) const T_LEAVE: u8 = 1;
 pub(crate) const T_BURST: u8 = 2;
@@ -29,7 +28,7 @@ pub(crate) const T_COLLECTIVE_END: u8 = 6;
 /// Largest valid column tag byte.
 pub(crate) const T_MAX: u8 = T_COLLECTIVE_END;
 
-/// Borrowed view of the raw columns, for the segment writer.
+/// Borrowed view of the raw columns, for the event encoder.
 pub(crate) struct Columns<'a> {
     pub times: &'a [u64],
     pub tags: &'a [u8],
@@ -190,7 +189,7 @@ impl EventStream {
         self.y.clear();
     }
 
-    /// Raw column view for the segment writer.
+    /// Raw column view for the event encoder.
     pub(crate) fn columns(&self) -> Columns<'_> {
         Columns {
             times: &self.times,
@@ -202,8 +201,9 @@ impl EventStream {
         }
     }
 
-    /// Append one already-decomposed event (segment decode path). The
-    /// caller guarantees `tag` is a valid column tag byte.
+    /// Append one already-decomposed event (event decode path). The
+    /// caller guarantees `tag` is a valid column tag byte and, for a
+    /// `CollectiveEnd`, `b` a defined [`CollectiveOp`].
     #[inline]
     pub(crate) fn push_raw(&mut self, time: u64, tag: u8, a: u32, b: u32, x: u64, y: u64) {
         debug_assert!(tag <= T_MAX);

@@ -1,12 +1,14 @@
-//! Randomised-but-deterministic tests: the binary trace format
-//! round-trips well-formed traces losslessly and never panics on
-//! truncated or corrupted input. A fixed-seed splitmix64 generator
+//! Randomised-but-deterministic tests: whole-trace files and spill
+//! chunks round-trip well-formed traces losslessly, and neither decoder
+//! panics on truncated or corrupted input, nor does iterating whatever
+//! they accept. A fixed-seed splitmix64 generator
 //! replaces proptest so the suite runs with no external dependencies
 //! and identical cases on every machine.
 
+use nrlt_trace::segment::decode_chunk;
 use nrlt_trace::{
-    decode, encode, ClockKind, CollectiveOp, Definitions, Event, EventKind, LocationDef, RegionDef,
-    RegionRef, RegionRole, Trace, NO_ROOT,
+    decode, encode, temp_segment_path, ClockKind, CollectiveOp, Definitions, Event, EventKind,
+    EventStream, LocationDef, RegionDef, RegionRef, RegionRole, SegmentWriter, Trace, NO_ROOT,
 };
 
 /// Deterministic 64-bit generator (splitmix64).
@@ -103,6 +105,33 @@ fn random_trace(g: &mut Gen) -> Trace {
     }
 }
 
+/// Recompose every event of every stream that decoded `Ok`, so bytes
+/// that decode and then panic on iteration fail the test.
+fn iterate_all<'a>(streams: impl IntoIterator<Item = &'a EventStream>) {
+    for s in streams {
+        for ev in s {
+            std::hint::black_box(ev);
+        }
+    }
+}
+
+/// The spill chunk of each non-empty stream of `trace`, exactly as
+/// `SegmentWriter` writes it to disk.
+fn spill_chunks(trace: &Trace) -> Vec<Vec<u8>> {
+    let path = temp_segment_path("props");
+    let mut w = SegmentWriter::create(&path).unwrap();
+    for (loc, s) in trace.streams.iter().enumerate() {
+        w.spill(loc as u32, &mut s.clone()).unwrap();
+    }
+    let index = w.finish().unwrap();
+    let file = std::fs::read(&path).unwrap();
+    std::fs::remove_file(&path).ok();
+    (0..trace.streams.len())
+        .flat_map(|loc| index.chunks(loc).to_vec())
+        .map(|c| file[c.offset as usize..(c.offset + c.len) as usize].to_vec())
+        .collect()
+}
+
 #[test]
 fn roundtrip_is_lossless() {
     let mut g = Gen(0xA11CE);
@@ -111,6 +140,10 @@ fn roundtrip_is_lossless() {
         let bytes = encode(&trace);
         let back = decode(&bytes).unwrap_or_else(|e| panic!("case {case}: decode failed: {e}"));
         assert_eq!(back, trace, "case {case} not lossless");
+        let non_empty = trace.streams.iter().filter(|s| !s.is_empty());
+        for (chunk, s) in spill_chunks(&trace).iter().zip(non_empty) {
+            assert_eq!(&decode_chunk(chunk).unwrap(), s, "case {case}: chunk not lossless");
+        }
     }
 }
 
@@ -122,7 +155,16 @@ fn truncation_never_panics() {
         let bytes = encode(&trace);
         for cut in 0..bytes.len() {
             // Must error or produce a different trace, never panic.
-            let _ = decode(&bytes[..cut]);
+            if let Ok(t) = decode(&bytes[..cut]) {
+                iterate_all(&t.streams);
+            }
+        }
+        for chunk in spill_chunks(&trace) {
+            for cut in 0..chunk.len() {
+                if let Ok(s) = decode_chunk(&chunk[..cut]) {
+                    iterate_all([&s]);
+                }
+            }
         }
     }
 }
@@ -133,14 +175,20 @@ fn single_byte_corruption_never_panics() {
     for _ in 0..50 {
         let trace = random_trace(&mut g);
         let bytes = encode(&trace);
-        if bytes.is_empty() {
-            continue;
-        }
-        for _ in 0..64 {
-            let pos = g.below(bytes.len() as u64) as usize;
-            let mut corrupted = bytes.clone();
-            corrupted[pos] ^= 1 + g.below(255) as u8;
-            let _ = decode(&corrupted); // any Result is fine; panics are not
+        let chunks = spill_chunks(&trace);
+        for bytes in std::iter::once(&bytes).chain(&chunks) {
+            for _ in 0..64 {
+                let pos = g.below(bytes.len() as u64) as usize;
+                let mut corrupted = bytes.clone();
+                corrupted[pos] ^= 1 + g.below(255) as u8;
+                // Any Result is fine; panics are not.
+                if let Ok(t) = decode(&corrupted) {
+                    iterate_all(&t.streams);
+                }
+                if let Ok(s) = decode_chunk(&corrupted) {
+                    iterate_all([&s]);
+                }
+            }
         }
     }
 }

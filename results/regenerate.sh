@@ -46,9 +46,9 @@ echo "regenerating results/engineprof/fig3 ..."
 echo "regenerating results/prof/fig3 ..."
 ./target/release/fig3 --only LULESH-1 --jobs 1 --sample-prof results/prof/fig3 > /dev/null
 
-# Weak-scaling sweep through the sharded columnar trace store: the
+# Weak-scaling sweep through the sharded trace store: the
 # three mini-apps grow to ~10,000 simulated ranks under the default
-# 64 MiB trace budget, so the largest sizes spill columnar segments
+# 64 MiB trace budget, so the largest sizes spill event segments
 # and stream them back through the out-of-core analysis path. Each
 # row reports events/sec and that size's peak RSS; the bin first
 # asserts that resident and force-spilled analysis output is

@@ -366,6 +366,7 @@ fn record_wait_provenance(
     waits: &[WaitInstance],
     tpr: usize,
 ) {
+    let mut paths = PathNames::new(profile);
     for w in waits {
         let inter_process = w.metric != Metric::DelayBarrier;
         let delayer = &locals[w.delayer_loc];
@@ -379,10 +380,11 @@ fn record_wait_provenance(
         } else {
             0
         };
-        let mut chain = delayer_chain(profile, delayer, w.delayer_loc, from, w.delayer_enter);
+        let mut chain = delayer_chain(&mut paths, delayer, w.delayer_loc, from, w.delayer_enter);
+        let waiter_path = paths.get(w.waiter_path);
         chain.push(ChainLink {
             what: "wait".to_owned(),
-            path: profile.path_string(w.waiter_path),
+            path: waiter_path.clone(),
             loc: w.waiter_loc,
             start: w.waiter_enter,
             end: w.waiter_enter + w.severity,
@@ -390,11 +392,11 @@ fn record_wait_provenance(
         obs.wait(WaitProvenance {
             metric: w.metric.name().to_owned(),
             waiter_loc: w.waiter_loc,
-            waiter_path: profile.path_string(w.waiter_path),
+            waiter_path,
             waiter_enter: w.waiter_enter,
             severity: w.severity,
             delayer_loc: w.delayer_loc,
-            delayer_path: profile.path_string(w.delayer_path),
+            delayer_path: paths.get(w.delayer_path),
             delayer_enter: w.delayer_enter,
             noise_ns,
             chain,
@@ -402,45 +404,81 @@ fn record_wait_provenance(
     }
 }
 
+/// Call-path strings of one profile, each formatted on first use.
+struct PathNames<'a> {
+    profile: &'a Profile,
+    names: Vec<Option<String>>,
+}
+
+impl<'a> PathNames<'a> {
+    fn new(profile: &'a Profile) -> PathNames<'a> {
+        PathNames { profile, names: vec![None; profile.call_tree.len()] }
+    }
+
+    fn get(&mut self, path: CallPathId) -> String {
+        self.names[path.0 as usize].get_or_insert_with(|| self.profile.path_string(path)).clone()
+    }
+}
+
 /// The delayer's activity inside `[from, to)`, oldest first, capped at
 /// [`CHAIN_CAP`] most recent links.
+///
+/// Segments, MPI instances and barriers are each time-ordered and
+/// non-overlapping, so in each list the links that start before `to`
+/// form a prefix and those of them that end after `from` a suffix of
+/// it. Walking that suffix back from its end for at most [`CHAIN_CAP`]
+/// links finds every link the cap can keep: a link preceded in its own
+/// list by `CHAIN_CAP` later ones sorts below all of them. The tails are
+/// concatenated in list order and stably sorted, so ties keep the order
+/// a sort of all three whole lists gives them.
 fn delayer_chain(
-    profile: &Profile,
+    paths: &mut PathNames<'_>,
     delayer: &LocalReplay,
     delayer_loc: usize,
     from: u64,
     to: u64,
 ) -> Vec<ChainLink> {
-    let mut chain: Vec<ChainLink> = Vec::new();
-    let mut push = |what: &str, path: CallPathId, start: u64, end: u64| {
-        if end > from && start < to {
-            chain.push(ChainLink {
-                what: what.to_owned(),
-                path: profile.path_string(path),
-                loc: delayer_loc,
-                start,
-                end,
-            });
-        }
-    };
-    for s in &delayer.segments {
+    let mut links: Vec<(&'static str, CallPathId, u64, u64)> = Vec::with_capacity(3 * CHAIN_CAP);
+    links.extend(window_tail(&delayer.segments, |s| (s.start, s.end), from, to).iter().map(|s| {
         let what = match s.class {
             SegClass::Comp => "comp",
             SegClass::Management => "mgmt",
         };
-        push(what, s.path, s.start, s.end);
+        (what, s.path, s.start, s.end)
+    }));
+    links.extend(
+        window_tail(&delayer.mpi_instances, |m| (m.enter, m.leave), from, to)
+            .iter()
+            .map(|m| ("mpi", m.path, m.enter, m.leave)),
+    );
+    links.extend(
+        window_tail(&delayer.barriers, |b| (b.enter, b.leave), from, to)
+            .iter()
+            .map(|b| ("barrier", b.path, b.enter, b.leave)),
+    );
+    links.sort_by_key(|&(_, _, start, end)| (start, end));
+    let kept = &links[links.len().saturating_sub(CHAIN_CAP)..];
+    kept.iter()
+        .map(|&(what, path, start, end)| ChainLink {
+            what: what.to_owned(),
+            path: paths.get(path),
+            loc: delayer_loc,
+            start,
+            end,
+        })
+        .collect()
+}
+
+/// The last (at most [`CHAIN_CAP`]) items of a time-ordered,
+/// non-overlapping list with `start < to` and `end > from`, in list
+/// order: one binary search and a bounded walk back.
+fn window_tail<T>(items: &[T], span: impl Fn(&T) -> (u64, u64), from: u64, to: u64) -> &[T] {
+    let end = items.partition_point(|x| span(x).0 < to);
+    let mut start = end;
+    while start > 0 && end - start < CHAIN_CAP && span(&items[start - 1]).1 > from {
+        start -= 1;
     }
-    for mi in &delayer.mpi_instances {
-        push("mpi", mi.path, mi.enter, mi.leave);
-    }
-    for b in &delayer.barriers {
-        push("barrier", b.path, b.enter, b.leave);
-    }
-    chain.sort_by_key(|l| (l.start, l.end));
-    if chain.len() > CHAIN_CAP {
-        chain.drain(..chain.len() - CHAIN_CAP);
-    }
-    chain
+    &items[start..end]
 }
 
 /// Dense `(metric lane, call path, location)` accumulator for the
@@ -568,4 +606,215 @@ fn compute_delays(
         }
     });
     results.into_iter().flatten().collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::patterns::{gather_barriers, gather_collectives, match_messages};
+    use crate::replay::{replay, BarrierRec, MpiInstance, Segment};
+    use nrlt_exec::ExecConfig;
+    use nrlt_measure::{measure, ClockMode, FilterRules, MeasureConfig};
+    use nrlt_miniapps::BenchmarkInstance;
+    use nrlt_profile::CallTree;
+    use nrlt_trace::{RegionDef, RegionRef, RegionRole};
+    use std::collections::BTreeSet;
+
+    /// The full scan `delayer_chain` replaced: every link of all three
+    /// lists that overlaps the window, stably sorted, the last
+    /// [`CHAIN_CAP`] kept. The oracle the bounded walk must match.
+    fn delayer_chain_scan(
+        profile: &Profile,
+        delayer: &LocalReplay,
+        delayer_loc: usize,
+        from: u64,
+        to: u64,
+    ) -> Vec<ChainLink> {
+        let mut chain: Vec<ChainLink> = Vec::new();
+        let mut push = |what: &str, path: CallPathId, start: u64, end: u64| {
+            if end > from && start < to {
+                chain.push(ChainLink {
+                    what: what.to_owned(),
+                    path: profile.path_string(path),
+                    loc: delayer_loc,
+                    start,
+                    end,
+                });
+            }
+        };
+        for s in &delayer.segments {
+            let what = match s.class {
+                SegClass::Comp => "comp",
+                SegClass::Management => "mgmt",
+            };
+            push(what, s.path, s.start, s.end);
+        }
+        for mi in &delayer.mpi_instances {
+            push("mpi", mi.path, mi.enter, mi.leave);
+        }
+        for b in &delayer.barriers {
+            push("barrier", b.path, b.enter, b.leave);
+        }
+        chain.sort_by_key(|l| (l.start, l.end));
+        if chain.len() > CHAIN_CAP {
+            chain.drain(..chain.len() - CHAIN_CAP);
+        }
+        chain
+    }
+
+    fn assert_chain_matches_scan(
+        paths: &mut PathNames<'_>,
+        delayer: &LocalReplay,
+        loc: usize,
+        from: u64,
+        to: u64,
+    ) -> usize {
+        let want = delayer_chain_scan(paths.profile, delayer, loc, from, to);
+        assert_eq!(delayer_chain(paths, delayer, loc, from, to), want, "loc {loc} [{from}, {to})");
+        want.len()
+    }
+
+    /// The distinct causal windows `(delayer location, from, to)` of the
+    /// trace's waits, chosen as `analyze_view` chooses them: the latest
+    /// sender into each receiving MPI instance, the latest arrival at
+    /// each collective and at each team barrier. Every instance counts,
+    /// waiting or not, so this is a superset of the windows the
+    /// provenance pass visits.
+    fn wait_windows(locals: &[LocalReplay], tpr: u32) -> BTreeSet<(usize, u64, u64)> {
+        let mut windows = BTreeSet::new();
+        let mpi_window = |loc: usize, to: u64| (loc, prev_mpi_sync(&locals[loc], to), to);
+        let mut latest_send: BTreeMap<(usize, usize), (u64, usize)> = BTreeMap::new();
+        for m in match_messages(locals, tpr) {
+            // The last of equally late senders, as `max_by_key` picks.
+            let latest = latest_send
+                .entry((m.recv_loc, m.recv_instance))
+                .or_insert((m.send_enter, m.send_loc));
+            if m.send_enter >= latest.0 {
+                *latest = (m.send_enter, m.send_loc);
+            }
+        }
+        windows.extend(latest_send.values().map(|&(to, loc)| mpi_window(loc, to)));
+        for inst in gather_collectives(locals, tpr) {
+            let (to, loc) = inst
+                .members
+                .iter()
+                .map(|&(loc, i)| (locals[loc].mpi_instances[i].enter, loc))
+                .max()
+                .expect("collective has members");
+            windows.insert(mpi_window(loc, to));
+        }
+        for rank in 0..locals.len() as u32 / tpr {
+            for inst in gather_barriers(locals, rank, tpr) {
+                let (to, loc) = inst
+                    .members
+                    .iter()
+                    .map(|&(loc, i)| (locals[loc].barriers[i].enter, loc))
+                    .max()
+                    .expect("barrier has members");
+                windows.insert((loc, prev_sync(&locals[loc], to), to));
+            }
+        }
+        windows
+    }
+
+    /// Check the chain of every wait window of `instance`'s physical
+    /// (`tsc`) and logical (`lt_stmt`) traces against the full scan.
+    fn check_every_wait_window(instance: BenchmarkInstance) {
+        for mode in [ClockMode::Tsc, ClockMode::LtStmt] {
+            let cfg = ExecConfig::jureca(instance.nodes, instance.layout.clone(), 1000);
+            let mcfg = MeasureConfig::new(mode)
+                .with_filter(FilterRules::from_rules(instance.filter_rules.iter().cloned()));
+            let (trace, _) = measure(&instance.program, &cfg, &mcfg);
+            let (tree, locals) = replay(&trace);
+            let profile = Profile::new(
+                mode.to_string(),
+                trace.defs.regions.clone(),
+                tree,
+                trace.defs.locations.clone(),
+            );
+            let mut paths = PathNames::new(&profile);
+            let windows = wait_windows(&locals, trace.defs.threads_per_rank);
+            let mut capped = 0;
+            for &(loc, from, to) in &windows {
+                if assert_chain_matches_scan(&mut paths, &locals[loc], loc, from, to) == CHAIN_CAP {
+                    capped += 1;
+                }
+            }
+            assert!(capped > 0, "{} {mode}: no window fills the cap", instance.name);
+        }
+    }
+
+    #[test]
+    fn chain_matches_the_full_scan_on_minife_1() {
+        check_every_wait_window(nrlt_miniapps::minife_1());
+    }
+
+    #[test]
+    fn chain_matches_the_full_scan_on_lulesh_2() {
+        check_every_wait_window(nrlt_miniapps::lulesh_2());
+    }
+
+    #[test]
+    fn chain_matches_the_full_scan_on_tealeaf_1() {
+        check_every_wait_window(nrlt_miniapps::tealeaf_1());
+    }
+
+    /// Hand-made lists over times `0..=40`: back-to-back segments, a
+    /// run of zero-length MPI instances, barriers, and three links with
+    /// the same `(start, end)` key, one per list. Every window, including
+    /// `from = 0`, empty ones and ones holding more than [`CHAIN_CAP`]
+    /// links, must give the full scan's chain.
+    #[test]
+    fn chain_matches_the_full_scan_on_edge_windows() {
+        let regions = vec![
+            RegionDef { name: "main".into(), role: RegionRole::Function },
+            RegionDef { name: "MPI_Wait".into(), role: RegionRole::MpiApi },
+            RegionDef { name: "barrier".into(), role: RegionRole::OmpBarrier },
+        ];
+        let mut tree = CallTree::new();
+        let main = tree.intern(None, RegionRef(0));
+        let mpi = tree.intern(Some(main), RegionRef(1));
+        let barrier = tree.intern(Some(main), RegionRef(2));
+        let profile = Profile::new("tsc".into(), regions, tree, Vec::new());
+        let seg = |start, end, class| Segment { path: main, class, start, end, in_parallel: false };
+        let mpi_at = |enter, leave| MpiInstance {
+            path: mpi,
+            enter,
+            leave,
+            collective: None,
+            collective_end_ts: None,
+            n_completes: 0,
+            n_sends: 0,
+        };
+        let barrier_at =
+            |enter, leave| BarrierRec { region: RegionRef(2), path: barrier, enter, leave };
+        let mut r = LocalReplay::default();
+        for t in (0..20).step_by(2) {
+            let class = if t % 4 == 0 { SegClass::Comp } else { SegClass::Management };
+            r.segments.push(seg(t, t + 2, class));
+        }
+        r.segments.push(seg(25, 30, SegClass::Comp));
+        r.segments.push(seg(30, 31, SegClass::Comp));
+        r.mpi_instances.extend((20..25).map(|t| mpi_at(t, t)));
+        r.mpi_instances.push(mpi_at(25, 30));
+        r.mpi_instances.push(mpi_at(33, 33));
+        r.mpi_instances.push(mpi_at(33, 36));
+        r.barriers.extend([barrier_at(5, 5), barrier_at(25, 30), barrier_at(30, 30)]);
+        r.barriers.extend([barrier_at(31, 33), barrier_at(33, 33), barrier_at(36, 40)]);
+        let mut paths = PathNames::new(&profile);
+        let mut longest = 0;
+        for from in 0..=41 {
+            for to in 0..=41 {
+                let n = assert_chain_matches_scan(&mut paths, &r, 3, from, to);
+                longest = longest.max(n);
+            }
+        }
+        assert_eq!(longest, CHAIN_CAP);
+        // The shared key keeps list order: segment, MPI, barrier.
+        let chain = delayer_chain(&mut paths, &r, 3, 24, 26);
+        let tied: Vec<&str> = chain.iter().filter(|l| l.start == 25).map(|l| &*l.what).collect();
+        assert_eq!(tied, ["comp", "mpi", "barrier"]);
+        assert!(delayer_chain(&mut paths, &r, 3, 10, 10).is_empty());
+        assert!(delayer_chain(&mut paths, &r, 3, 12, 8).is_empty());
+    }
 }

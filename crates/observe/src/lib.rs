@@ -255,18 +255,6 @@ pub struct RunData {
     pub dropped_waits: u64,
 }
 
-impl RunData {
-    /// Sum of positive noise magnitudes injected into `rank` with start
-    /// time inside `[from_ns, to_ns]`.
-    pub fn noise_in_window(&self, rank: u32, from_ns: u64, to_ns: u64) -> u64 {
-        self.draws
-            .iter()
-            .filter(|d| d.rank == rank && d.t_ns >= from_ns && d.t_ns <= to_ns)
-            .map(|d| d.magnitude_ns.max(0) as u64)
-            .sum()
-    }
-}
-
 /// Interned counter-series name, obtained from [`RunObserve::series`].
 /// Recording by id skips the per-sample name formatting and string
 /// hashing that dominated the observed hot path.
@@ -338,6 +326,9 @@ struct RawRun {
     /// cells (every recorded sample increments its cell's count).
     series_aggs: Vec<Vec<SeriesAgg>>,
     draws: Vec<RawDraw>,
+    /// Window-join index over `draws`, built on the first query and
+    /// dropped by every recorded draw.
+    noise_index: Option<Vec<RankNoise>>,
     /// Dense `[rank][phase][kind]` noise aggregates, grown on demand.
     noise_aggs: Vec<Vec<[NoiseAgg; 4]>>,
     waits: Vec<WaitProvenance>,
@@ -393,6 +384,7 @@ impl RawRun {
         agg.count += 1;
         agg.total_ns += draw.magnitude_ns;
         agg.delay_ns += draw.magnitude_ns.max(0) as u64;
+        self.noise_index = None;
         let stride = self.draw_stride.max(1);
         if self.draw_pos.is_multiple_of(stride) {
             self.draws.push(draw);
@@ -406,12 +398,19 @@ impl RawRun {
         self.draw_pos += 1;
     }
 
-    fn noise_in_window(&self, rank: u32, from_ns: u64, to_ns: u64) -> u64 {
-        self.draws
-            .iter()
-            .filter(|d| d.rank == rank && d.t_ns >= from_ns && d.t_ns <= to_ns)
-            .map(|d| d.magnitude_ns.max(0) as u64)
-            .sum()
+    /// Sum of positive magnitudes of the retained draws on `rank` with
+    /// `t_ns` inside `[from_ns, to_ns]`: two binary searches and two
+    /// prefix sums over the rank's index.
+    fn noise_in_window(&mut self, rank: u32, from_ns: u64, to_ns: u64) -> u64 {
+        let draws = &self.draws;
+        let index = self.noise_index.get_or_insert_with(|| RankNoise::build(draws));
+        let Some(r) = index.get(rank as usize) else {
+            return 0;
+        };
+        let lo = r.t_ns.partition_point(|&t| t < from_ns);
+        let hi = r.t_ns.partition_point(|&t| t <= to_ns);
+        // An empty window (`from_ns > to_ns`) has `hi <= lo`.
+        r.delay_ns[hi].saturating_sub(r.delay_ns[lo])
     }
 
     /// Keep the top [`WAIT_CAP`] waits per metric by (severity desc,
@@ -519,6 +518,43 @@ impl RawRun {
             dropped_draws: self.dropped_draws,
             dropped_waits: self.dropped_waits,
         }
+    }
+}
+
+/// One rank's retained draws for window joins: start times sorted
+/// ascending, and `delay_ns[i]`, the summed positive magnitude of the
+/// first `i` of them (one entry longer than `t_ns`).
+#[derive(Debug)]
+struct RankNoise {
+    t_ns: Vec<u64>,
+    delay_ns: Vec<u64>,
+}
+
+impl RankNoise {
+    /// Index `draws` per rank, dense by rank id.
+    fn build(draws: &[RawDraw]) -> Vec<RankNoise> {
+        let mut by_rank: Vec<Vec<(u64, u64)>> = Vec::new();
+        for d in draws {
+            let r = d.rank as usize;
+            if by_rank.len() <= r {
+                by_rank.resize_with(r + 1, Vec::new);
+            }
+            by_rank[r].push((d.t_ns, d.magnitude_ns.max(0) as u64));
+        }
+        by_rank
+            .into_iter()
+            .map(|mut rows| {
+                rows.sort_unstable_by_key(|&(t, _)| t);
+                let mut delay_ns = Vec::with_capacity(rows.len() + 1);
+                let mut sum = 0u64;
+                delay_ns.push(sum);
+                for &(_, ns) in &rows {
+                    sum += ns;
+                    delay_ns.push(sum);
+                }
+                RankNoise { t_ns: rows.into_iter().map(|(t, _)| t).collect(), delay_ns }
+            })
+            .collect()
     }
 }
 
@@ -676,9 +712,10 @@ impl RunObserve {
 
     /// Sum of positive noise magnitudes injected into `rank` within
     /// `[from_ns, to_ns]` — the analysis joins wait windows against
-    /// this.
+    /// this. O(log draws) per call once the index is built; a draw
+    /// recorded after a query rebuilds it on the next one.
     pub fn noise_in_window(&self, rank: u32, from_ns: u64, to_ns: u64) -> u64 {
-        self.data.borrow().noise_in_window(rank, from_ns, to_ns)
+        self.data.borrow_mut().noise_in_window(rank, from_ns, to_ns)
     }
 
     /// Finish recording: compact and materialise the run's data.
@@ -752,6 +789,113 @@ mod tests {
         assert_eq!(run.noise_in_window(1, 0, 300), 50); // negative draw ignored
         assert_eq!(run.noise_in_window(1, 150, 300), 0);
         assert_eq!(run.noise_in_window(2, 0, 300), 99);
+    }
+
+    impl RawRun {
+        /// The linear filter the window-join index replaced: the oracle
+        /// the index must match exactly.
+        fn noise_in_window_scan(&self, rank: u32, from_ns: u64, to_ns: u64) -> u64 {
+            self.draws
+                .iter()
+                .filter(|d| d.rank == rank && d.t_ns >= from_ns && d.t_ns <= to_ns)
+                .map(|d| d.magnitude_ns.max(0) as u64)
+                .sum()
+        }
+    }
+
+    /// splitmix64: a dependency-free stream for the randomised tests.
+    fn next(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    fn random_draw(run: &RunObserve, state: &mut u64, ranks: u64, span: u64) {
+        // Rank 2 never draws: its queries must come back 0.
+        let rank = match next(state) % ranks {
+            2 => 0,
+            r => r,
+        } as u32;
+        let t = next(state) % span;
+        let magnitude = (next(state) % 2_000) as i64 - 500;
+        run.noise(NoiseKind::CpuJitter, rank, 0, 0, "", t, magnitude);
+    }
+
+    /// Compare index and scan over random windows, windows whose bounds
+    /// sit exactly on draw times, reversed windows, and ranks without
+    /// draws (2, and one past the largest rank).
+    fn assert_index_matches_scan(
+        run: &RunObserve,
+        state: &mut u64,
+        ranks: u32,
+        span: u64,
+        queries: usize,
+    ) {
+        let times: Vec<u64> = run.data.borrow().draws.iter().map(|d| d.t_ns).collect();
+        for _ in 0..queries {
+            let rank = (next(state) % (ranks as u64 + 1)) as u32;
+            let (a, b) = if times.is_empty() || next(state).is_multiple_of(2) {
+                (next(state) % (span + 10), next(state) % (span + 10))
+            } else {
+                let pick = |s: &mut u64| times[(next(s) % times.len() as u64) as usize];
+                (pick(state), pick(state))
+            };
+            for (from, to) in [(a.min(b), a.max(b)), (a.max(b), a.min(b)), (a, a), (0, u64::MAX)] {
+                let want = run.data.borrow().noise_in_window_scan(rank, from, to);
+                assert_eq!(run.noise_in_window(rank, from, to), want, "rank {rank} [{from}, {to}]");
+            }
+        }
+    }
+
+    #[test]
+    fn noise_index_matches_the_linear_scan() {
+        let mut state = 7;
+        let run = RunObserve::new("r");
+        assert_index_matches_scan(&run, &mut state, 4, 1_000, 400);
+        for _ in 0..3_000 {
+            random_draw(&run, &mut state, 4, 1_000);
+        }
+        assert_index_matches_scan(&run, &mut state, 4, 1_000, 400);
+        assert_eq!(run.noise_in_window(2, 0, u64::MAX), 0);
+        assert_eq!(run.noise_in_window(9, 0, u64::MAX), 0);
+    }
+
+    #[test]
+    fn a_draw_recorded_after_a_query_is_joined() {
+        let run = RunObserve::new("r");
+        run.noise(NoiseKind::OsDetour, 1, 3, 0, "", 100, 50);
+        assert_eq!(run.noise_in_window(1, 0, 300), 50);
+        run.noise(NoiseKind::OsDetour, 1, 3, 1, "", 300, 7);
+        run.noise(NoiseKind::NetJitter, 3, 3, 2, "", 300, 11);
+        assert_eq!(run.noise_in_window(1, 0, 300), 57);
+        assert_eq!(run.noise_in_window(1, 300, 300), 7);
+        assert_eq!(run.noise_in_window(3, 0, 300), 11);
+        let mut state = 11;
+        for _ in 0..50 {
+            random_draw(&run, &mut state, 5, 400);
+            assert_index_matches_scan(&run, &mut state, 5, 400, 20);
+        }
+    }
+
+    #[test]
+    fn noise_index_follows_live_decimation() {
+        let mut state = 13;
+        let run = RunObserve::new("r");
+        let mut halvings = 0;
+        for i in 0..(LIVE_CAP * 2 + 100) {
+            let before = run.data.borrow().draws.len();
+            random_draw(&run, &mut state, 6, 1 << 20);
+            if run.data.borrow().draws.len() < before {
+                halvings += 1;
+                assert_index_matches_scan(&run, &mut state, 6, 1 << 20, 25);
+            } else if i.is_multiple_of(16_384) {
+                assert_index_matches_scan(&run, &mut state, 6, 1 << 20, 5);
+            }
+        }
+        assert_eq!(halvings, 2);
+        assert_index_matches_scan(&run, &mut state, 6, 1 << 20, 25);
     }
 
     #[test]

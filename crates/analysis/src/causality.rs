@@ -2,18 +2,17 @@
 //!
 //! The paper relies on the original Lamport clock computed *during*
 //! measurement; it cites Ravel (Isaacs et al.), which assigns logical
-//! time in post-processing, and the vector clock as the stronger
-//! alternative that captures causality exactly. This module provides
-//! both as trace post-processors:
+//! time in post-processing. This module provides the causal graph, the
+//! clock-condition check over it, and that post-processed clock:
 //!
-//! * [`happens_before_edges`] — the trace's causal graph: program order,
+//! * `happens_before_edges` — the trace's causal graph: program order,
 //!   message edges (send → receive completion), and collective edges
 //!   (every member's entry → every member's completion).
 //! * [`verify_clock_condition`] — checks Lamport's condition
 //!   `a → b ⇒ C(a) < C(b)` for the trace's own timestamps. Used as a
 //!   test oracle over every logical trace the measurement system emits.
-//! * [`assign_vector_clocks`] — per-event vector timestamps, supporting
-//!   exact concurrency queries (`a ∥ b` iff neither vector dominates).
+//! * [`assign_lamport_postprocess`] — Ravel-style Lamport timestamps
+//!   assigned from the causal graph alone.
 
 use crate::replay::replay;
 use nrlt_trace::Trace;
@@ -51,7 +50,7 @@ fn comm_indices(trace: &Trace) -> Vec<HashMap<u64, usize>> {
 
 /// Cross-location happens-before edges of a trace: matched messages and
 /// collective instances. Program order within a stream is implicit.
-pub fn happens_before_edges(trace: &Trace) -> Vec<Edge> {
+pub(crate) fn happens_before_edges(trace: &Trace) -> Vec<Edge> {
     let tpr = trace.defs.threads_per_rank;
     let (_, locals) = replay(trace);
     let ts_index = comm_indices(trace);
@@ -146,53 +145,6 @@ pub fn verify_clock_condition(trace: &Trace) -> Vec<String> {
     violations
 }
 
-/// Vector timestamps for every event of (typically small) traces.
-///
-/// Entry `[loc][event][k]` counts the events of location `k` known to
-/// happen before (or be) this event. Memory is `O(events × locations)`.
-pub fn assign_vector_clocks(trace: &Trace) -> Vec<Vec<Vec<u64>>> {
-    let n = trace.streams.len();
-    // Incoming cross edges per event.
-    let mut incoming: HashMap<EventId, Vec<EventId>> = HashMap::new();
-    for e in happens_before_edges(trace) {
-        incoming.entry(e.to).or_default().push(e.from);
-    }
-    let mut clocks: Vec<Vec<Vec<u64>>> =
-        trace.streams.iter().map(|s| vec![vec![0; n]; s.len()]).collect();
-    // Process events in timestamp order (valid topological order for
-    // traces satisfying the clock condition), tie-broken by location.
-    let mut order: Vec<EventId> = trace
-        .streams
-        .iter()
-        .enumerate()
-        .flat_map(|(l, s)| (0..s.len()).map(move |i| (l, i)))
-        .collect();
-    order.sort_by_key(|&(l, i)| (trace.streams[l].time(i), l, i));
-    for (l, i) in order {
-        let mut v = if i > 0 { clocks[l][i - 1].clone() } else { vec![0; n] };
-        if let Some(sources) = incoming.get(&(l, i)) {
-            for &(sl, si) in sources {
-                let sv = clocks[sl][si].clone();
-                for (a, b) in v.iter_mut().zip(&sv) {
-                    *a = (*a).max(*b);
-                }
-            }
-        }
-        v[l] += 1;
-        clocks[l][i] = v;
-    }
-    clocks
-}
-
-/// Are two events concurrent under the vector-clock order?
-pub fn concurrent(clocks: &[Vec<Vec<u64>>], a: EventId, b: EventId) -> bool {
-    let va = &clocks[a.0][a.1];
-    let vb = &clocks[b.0][b.1];
-    let a_le_b = va.iter().zip(vb).all(|(x, y)| x <= y);
-    let b_le_a = vb.iter().zip(va).all(|(x, y)| x <= y);
-    !a_le_b && !b_le_a
-}
-
 /// Ravel-style post-processing: assign fresh Lamport timestamps to a
 /// trace from its causal structure alone, ignoring the recorded times.
 /// Returns per-location timestamp vectors with increment 1 per event.
@@ -273,31 +225,6 @@ mod tests {
         let v = verify_clock_condition(&t);
         assert!(!v.is_empty());
         assert!(v[0].contains("C(cause)"), "{v:?}");
-    }
-
-    #[test]
-    fn vector_clocks_capture_the_message() {
-        let t = msg_trace(3, 7);
-        let vc = assign_vector_clocks(&t);
-        // The receive completion (stream 1, event 3) must know about the
-        // sender's first three events.
-        assert_eq!(vc[1][3][0], 3);
-        assert_eq!(vc[1][3][1], 4);
-        // The sender's leave events know nothing of the receiver.
-        assert_eq!(vc[0][4][1], 0);
-    }
-
-    #[test]
-    fn concurrency_query() {
-        let t = msg_trace(3, 7);
-        let vc = assign_vector_clocks(&t);
-        // Sender enter (0,0) happens before receiver completion (1,3).
-        assert!(!concurrent(&vc, (0, 0), (1, 3)));
-        // Sender enter and receiver enter are concurrent.
-        assert!(concurrent(&vc, (0, 0), (1, 0)));
-        // Sender's last leave and receiver's completion are concurrent
-        // (the leave is not part of the message's past).
-        assert!(concurrent(&vc, (0, 4), (1, 3)));
     }
 
     #[test]

@@ -74,7 +74,7 @@ impl CombinedReport {
     }
 
     /// Total logical-only (model-bias) wait, %_T.
-    pub fn masked_total(&self) -> f64 {
+    pub(crate) fn masked_total(&self) -> f64 {
         self.cells.iter().map(|c| c.masked).sum()
     }
 

@@ -31,7 +31,7 @@ pub struct SpanIndex {
 
 impl SpanIndex {
     /// Build the index from the replay data.
-    pub fn build(locals: &[LocalReplay]) -> SpanIndex {
+    pub(crate) fn build(locals: &[LocalReplay]) -> SpanIndex {
         let spans: Vec<Vec<(u64, u64, CallPathId)>> = locals
             .iter()
             .map(|r| {
@@ -55,7 +55,7 @@ impl SpanIndex {
     }
 
     /// One past the largest call-path id this index can produce.
-    pub fn n_paths(&self) -> usize {
+    pub(crate) fn n_paths(&self) -> usize {
         self.n_paths
     }
 
@@ -63,28 +63,13 @@ impl SpanIndex {
     /// call path overlapping `[start, end)` on `loc` is accumulated into
     /// `acc[path]`, with each first-touched path recorded in `touched`
     /// (so the caller can reset only what was written).
-    pub fn profile_into(
-        &self,
-        loc: usize,
-        start: u64,
-        end: u64,
-        acc: &mut [u64],
-        touched: &mut Vec<u32>,
-    ) {
-        if end <= start {
-            return;
-        }
-        let mut hint = 0;
-        self.profile_into_hinted(loc, start, end, acc, touched, &mut hint);
-    }
-
-    /// [`profile_into`](Self::profile_into) with a rolling cursor:
+    ///
     /// `hint` is the lower-bound span index of the previous query on
     /// this location, and the search gallops out from it instead of
     /// bisecting the whole span list. Exact for any hint value; the
     /// delay workers' per-location wait streams are roughly
     /// time-ordered, so consecutive queries land a few spans apart.
-    pub fn profile_into_hinted(
+    fn profile_into_hinted(
         &self,
         loc: usize,
         start: u64,
@@ -136,7 +121,7 @@ impl SpanIndex {
     }
 
     /// Time per call path overlapping `[start, end)` on `loc`.
-    pub fn profile(&self, loc: usize, start: u64, end: u64) -> HashMap<CallPathId, u64> {
+    pub(crate) fn profile(&self, loc: usize, start: u64, end: u64) -> HashMap<CallPathId, u64> {
         let mut out = HashMap::new();
         if end <= start {
             return out;
@@ -163,37 +148,6 @@ impl SpanIndex {
 
 /// One delay attribution target: call path + location + cost.
 pub type DelayContribution = (CallPathId, usize, f64);
-
-/// Distribute `severity` (the waiter's wait time) over the delayer's
-/// excess call paths.
-///
-/// * `w_profile` — the waiter's interval profile since its last sync.
-/// * `d_profile` — the delayer's interval profile since its last sync.
-///
-/// Returns an empty vector when the delayer shows no excess anywhere
-/// (e.g. the wait was caused by timing noise only — a case the paper
-/// flags as invisible to logical clocks).
-pub fn attribute_delay(
-    severity: u64,
-    delayer_loc: usize,
-    w_profile: &HashMap<CallPathId, u64>,
-    d_profile: &HashMap<CallPathId, u64>,
-) -> Vec<DelayContribution> {
-    let mut excess: Vec<(CallPathId, u64)> = d_profile
-        .iter()
-        .map(|(&p, &d)| (p, d.saturating_sub(w_profile.get(&p).copied().unwrap_or(0))))
-        .filter(|&(_, e)| e > 0)
-        .collect();
-    excess.sort_unstable_by_key(|&(p, _)| p);
-    let total: u64 = excess.iter().map(|&(_, e)| e).sum();
-    if total == 0 {
-        return Vec::new();
-    }
-    excess
-        .into_iter()
-        .map(|(p, e)| (p, delayer_loc, severity as f64 * e as f64 / total as f64))
-        .collect()
-}
 
 /// Reusable dense state for one delay worker: interval profiles indexed
 /// by call-path id plus touched-path lists for sparse reset. Replaces a
@@ -229,7 +183,7 @@ struct LocHints {
 
 impl DelayScratch {
     /// Scratch sized for `n_paths` call paths ([`SpanIndex::n_paths`]).
-    pub fn new(n_paths: usize) -> DelayScratch {
+    pub(crate) fn new(n_paths: usize) -> DelayScratch {
         DelayScratch {
             w: vec![0; n_paths],
             d: vec![0; n_paths],
@@ -256,45 +210,21 @@ impl DelayScratch {
     }
 }
 
-/// Convenience: compute both interval profiles and attribute.
+/// Distribute `severity` (the waiter's wait time) over the call paths
+/// in which the delayer spent more time than the waiter since their
+/// respective last synchronisation points, in proportion to that excess.
 ///
 /// `inter_process` selects the synchronisation horizon: true for MPI
 /// wait states (only recv/collective completions clip the interval),
 /// false for OpenMP barrier waits (any sync point does).
+///
+/// Appends the contributions in ascending call-path order into
+/// caller-owned scratch and output buffers, with zero allocation once
+/// the buffers are warm. Appends nothing when the delayer shows no
+/// excess anywhere (e.g. the wait was caused by timing noise only — a
+/// case the paper flags as invisible to logical clocks).
 #[allow(clippy::too_many_arguments)]
-pub fn delay_for_wait(
-    index: &SpanIndex,
-    locals: &[LocalReplay],
-    waiter_loc: usize,
-    waiter_enter: u64,
-    delayer_loc: usize,
-    delayer_enter: u64,
-    severity: u64,
-    inter_process: bool,
-) -> Vec<DelayContribution> {
-    let mut scratch = DelayScratch::new(index.n_paths());
-    let mut out = Vec::new();
-    delay_for_wait_into(
-        index,
-        locals,
-        waiter_loc,
-        waiter_enter,
-        delayer_loc,
-        delayer_enter,
-        severity,
-        inter_process,
-        &mut scratch,
-        &mut out,
-    );
-    out
-}
-
-/// [`delay_for_wait`] into caller-owned scratch and output buffers.
-/// Appends the contributions in ascending call-path order — the same
-/// values and order as the map-based path, with zero allocation once the
-/// buffers are warm.
-#[allow(clippy::too_many_arguments)]
-pub fn delay_for_wait_into(
+pub(crate) fn delay_for_wait_into(
     index: &SpanIndex,
     locals: &[LocalReplay],
     waiter_loc: usize,
@@ -347,8 +277,7 @@ pub fn delay_for_wait_into(
             &mut scratch.d_touched,
             &mut scratch.hints[delayer_loc].span,
         );
-        // Ascending path order reproduces the sorted excess list of
-        // `attribute_delay` exactly.
+        // Contributions are emitted in ascending call-path order.
         scratch.d_touched.sort_unstable();
         scratch.d_key = Some(d_key);
     }
@@ -376,6 +305,35 @@ mod tests {
         Segment { path: CallPathId(path), class: SegClass::Comp, start, end, in_parallel: false }
     }
 
+    /// [`delay_for_wait_into`] with fresh scratch and output buffers.
+    #[allow(clippy::too_many_arguments)]
+    fn delay_for_wait(
+        index: &SpanIndex,
+        locals: &[LocalReplay],
+        waiter_loc: usize,
+        waiter_enter: u64,
+        delayer_loc: usize,
+        delayer_enter: u64,
+        severity: u64,
+        inter_process: bool,
+    ) -> Vec<DelayContribution> {
+        let mut scratch = DelayScratch::new(index.n_paths());
+        let mut out = Vec::new();
+        delay_for_wait_into(
+            index,
+            locals,
+            waiter_loc,
+            waiter_enter,
+            delayer_loc,
+            delayer_enter,
+            severity,
+            inter_process,
+            &mut scratch,
+            &mut out,
+        );
+        out
+    }
+
     #[test]
     fn span_profile_clips_overlaps() {
         let locals = vec![LocalReplay {
@@ -392,22 +350,28 @@ mod tests {
 
     #[test]
     fn attribution_proportional_to_excess() {
-        let w: HashMap<CallPathId, u64> = [(CallPathId(0), 10)].into();
-        let d: HashMap<CallPathId, u64> = [(CallPathId(0), 40), (CallPathId(1), 30)].into();
-        let contributions = attribute_delay(60, 3, &w, &d);
+        let locals = vec![
+            LocalReplay { segments: vec![seg(0, 0, 10)], ..Default::default() },
+            LocalReplay { segments: vec![seg(0, 0, 40), seg(1, 40, 70)], ..Default::default() },
+        ];
+        let idx = SpanIndex::build(&locals);
+        let contributions = delay_for_wait(&idx, &locals, 0, 10, 1, 70, 60, true);
         // excess: path0 = 30, path1 = 30 → 30/30 each of 60.
         assert_eq!(contributions.len(), 2);
         for &(_, loc, v) in &contributions {
-            assert_eq!(loc, 3);
+            assert_eq!(loc, 1);
             assert!((v - 30.0).abs() < 1e-9);
         }
     }
 
     #[test]
     fn no_excess_no_attribution() {
-        let w: HashMap<CallPathId, u64> = [(CallPathId(0), 100)].into();
-        let d: HashMap<CallPathId, u64> = [(CallPathId(0), 50)].into();
-        assert!(attribute_delay(10, 0, &w, &d).is_empty());
+        let locals = vec![
+            LocalReplay { segments: vec![seg(0, 0, 100)], ..Default::default() },
+            LocalReplay { segments: vec![seg(0, 0, 50)], ..Default::default() },
+        ];
+        let idx = SpanIndex::build(&locals);
+        assert!(delay_for_wait(&idx, &locals, 0, 100, 1, 50, 10, true).is_empty());
     }
 
     #[test]
@@ -422,7 +386,8 @@ mod tests {
             let map = idx.profile(0, start, end);
             let mut acc = vec![0u64; idx.n_paths()];
             let mut touched = Vec::new();
-            idx.profile_into(0, start, end, &mut acc, &mut touched);
+            let mut hint = 0;
+            idx.profile_into_hinted(0, start, end, &mut acc, &mut touched, &mut hint);
             assert_eq!(touched.len(), map.len(), "[{start},{end}) touched set mismatch");
             for &p in &touched {
                 assert_eq!(acc[p as usize], map[&CallPathId(p)], "[{start},{end}) path {p}");

@@ -24,7 +24,7 @@ pub struct IdleChunk {
 /// Compute the idle chunks of one rank from its master's replay: all
 /// exclusive master activity outside parallel regions (computation,
 /// management, and whole MPI calls including their wait states).
-pub fn master_serial_chunks(master: &LocalReplay) -> Vec<IdleChunk> {
+pub(crate) fn master_serial_chunks(master: &LocalReplay) -> Vec<IdleChunk> {
     let mut out = Vec::new();
     for s in &master.segments {
         if !s.in_parallel && s.dur() > 0 {
@@ -37,11 +37,6 @@ pub fn master_serial_chunks(master: &LocalReplay) -> Vec<IdleChunk> {
         }
     }
     out
-}
-
-/// Total idle per worker implied by the chunks.
-pub fn total_idle(chunks: &[IdleChunk]) -> u64 {
-    chunks.iter().map(|c| c.ticks).sum()
 }
 
 #[cfg(test)]
@@ -88,7 +83,7 @@ mod tests {
         };
         let chunks = master_serial_chunks(&master);
         assert_eq!(chunks.len(), 3);
-        assert_eq!(total_idle(&chunks), 10 + 5 + 30);
+        assert_eq!(chunks.iter().map(|c| c.ticks).sum::<u64>(), 10 + 5 + 30);
         assert!(chunks.iter().all(|c| c.path != CallPathId(1)));
     }
 
@@ -96,6 +91,5 @@ mod tests {
     fn empty_master_yields_nothing() {
         let chunks = master_serial_chunks(&LocalReplay::default());
         assert!(chunks.is_empty());
-        assert_eq!(total_idle(&chunks), 0);
     }
 }

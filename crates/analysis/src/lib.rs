@@ -19,16 +19,10 @@ pub mod patterns;
 pub mod replay;
 
 pub use analyze::{analyze, analyze_view, AnalysisConfig};
-pub use causality::{
-    assign_lamport_postprocess, assign_vector_clocks, concurrent, happens_before_edges,
-    verify_clock_condition, Edge, EventId,
-};
+pub use causality::{assign_lamport_postprocess, verify_clock_condition, Edge, EventId};
 pub use combined::{combine, CombinedCell, CombinedReport, WAIT_METRICS};
 pub use critical::{critical_path, CriticalPath};
-pub use delay::{attribute_delay, delay_for_wait, SpanIndex};
-pub use idle::{master_serial_chunks, total_idle, IdleChunk};
-pub use patterns::{
-    gather_barriers, gather_collectives, late_receiver_severity, late_sender_severity,
-    match_messages, wait_nxn_severity, BarrierInstance, CollectiveInstance, MatchedMessage,
-};
-pub use replay::{prev_sync, replay, replay_view, LocalReplay, MpiInstance, SegClass, Segment};
+pub use delay::SpanIndex;
+pub use idle::IdleChunk;
+pub use patterns::{BarrierInstance, CollectiveInstance, MatchedMessage};
+pub use replay::{replay, LocalReplay, MpiInstance, SegClass, Segment};

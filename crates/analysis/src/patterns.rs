@@ -48,7 +48,7 @@ pub struct MatchedMessage {
 /// Match all sends to receive posts/completions, FIFO per
 /// (src rank, dst rank, tag). Location indices follow the trace layout
 /// (rank-major); only masters communicate.
-pub fn match_messages(locals: &[LocalReplay], threads_per_rank: u32) -> Vec<MatchedMessage> {
+pub(crate) fn match_messages(locals: &[LocalReplay], threads_per_rank: u32) -> Vec<MatchedMessage> {
     // channel -> (sends, posts, completes)
     type Key = (u32, u32, u32);
     let mut sends: HashMap<Key, Vec<(usize, usize)>> = HashMap::new(); // (loc, idx)
@@ -122,7 +122,11 @@ pub fn match_messages(locals: &[LocalReplay], threads_per_rank: u32) -> Vec<Matc
 /// Late-sender severity of one receiving MPI instance, given the
 /// messages completing inside it: the time from the receive call's enter
 /// until the latest late send started, clipped to the instance.
-pub fn late_sender_severity(instance_enter: u64, instance_leave: u64, send_ts: &[u64]) -> u64 {
+pub(crate) fn late_sender_severity(
+    instance_enter: u64,
+    instance_leave: u64,
+    send_ts: &[u64],
+) -> u64 {
     let latest = send_ts.iter().copied().max().unwrap_or(0);
     latest.saturating_sub(instance_enter).min(instance_leave - instance_enter)
 }
@@ -130,7 +134,7 @@ pub fn late_sender_severity(instance_enter: u64, instance_leave: u64, send_ts: &
 /// Late-receiver severity of one sending MPI instance: how long the send
 /// was blocked waiting for the receive post. Zero for eager sends, whose
 /// call returns immediately regardless of the receiver.
-pub fn late_receiver_severity(send_enter: u64, send_leave: u64, recv_post: u64) -> u64 {
+pub(crate) fn late_receiver_severity(send_enter: u64, send_leave: u64, recv_post: u64) -> u64 {
     recv_post.saturating_sub(send_enter).min(send_leave - send_enter)
 }
 
@@ -145,7 +149,7 @@ pub struct CollectiveInstance {
 
 /// Group the collective records of all masters into instances by
 /// sequence number. Panics if ranks disagree on the operation order.
-pub fn gather_collectives(
+pub(crate) fn gather_collectives(
     locals: &[LocalReplay],
     threads_per_rank: u32,
 ) -> Vec<CollectiveInstance> {
@@ -172,7 +176,7 @@ pub fn gather_collectives(
 
 /// Wait-at-N×N severity for one member: time from its own arrival until
 /// the last participant arrives, clipped to the instance.
-pub fn wait_nxn_severity(enter: u64, leave: u64, latest_enter: u64) -> u64 {
+pub(crate) fn wait_nxn_severity(enter: u64, leave: u64, latest_enter: u64) -> u64 {
     latest_enter.saturating_sub(enter).min(leave - enter)
 }
 
@@ -188,7 +192,7 @@ pub struct BarrierInstance {
 ///
 /// Threads pass the same barriers in the same order (OpenMP semantics),
 /// so the k-th passage of a region on each thread belongs together.
-pub fn gather_barriers(
+pub(crate) fn gather_barriers(
     locals: &[LocalReplay],
     rank: u32,
     threads_per_rank: u32,

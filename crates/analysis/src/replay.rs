@@ -39,7 +39,7 @@ pub struct Segment {
 
 impl Segment {
     /// Segment duration.
-    pub fn dur(&self) -> u64 {
+    pub(crate) fn dur(&self) -> u64 {
         self.end - self.start
     }
 }
@@ -105,7 +105,7 @@ pub struct MpiInstance {
 
 impl MpiInstance {
     /// Instance duration.
-    pub fn dur(&self) -> u64 {
+    pub(crate) fn dur(&self) -> u64 {
         self.leave - self.enter
     }
 }
@@ -171,7 +171,7 @@ pub fn replay(trace: &Trace) -> (CallTree, Vec<LocalReplay>) {
 /// segment chunks through a bounded cursor, so peak memory stays
 /// O(locations × chunk) however many events the trace holds. Either way
 /// the produced structures are identical.
-pub fn replay_view(view: &TraceView<'_>) -> (CallTree, Vec<LocalReplay>) {
+pub(crate) fn replay_view(view: &TraceView<'_>) -> (CallTree, Vec<LocalReplay>) {
     let mut tree = CallTree::new();
     let defs = view.defs();
     let mut out = Vec::with_capacity(view.n_locations());
@@ -352,12 +352,12 @@ fn flush_segment_for(
 
 /// The last synchronisation point on a location strictly before `t`
 /// (0 when none).
-pub fn prev_sync(r: &LocalReplay, t: u64) -> u64 {
+pub(crate) fn prev_sync(r: &LocalReplay, t: u64) -> u64 {
     prev_in(&r.syncs, t)
 }
 
 /// The last *inter-process* synchronisation point strictly before `t`.
-pub fn prev_mpi_sync(r: &LocalReplay, t: u64) -> u64 {
+pub(crate) fn prev_mpi_sync(r: &LocalReplay, t: u64) -> u64 {
     prev_in(&r.mpi_syncs, t)
 }
 
@@ -376,7 +376,12 @@ fn prev_in(syncs: &[u64], t: u64) -> u64 {
 /// queries land near each other, as the delay analysis's per-location
 /// wait streams do. Returns exactly what [`prev_sync`]/[`prev_mpi_sync`]
 /// return and updates `hint` for the next call.
-pub fn prev_sync_hinted(r: &LocalReplay, t: u64, inter_process: bool, hint: &mut usize) -> u64 {
+pub(crate) fn prev_sync_hinted(
+    r: &LocalReplay,
+    t: u64,
+    inter_process: bool,
+    hint: &mut usize,
+) -> u64 {
     let syncs: &[u64] = if inter_process { &r.mpi_syncs } else { &r.syncs };
     let i = lower_bound_from(syncs, t, *hint);
     *hint = i;

@@ -23,11 +23,6 @@ pub fn paper_options() -> ExperimentOptions {
     ExperimentOptions::default()
 }
 
-/// Run one named configuration under the standard protocol.
-pub fn run_named(instance: &BenchmarkInstance) -> ExperimentResult {
-    run_experiment(instance, &paper_options())
-}
-
 /// Hotspot-table depth of the `--report` severity sections.
 const REPORT_TOP_N: usize = 10;
 
@@ -149,7 +144,7 @@ pub struct Flags {
 impl Flags {
     /// The flags of this process; prints the error and exits with
     /// status 2 when one is malformed.
-    pub fn from_env() -> Flags {
+    pub(crate) fn from_env() -> Flags {
         Flags::parse(std::env::args().skip(1)).unwrap_or_else(|e| {
             eprintln!("error: {e}");
             std::process::exit(2)
@@ -158,7 +153,7 @@ impl Flags {
 
     /// Parse `args` (without the program name). A harness flag with a
     /// missing, empty or unparsable value is an error.
-    pub fn parse(args: impl IntoIterator<Item = String>) -> Result<Flags, String> {
+    pub(crate) fn parse(args: impl IntoIterator<Item = String>) -> Result<Flags, String> {
         let mut flags = Flags::default();
         let mut args = args.into_iter();
         while let Some(arg) = args.next() {
@@ -236,7 +231,7 @@ impl Harness {
 
     /// The experiment options with the `--jobs` and `--trace-budget`
     /// overrides applied.
-    pub fn apply_jobs(&self, options: &ExperimentOptions) -> ExperimentOptions {
+    pub(crate) fn apply_jobs(&self, options: &ExperimentOptions) -> ExperimentOptions {
         let mut options = options.clone();
         if let Some(jobs) = self.jobs {
             options.jobs = jobs;
@@ -298,7 +293,8 @@ impl Harness {
         });
     }
 
-    /// [`run_named`] through the harness.
+    /// Run one named configuration under the standard protocol
+    /// ([`paper_options`]) through the harness.
     pub fn run_named(&mut self, instance: &BenchmarkInstance) -> ExperimentResult {
         self.run_experiment(instance, &paper_options())
     }
@@ -507,12 +503,6 @@ pub fn parse_bytes(s: &str) -> Option<u64> {
         _ => (s, 0),
     };
     digits.parse::<u64>().ok()?.checked_shl(shift)
-}
-
-/// Scaled-down experiment options for smoke tests and criterion
-/// benches: fewer repetitions.
-pub fn quick_options() -> ExperimentOptions {
-    ExperimentOptions { repetitions: 2, ..ExperimentOptions::default() }
 }
 
 /// Format a percentage with one decimal and sign.

@@ -91,7 +91,7 @@ impl ModeResult {
     }
 
     /// Mean instrumented duration of a named phase.
-    pub fn mean_phase(&self, phase: &str) -> VirtualDuration {
+    pub(crate) fn mean_phase(&self, phase: &str) -> VirtualDuration {
         let values: Vec<VirtualDuration> =
             self.phase_times.iter().filter_map(|m| m.get(phase)).copied().collect();
         mean_duration(&values)
@@ -138,7 +138,7 @@ impl ExperimentResult {
     }
 
     /// Mean reference duration of a named phase (max over ranks per run).
-    pub fn reference_phase(&self, phase: &str) -> VirtualDuration {
+    pub(crate) fn reference_phase(&self, phase: &str) -> VirtualDuration {
         let id = match self.phase_names.iter().position(|p| p == phase) {
             Some(i) => PhaseId(i as u32),
             None => return VirtualDuration::ZERO,

@@ -71,8 +71,7 @@ pub mod prelude {
         tealeaf_3, tealeaf_4, BenchmarkInstance,
     };
     pub use nrlt_profile::{
-        callpath_table, jaccard, metric_table, min_pairwise_jaccard, paradigm_summary, CallPathId,
-        Metric, Profile,
+        callpath_table, jaccard, metric_table, min_pairwise_jaccard, CallPathId, Metric, Profile,
     };
     pub use nrlt_prog::{Cost, IterCost, Program, ProgramBuilder, Schedule};
     pub use nrlt_sim::{JobLayout, Machine, NoiseConfig, VirtualDuration, VirtualTime};

@@ -43,7 +43,7 @@ pub enum ExecPhase {
 }
 
 /// What the duration model saw while pricing one kernel — filled only
-/// when [`DurationModel::kernel_duration_instrumented`] is handed a
+/// when `DurationModel::kernel_duration_instrumented` is handed a
 /// probe, so the unprobed path does no extra work. Contention fields are
 /// zero for pure-CPU kernels, which never touch the memory system.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -79,15 +79,14 @@ pub struct DurationModel<'a> {
 
 impl<'a> DurationModel<'a> {
     /// Bind a model to a placement and a noise repetition.
-    pub fn new(placement: &'a Placement, noise: &'a NoiseModel) -> Self {
+    pub(crate) fn new(placement: &'a Placement, noise: &'a NoiseModel) -> Self {
         DurationModel { placement, noise, footprint_per_location: 0, desync: 0.0 }
     }
 
-    /// Duration of `cost` on `loc` during `phase`.
-    ///
-    /// * `working_set` — bytes of this rank's data the kernel streams.
-    /// * `instance` — per-location kernel sequence number (noise stream key).
-    pub fn kernel_duration(
+    /// [`kernel_duration_instrumented`](Self::kernel_duration_instrumented)
+    /// with neither probe.
+    #[cfg(test)]
+    fn kernel_duration(
         &self,
         loc: Location,
         cost: &Cost,
@@ -98,6 +97,11 @@ impl<'a> DurationModel<'a> {
         self.kernel_duration_instrumented(loc, cost, working_set, phase, instance, None, None)
     }
 
+    /// Duration of `cost` on `loc` during `phase`.
+    ///
+    /// * `working_set` — bytes of this rank's data the kernel streams.
+    /// * `instance` — per-location kernel sequence number (noise stream key).
+    ///
     /// The fully instrumented duration call: optional probe (resource
     /// observatory) plus optional engine profiler. `prof` counts one
     /// `NoiseDraw` per noise channel that actually draws — the warm-up
@@ -107,7 +111,7 @@ impl<'a> DurationModel<'a> {
     /// warm-up. Both `None` paths do zero extra work; the duration
     /// itself is identical in every combination.
     #[allow(clippy::too_many_arguments)]
-    pub fn kernel_duration_instrumented(
+    pub(crate) fn kernel_duration_instrumented(
         &self,
         loc: Location,
         cost: &Cost,

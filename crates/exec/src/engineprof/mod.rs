@@ -155,15 +155,6 @@ impl GaugeAgg {
             self.max = value;
         }
     }
-
-    /// Mean sampled value.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
 }
 
 /// Everything one run collected.
@@ -214,11 +205,6 @@ impl RunProf {
         }
     }
 
-    /// The run's name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
     /// Start processing an event of `kind`: publishes its sampler frame.
     pub fn enter(&self, kind: EventKind) {
         if let Some(leaf) = &self.leaf {
@@ -235,7 +221,7 @@ impl RunProf {
     /// [`leave`](Self::leave) for a frame that covered `n` events of
     /// `kind` (e.g. several noise channels drawn in one batch). With
     /// `n == 0` nothing is counted; the frame still pops.
-    pub fn leave_n(&self, kind: EventKind, n: u64, virtual_ns: u64) {
+    pub(crate) fn leave_n(&self, kind: EventKind, n: u64, virtual_ns: u64) {
         if let Some(leaf) = &self.leaf {
             leaf.pop();
         }
@@ -271,11 +257,6 @@ impl RunProf {
     /// Set the total engine event count for this run.
     pub fn set_events(&self, n: u64) {
         self.data.borrow_mut().events = n;
-    }
-
-    /// Total engine events recorded so far.
-    pub fn events(&self) -> u64 {
-        self.data.borrow().events
     }
 
     /// Finish the run and hand the data back for aggregation.
@@ -384,7 +365,6 @@ mod tests {
         let (_, d) = run.finish();
         let g = &d.gauges["matcher.queued_sends"]["main"];
         assert_eq!((g.count, g.sum, g.max), (2, 4, 3));
-        assert_eq!(g.mean(), 2.0);
         assert_eq!(d.hwms["engine.worklist"], 4);
         assert_eq!(d.allocs["rank.pending"], 1);
     }

@@ -95,22 +95,17 @@ impl<T> LadderQueue<T> {
     }
 
     /// Number of queued entries.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.len
     }
 
-    /// True when nothing is queued.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
     /// Entries in the bucket the next pop will drain first.
-    pub fn current_bucket_len(&self) -> usize {
+    pub(crate) fn current_bucket_len(&self) -> usize {
         self.buckets[self.cur].len()
     }
 
     /// Times the overflow list was re-spread into the ring.
-    pub fn respreads(&self) -> u64 {
+    pub(crate) fn respreads(&self) -> u64 {
         self.respreads
     }
 
@@ -203,7 +198,7 @@ mod tests {
         q.push(3, "past2");
         assert_eq!(q.pop(), Some("past"));
         assert_eq!(q.pop(), Some("past2"));
-        assert!(q.is_empty());
+        assert_eq!(q.len(), 0);
     }
 
     #[test]
@@ -237,7 +232,7 @@ mod tests {
             popped += 1;
         }
         assert_eq!(popped, 200);
-        assert!(q.is_empty());
+        assert_eq!(q.len(), 0);
         assert_eq!(q.current_bucket_len(), 0);
     }
 

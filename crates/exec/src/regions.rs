@@ -147,7 +147,7 @@ impl DerivedRegions {
 }
 
 /// Map a program MPI op to the trace collective kind.
-pub fn collective_kind(op: &MpiOp) -> Option<nrlt_trace::CollectiveOp> {
+pub(crate) fn collective_kind(op: &MpiOp) -> Option<nrlt_trace::CollectiveOp> {
     use nrlt_trace::CollectiveOp as C;
     Some(match op {
         MpiOp::Barrier => C::Barrier,

@@ -36,17 +36,6 @@ impl ExecResult {
             .max()
             .unwrap_or(VirtualDuration::ZERO)
     }
-
-    /// Mean accumulated duration of `phase` over the ranks that ran it.
-    pub fn phase_mean(&self, phase: PhaseId) -> VirtualDuration {
-        let values: Vec<VirtualDuration> =
-            self.phase_times.iter().filter_map(|m| m.get(&phase)).copied().collect();
-        if values.is_empty() {
-            return VirtualDuration::ZERO;
-        }
-        let sum: u64 = values.iter().map(|d| d.nanos()).sum();
-        VirtualDuration::from_nanos(sum / values.len() as u64)
-    }
 }
 
 /// Relative overhead of an instrumented run against a reference, in
@@ -87,7 +76,6 @@ mod tests {
             events: 0,
         };
         assert_eq!(r.phase_max(p), VirtualDuration::from_millis(30));
-        assert_eq!(r.phase_mean(p), VirtualDuration::from_millis(20));
         assert_eq!(r.phase_max(PhaseId(9)), VirtualDuration::ZERO);
     }
 }

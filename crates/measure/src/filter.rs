@@ -20,7 +20,7 @@ pub struct FilterRules {
 
 impl FilterRules {
     /// No filtering.
-    pub fn none() -> Self {
+    pub(crate) fn none() -> Self {
         Self::default()
     }
 
@@ -38,7 +38,7 @@ impl FilterRules {
     }
 
     /// Add one rule.
-    pub fn add(&mut self, rule: String) {
+    pub(crate) fn add(&mut self, rule: String) {
         if let Some(prefix) = rule.strip_suffix('*') {
             self.prefixes.push(prefix.to_owned());
         } else {
@@ -47,14 +47,9 @@ impl FilterRules {
     }
 
     /// True if events of `region_name` are discarded.
-    pub fn is_filtered(&self, region_name: &str) -> bool {
+    pub(crate) fn is_filtered(&self, region_name: &str) -> bool {
         self.exact.contains(region_name)
             || self.prefixes.iter().any(|p| region_name.starts_with(p.as_str()))
-    }
-
-    /// True when no rules are present.
-    pub fn is_empty(&self) -> bool {
-        self.exact.is_empty() && self.prefixes.is_empty()
     }
 }
 
@@ -81,7 +76,6 @@ mod tests {
     #[test]
     fn empty_filters_nothing() {
         let f = FilterRules::none();
-        assert!(f.is_empty());
         assert!(!f.is_filtered("anything"));
     }
 }

@@ -24,10 +24,7 @@ pub mod profiling;
 
 pub use filter::FilterRules;
 pub use modes::ClockMode;
-pub use observer::{
-    chunk_events_for_budget, MeasureConfig, SharedDefs, SpillSummary, TracingObserver,
-    BYTES_PER_EVENT,
-};
+pub use observer::{MeasureConfig, SharedDefs, SpillSummary, TracingObserver, BYTES_PER_EVENT};
 pub use params::{EffortParams, HwCounterSource, OverheadParams};
 pub use profiling::{profile_run, OnlineProfile, ProfilingObserver};
 

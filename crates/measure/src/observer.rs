@@ -64,7 +64,7 @@ pub struct SpillSummary {
 
 /// Per-location chunk capacity for a resident-byte `budget` across
 /// `n_locations` streams, clamped to sane bounds.
-pub fn chunk_events_for_budget(budget: u64, n_locations: usize) -> usize {
+pub(crate) fn chunk_events_for_budget(budget: u64, n_locations: usize) -> usize {
     let per_loc = budget / BYTES_PER_EVENT / (n_locations.max(1) as u64);
     (per_loc as usize).clamp(MIN_CHUNK_EVENTS, MAX_CHUNK_EVENTS)
 }
@@ -200,14 +200,19 @@ pub struct SharedDefs {
 impl SharedDefs {
     /// Build the tables for `regions` under `exec_config`, pre-sizing
     /// streams from `program`'s event estimate.
-    pub fn new(program: &Program, regions: &RegionTable, exec_config: &ExecConfig) -> SharedDefs {
-        let mut s = SharedDefs::from_table(regions, exec_config);
-        s.events_per_stream = program.events_per_location_estimate();
-        s
+    pub(crate) fn new(
+        program: &Program,
+        regions: &RegionTable,
+        exec_config: &ExecConfig,
+    ) -> SharedDefs {
+        SharedDefs::tables(regions, exec_config, program.events_per_location_estimate())
     }
 
-    /// Build the tables without a program (no stream pre-sizing).
-    pub fn from_table(regions: &RegionTable, exec_config: &ExecConfig) -> SharedDefs {
+    fn tables(
+        regions: &RegionTable,
+        exec_config: &ExecConfig,
+        events_per_stream: usize,
+    ) -> SharedDefs {
         let placement = Placement::new(exec_config.machine.clone(), exec_config.layout.clone());
         let layout = &exec_config.layout;
         let locations: Vec<LocationDef> = layout
@@ -226,12 +231,12 @@ impl SharedDefs {
             regions: Arc::new(region_defs),
             locations: Arc::new(locations),
             threads_per_rank: layout.threads_per_rank,
-            events_per_stream: 0,
+            events_per_stream,
         }
     }
 
     /// Number of locations.
-    pub fn n_locations(&self) -> usize {
+    pub(crate) fn n_locations(&self) -> usize {
         self.locations.len()
     }
 }
@@ -265,29 +270,23 @@ pub struct TracingObserver<'a> {
 }
 
 impl<'a> TracingObserver<'a> {
+    /// An observer without telemetry over freshly built, unsized
+    /// definition tables: the unit tests' shorthand.
+    #[cfg(test)]
+    fn new(config: MeasureConfig, regions: &'a RegionTable, exec_config: &ExecConfig) -> Self {
+        let shared = SharedDefs::tables(regions, exec_config, 0);
+        Self::with_shared(config, regions, &shared, exec_config, None)
+    }
+
     /// Build an observer for `regions` (from `nrlt_exec::prepare_regions`)
-    /// under `exec_config`.
-    pub fn new(config: MeasureConfig, regions: &'a RegionTable, exec_config: &ExecConfig) -> Self {
-        Self::with_telemetry(config, regions, exec_config, None)
-    }
-
-    /// [`TracingObserver::new`] with an optional self-telemetry sink:
-    /// counts recorded vs filtered events, simulated buffer flushes, and
-    /// the overhead charged back into the run per category.
-    pub fn with_telemetry(
-        config: MeasureConfig,
-        regions: &'a RegionTable,
-        exec_config: &ExecConfig,
-        tel: Option<&'a Telemetry>,
-    ) -> Self {
-        let shared = SharedDefs::from_table(regions, exec_config);
-        Self::with_shared(config, regions, &shared, exec_config, tel)
-    }
-
-    /// [`TracingObserver::with_telemetry`] over pre-built [`SharedDefs`]:
-    /// the definition tables are `Arc`-shared (no per-run rebuild) and
-    /// the event streams start at the program's estimated capacity.
-    pub fn with_shared(
+    /// under `exec_config`, over pre-built [`SharedDefs`]: the definition
+    /// tables are `Arc`-shared (no per-run rebuild) and the event streams
+    /// start at the program's estimated capacity.
+    ///
+    /// `tel` is an optional self-telemetry sink: it counts recorded vs
+    /// filtered events, simulated buffer flushes, and the overhead
+    /// charged back into the run per category.
+    pub(crate) fn with_shared(
         config: MeasureConfig,
         regions: &'a RegionTable,
         shared: &SharedDefs,
@@ -334,7 +333,7 @@ impl<'a> TracingObserver<'a> {
     /// [`TraceData::Spilled`]. Must be called before any event is
     /// recorded (the pre-sized streams are replaced by chunk-sized
     /// ones).
-    pub fn enable_spill(&mut self, budget: u64) {
+    pub(crate) fn enable_spill(&mut self, budget: u64) {
         debug_assert!(self.streams.iter().all(nrlt_trace::EventStream::is_empty));
         let n = self.streams.len();
         let chunk_events = chunk_events_for_budget(budget, n);
@@ -350,7 +349,7 @@ impl<'a> TracingObserver<'a> {
     /// spilled depending on [`TracingObserver::enable_spill`] — plus a
     /// summary of what the spill path did (all zeros on the resident
     /// path).
-    pub fn into_trace_data(mut self) -> (TraceData, SpillSummary) {
+    pub(crate) fn into_trace_data(mut self) -> (TraceData, SpillSummary) {
         let Some(mut spill) = self.spill.take() else {
             return (TraceData::Resident(self.into_trace()), SpillSummary::default());
         };
@@ -395,8 +394,8 @@ impl<'a> TracingObserver<'a> {
         t.add("measure.overhead.piggyback_ns", self.ovh_piggyback_ns);
     }
 
-    /// Consume the observer, yielding the recorded trace.
-    pub fn into_trace(self) -> Trace {
+    /// Consume the observer, yielding the recorded resident trace.
+    fn into_trace(self) -> Trace {
         debug_assert!(self.spill.is_none(), "spilled runs use into_trace_data");
         let _frame = nrlt_telemetry::sample::frame(nrlt_telemetry::sample::frames::TRACE_BUILD);
         if let Some(t) = self.tel {
@@ -406,11 +405,6 @@ impl<'a> TracingObserver<'a> {
             }
         }
         Trace { defs: self.defs, streams: self.streams }
-    }
-
-    /// The measurement configuration in effect.
-    pub fn config(&self) -> &MeasureConfig {
-        &self.config
     }
 
     fn loc_index(&self, loc: Location) -> usize {

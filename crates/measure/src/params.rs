@@ -50,7 +50,7 @@ impl OverheadParams {
     /// `tsc`/`lt_1`/`lt_loop` read a cheap timer or bump a counter;
     /// `lt_bb`/`lt_stmt` add compiled-in counting code on every basic
     /// block; `lt_hwctr` pays a perf-events read syscall per event.
-    pub fn for_mode(mode: ClockMode) -> OverheadParams {
+    pub(crate) fn for_mode(mode: ClockMode) -> OverheadParams {
         let base = OverheadParams {
             record_event: 25e-9,
             filter_check: 1.5e-9,

@@ -29,11 +29,6 @@ pub struct OnlineProfile {
 }
 
 impl OnlineProfile {
-    /// Exclusive ticks of a call path summed over locations.
-    pub fn exclusive_of(&self, path: &str) -> u64 {
-        self.exclusive.iter().filter(|((p, _), _)| p == path).map(|(_, v)| v).sum()
-    }
-
     /// Total exclusive ticks.
     pub fn total(&self) -> u64 {
         self.exclusive.values().sum()
@@ -69,7 +64,7 @@ pub struct ProfilingObserver<'a> {
 
 impl<'a> ProfilingObserver<'a> {
     /// Create a profiling observer for `regions` under `exec_config`.
-    pub fn new(
+    pub(crate) fn new(
         mode: ClockMode,
         regions: &'a RegionTable,
         exec_config: &ExecConfig,
@@ -98,7 +93,7 @@ impl<'a> ProfilingObserver<'a> {
     }
 
     /// Finish and return the accumulated profile.
-    pub fn into_profile(self) -> OnlineProfile {
+    pub(crate) fn into_profile(self) -> OnlineProfile {
         self.profile
     }
 
@@ -294,10 +289,15 @@ mod tests {
         ExecConfig::jureca(1, JobLayout::block(2, 1), 3).with_noise(NoiseConfig::silent())
     }
 
+    /// Exclusive ticks of a call path summed over locations.
+    fn exclusive_of(p: &OnlineProfile, path: &str) -> u64 {
+        p.exclusive.iter().filter(|((s, _), _)| s == path).map(|(_, v)| v).sum()
+    }
+
     #[test]
     fn online_profile_captures_computation() {
         let p = profile_run(&program(), &cfg(), ClockMode::Tsc);
-        let work = p.exclusive_of("main/work");
+        let work = exclusive_of(&p, "main/work");
         // ~0.9ms + ~1.8ms of kernel time inside `work`.
         assert!(work > 2_000_000, "work ticks: {work}");
         assert!(p.total() > work);
@@ -345,7 +345,7 @@ mod tests {
                     }
                 }
             }
-            let online_work = online.exclusive_of("main/work");
+            let online_work = exclusive_of(&online, "main/work");
             let diff = online_work.abs_diff(offline);
             assert!(
                 diff <= 4, // ±1 tick per enter/leave pair and location

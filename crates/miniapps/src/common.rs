@@ -23,7 +23,7 @@ pub struct BenchmarkInstance {
 impl BenchmarkInstance {
     /// Validate the program, panicking with the full error list on
     /// failure (a mini-app skeleton bug, not a user error).
-    pub fn validated(self) -> Self {
+    pub(crate) fn validated(self) -> Self {
         if let Err(errors) = self.program.validate() {
             let msgs: Vec<String> = errors.iter().map(ToString::to_string).collect();
             panic!("{} failed validation:\n  {}", self.name, msgs.join("\n  "));
@@ -35,7 +35,7 @@ impl BenchmarkInstance {
 /// Deterministic per-rank imbalance factor in `[1, 1+strength]`, spread
 /// quasi-uniformly over ranks (golden-ratio hashing). Used for LULESH's
 /// artificial imbalance.
-pub fn rank_imbalance_factor(rank: u32, strength: f64) -> f64 {
+pub(crate) fn rank_imbalance_factor(rank: u32, strength: f64) -> f64 {
     let g = (rank as f64 * 0.618_033_988_749_895).fract();
     1.0 + strength * g
 }

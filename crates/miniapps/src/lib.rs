@@ -20,8 +20,8 @@ pub mod lulesh;
 pub mod minife;
 pub mod tealeaf;
 
-pub use common::{rank_imbalance_factor, BenchmarkInstance};
-pub use lulesh::{face_neighbours, lulesh_1, lulesh_2, LuleshConfig, LuleshCosts};
+pub use common::BenchmarkInstance;
+pub use lulesh::{lulesh_1, lulesh_2, LuleshConfig, LuleshCosts};
 pub use minife::{minife_1, minife_2, MiniFeConfig, MiniFeCosts};
 pub use tealeaf::{tealeaf_1, tealeaf_2, tealeaf_3, tealeaf_4, TeaLeafConfig, TeaLeafCosts};
 

@@ -72,7 +72,7 @@ impl Default for LuleshCosts {
 }
 
 /// Face neighbours of `rank` in a `side³` decomposition.
-pub fn face_neighbours(rank: u32, side: u32) -> Vec<u32> {
+pub(crate) fn face_neighbours(rank: u32, side: u32) -> Vec<u32> {
     let (x, y, z) = (rank % side, (rank / side) % side, rank / (side * side));
     let mut out = Vec::new();
     let idx = |x: u32, y: u32, z: u32| x + y * side + z * side * side;

@@ -82,7 +82,7 @@ impl Default for MiniFeCosts {
 
 impl MiniFeConfig {
     /// Elements owned by `rank` under the imbalance rule.
-    pub fn elements_of(&self, rank: u32) -> u64 {
+    pub(crate) fn elements_of(&self, rank: u32) -> u64 {
         let total = self.nx * self.nx * self.nx;
         if self.imbalance_pct == 0 {
             return total / self.ranks as u64;

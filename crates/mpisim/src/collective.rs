@@ -37,7 +37,7 @@ impl Default for CollectiveModel {
 impl CollectiveModel {
     /// Algorithmic duration of the data movement once all ranks arrived,
     /// in seconds, for `n` ranks exchanging `bytes` per rank.
-    pub fn op_cost(
+    pub(crate) fn op_cost(
         &self,
         op: CollectiveOp,
         spec: &NodeSpec,

@@ -176,11 +176,6 @@ impl<S, R> Matcher<S, R> {
         Some(send)
     }
 
-    /// Number of matches made so far.
-    pub fn matched_count(&self) -> u64 {
-        self.stats.matched
-    }
-
     /// Running queue statistics (current depths, high-water marks,
     /// queue allocations).
     pub fn stats(&self) -> MatchStats {
@@ -195,19 +190,6 @@ impl<S, R> Matcher<S, R> {
     /// Number of receives still waiting.
     pub fn pending_recvs(&self) -> usize {
         self.stats.queued_recvs as usize
-    }
-
-    /// Deepest single (source, destination, tag) queue on either side —
-    /// the matching-pressure statistic behind the observatory's
-    /// match-queue counters: total depth can look tame while one channel
-    /// backs up.
-    pub fn max_channel_depth(&self) -> usize {
-        self.sends
-            .values()
-            .map(VecDeque::len)
-            .chain(self.recvs.values().map(VecDeque::len))
-            .max()
-            .unwrap_or(0)
     }
 
     /// True when nothing is left unmatched — the post-run sanity check
@@ -248,7 +230,7 @@ mod tests {
         assert_eq!(mtch.send.data, 11);
         assert_eq!(mtch.recv.data, 22);
         assert!(m.is_drained());
-        assert_eq!(m.matched_count(), 1);
+        assert_eq!(m.stats().matched, 1);
     }
 
     #[test]
@@ -257,23 +239,6 @@ mod tests {
         assert!(m.post_recv(CH, 100, 22).is_none());
         assert!(m.post_send(CH, 100, 11).is_some());
         assert!(m.is_drained());
-    }
-
-    #[test]
-    fn max_channel_depth_tracks_the_deepest_queue() {
-        let mut m: Matcher<u32, u32> = Matcher::new();
-        assert_eq!(m.max_channel_depth(), 0);
-        m.post_send(CH, 1, 0);
-        m.post_send(CH, 1, 1);
-        m.post_send(Channel { src: 2, dst: 1, tag: 5 }, 1, 2);
-        m.post_recv(Channel { src: 3, dst: 0, tag: 9 }, 1, 0);
-        // Total pending is 3 sends + 1 recv, but the deepest single
-        // channel holds 2.
-        assert_eq!(m.pending_sends(), 3);
-        assert_eq!(m.max_channel_depth(), 2);
-        m.post_recv(CH, 1, 1);
-        m.post_recv(CH, 1, 2);
-        assert_eq!(m.max_channel_depth(), 1);
     }
 
     #[test]

@@ -44,7 +44,7 @@ impl P2pModel {
 
     /// Wire time for `bytes` over `link`, seconds (latency + bandwidth
     /// term). Noise multiplies this externally.
-    pub fn transfer_time(&self, spec: &NodeSpec, link: LinkKind, bytes: u64) -> f64 {
+    pub(crate) fn transfer_time(&self, spec: &NodeSpec, link: LinkKind, bytes: u64) -> f64 {
         let (lat, bw) = match link {
             LinkKind::SharedMem => (spec.shm_latency, spec.shm_bandwidth),
             LinkKind::Network => (spec.net_latency, spec.net_bandwidth),

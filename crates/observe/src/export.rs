@@ -151,98 +151,104 @@ impl ObserveBundle {
         out
     }
 
-    /// Parse the contents of an `observe.jsonl` export.
+    /// Parse the contents of an `observe.jsonl` export. Every number
+    /// goes through the strict field readers on [`Value`]; an error
+    /// names its line.
     pub fn from_jsonl(text: &str) -> Result<ObserveBundle, String> {
         let mut bundle = ObserveBundle::default();
         for (i, line) in text.lines().enumerate() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            let v = json::parse(line).map_err(|e| format!("line {}: {e}", i + 1))?;
-            let kind = v.get("kind").and_then(Value::as_str).unwrap_or("");
-            if kind == "run" {
-                bundle.runs.entry(str_field(&v, "name")?).or_default();
-                continue;
-            }
-            let run = match v.get("run").and_then(Value::as_str) {
-                Some(r) => r.to_owned(),
-                None => continue, // unknown kinds without a run: skip
-            };
-            let data = bundle.runs.entry(run).or_default();
-            match kind {
-                "sample" => data.samples.push(Sample {
-                    series: str_field(&v, "series")?,
-                    phase: str_field(&v, "phase")?,
-                    t_ns: u64_field(&v, "t_ns")?,
-                    seq: u64_field(&v, "seq")?,
-                    value: i64_field(&v, "value")?,
-                }),
-                "series_agg" => {
-                    data.series_aggs.insert(
-                        (str_field(&v, "series")?, str_field(&v, "phase")?),
-                        SeriesAgg {
-                            count: u64_field(&v, "count")?,
-                            sum: i64_field(&v, "sum")?,
-                            max: i64_field(&v, "max")?,
-                        },
-                    );
-                }
-                "noise" => data.draws.push(NoiseDraw {
-                    kind: noise_kind(&v)?,
-                    rank: u64_field(&v, "rank")? as u32,
-                    core: u64_field(&v, "core")?,
-                    instance: u64_field(&v, "instance")?,
-                    phase: str_field(&v, "phase")?,
-                    t_ns: u64_field(&v, "t_ns")?,
-                    magnitude_ns: i64_field(&v, "magnitude_ns")?,
-                }),
-                "noise_agg" => {
-                    data.noise_aggs.insert(
-                        (noise_kind(&v)?, u64_field(&v, "rank")? as u32, str_field(&v, "phase")?),
-                        NoiseAgg {
-                            count: u64_field(&v, "count")?,
-                            total_ns: i64_field(&v, "total_ns")?,
-                            delay_ns: u64_field(&v, "delay_ns")?,
-                        },
-                    );
-                }
-                "wait" => {
-                    let chain = match v.get("chain") {
-                        Some(c) => parse_chain(c)?,
-                        None => Vec::new(),
-                    };
-                    data.waits.push(WaitProvenance {
-                        metric: str_field(&v, "metric")?,
-                        waiter_loc: u64_field(&v, "waiter_loc")? as usize,
-                        waiter_path: str_field(&v, "waiter_path")?,
-                        waiter_enter: u64_field(&v, "waiter_enter")?,
-                        severity: u64_field(&v, "severity")?,
-                        delayer_loc: u64_field(&v, "delayer_loc")? as usize,
-                        delayer_path: str_field(&v, "delayer_path")?,
-                        delayer_enter: u64_field(&v, "delayer_enter")?,
-                        noise_ns: u64_field(&v, "noise_ns")?,
-                        chain,
-                    });
-                }
-                "wait_agg" => {
-                    data.wait_aggs.insert(
-                        (str_field(&v, "metric")?, str_field(&v, "path")?),
-                        WaitAgg {
-                            count: u64_field(&v, "count")?,
-                            severity: u64_field(&v, "severity")?,
-                            noise_ns: u64_field(&v, "noise_ns")?,
-                        },
-                    );
-                }
-                "dropped" => {
-                    data.dropped_samples = u64_field(&v, "samples")?;
-                    data.dropped_draws = u64_field(&v, "draws")?;
-                    data.dropped_waits = u64_field(&v, "waits")?;
-                }
-                _ => {} // forward compatibility
+            if !line.trim().is_empty() {
+                bundle.parse_line(line).map_err(|e| format!("line {}: {e}", i + 1))?;
             }
         }
         Ok(bundle)
+    }
+
+    fn parse_line(&mut self, line: &str) -> Result<(), String> {
+        let v = json::parse(line)?;
+        let kind = v.get("kind").and_then(Value::as_str).unwrap_or("");
+        if kind == "run" {
+            self.runs.entry(v.str_field("name")?).or_default();
+            return Ok(());
+        }
+        let run = match v.get("run").and_then(Value::as_str) {
+            Some(r) => r.to_owned(),
+            None => return Ok(()), // unknown kinds without a run: skip
+        };
+        let data = self.runs.entry(run).or_default();
+        match kind {
+            "sample" => data.samples.push(Sample {
+                series: v.str_field("series")?,
+                phase: v.str_field("phase")?,
+                t_ns: v.u64_field("t_ns")?,
+                seq: v.u64_field("seq")?,
+                value: v.i64_field("value")?,
+            }),
+            "series_agg" => {
+                data.series_aggs.insert(
+                    (v.str_field("series")?, v.str_field("phase")?),
+                    SeriesAgg {
+                        count: v.u64_field("count")?,
+                        sum: v.i64_field("sum")?,
+                        max: v.i64_field("max")?,
+                    },
+                );
+            }
+            "noise" => data.draws.push(NoiseDraw {
+                kind: noise_kind(&v)?,
+                rank: v.u32_field("rank")?,
+                core: v.u64_field("core")?,
+                instance: v.u64_field("instance")?,
+                phase: v.str_field("phase")?,
+                t_ns: v.u64_field("t_ns")?,
+                magnitude_ns: v.i64_field("magnitude_ns")?,
+            }),
+            "noise_agg" => {
+                data.noise_aggs.insert(
+                    (noise_kind(&v)?, v.u32_field("rank")?, v.str_field("phase")?),
+                    NoiseAgg {
+                        count: v.u64_field("count")?,
+                        total_ns: v.i64_field("total_ns")?,
+                        delay_ns: v.u64_field("delay_ns")?,
+                    },
+                );
+            }
+            "wait" => {
+                let chain = match v.get("chain") {
+                    Some(c) => parse_chain(c)?,
+                    None => Vec::new(),
+                };
+                data.waits.push(WaitProvenance {
+                    metric: v.str_field("metric")?,
+                    waiter_loc: v.u64_field("waiter_loc")? as usize,
+                    waiter_path: v.str_field("waiter_path")?,
+                    waiter_enter: v.u64_field("waiter_enter")?,
+                    severity: v.u64_field("severity")?,
+                    delayer_loc: v.u64_field("delayer_loc")? as usize,
+                    delayer_path: v.str_field("delayer_path")?,
+                    delayer_enter: v.u64_field("delayer_enter")?,
+                    noise_ns: v.u64_field("noise_ns")?,
+                    chain,
+                });
+            }
+            "wait_agg" => {
+                data.wait_aggs.insert(
+                    (v.str_field("metric")?, v.str_field("path")?),
+                    WaitAgg {
+                        count: v.u64_field("count")?,
+                        severity: v.u64_field("severity")?,
+                        noise_ns: v.u64_field("noise_ns")?,
+                    },
+                );
+            }
+            "dropped" => {
+                data.dropped_samples = v.u64_field("samples")?;
+                data.dropped_draws = v.u64_field("draws")?;
+                data.dropped_waits = v.u64_field("waits")?;
+            }
+            _ => {} // forward compatibility
+        }
+        Ok(())
     }
 
     /// Render the counter timelines as a Chrome trace document. Each
@@ -290,40 +296,19 @@ fn parse_chain(v: &Value) -> Result<Vec<ChainLink>, String> {
     arr.iter()
         .map(|l| {
             Ok(ChainLink {
-                what: str_field(l, "what")?,
-                path: str_field(l, "path")?,
-                loc: u64_field(l, "loc")? as usize,
-                start: u64_field(l, "start")?,
-                end: u64_field(l, "end")?,
+                what: l.str_field("what")?,
+                path: l.str_field("path")?,
+                loc: l.u64_field("loc")? as usize,
+                start: l.u64_field("start")?,
+                end: l.u64_field("end")?,
             })
         })
         .collect()
 }
 
 fn noise_kind(v: &Value) -> Result<NoiseKind, String> {
-    let name = str_field(v, "channel")?;
+    let name = v.str_field("channel")?;
     NoiseKind::from_name(&name).ok_or_else(|| format!("unknown noise channel {name:?}"))
-}
-
-fn str_field(v: &Value, key: &str) -> Result<String, String> {
-    v.get(key)
-        .and_then(Value::as_str)
-        .map(str::to_owned)
-        .ok_or_else(|| format!("missing string field {key:?}"))
-}
-
-fn u64_field(v: &Value, key: &str) -> Result<u64, String> {
-    v.get(key)
-        .and_then(Value::as_f64)
-        .map(|f| f as u64)
-        .ok_or_else(|| format!("missing numeric field {key:?}"))
-}
-
-fn i64_field(v: &Value, key: &str) -> Result<i64, String> {
-    v.get(key)
-        .and_then(Value::as_f64)
-        .map(|f| f as i64)
-        .ok_or_else(|| format!("missing numeric field {key:?}"))
 }
 
 #[cfg(test)]
@@ -334,9 +319,9 @@ mod tests {
     fn bundle() -> ObserveBundle {
         let obs = Observe::new();
         let run = RunObserve::new("MiniFE-1:tsc:rep0");
-        run.sample("numa0.bw_threads", "cg", 1_500, 7, 16);
-        run.sample("net.wire_ns", "", 2_000, 9, 840);
-        run.noise(NoiseKind::OsDetour, 0, 3, 12, "cg", 1_400, 95_000);
+        run.sample_id(run.series("numa0.bw_threads"), run.phase("cg"), 1_500, 7, 16);
+        run.sample_id(run.series("net.wire_ns"), run.phase(""), 2_000, 9, 840);
+        run.noise_id(NoiseKind::OsDetour, 0, 3, 12, run.phase("cg"), 1_400, 95_000);
         run.wait(WaitProvenance {
             metric: "delay_mpi_latesender".into(),
             waiter_loc: 4,
@@ -378,6 +363,23 @@ mod tests {
         );
         let parsed = ObserveBundle::from_jsonl(&text).expect("parses");
         assert_eq!(parsed, bundle());
+    }
+
+    #[test]
+    fn out_of_range_numbers_are_rejected_with_their_line() {
+        let text = bundle().to_jsonl();
+        let sample = |t_ns: &str| {
+            format!(
+                "{{\"kind\":\"sample\",\"run\":\"r\",\"series\":\"s\",\"phase\":\"\",\
+                 \"t_ns\":{t_ns},\"seq\":1,\"value\":2}}"
+            )
+        };
+        assert!(ObserveBundle::from_jsonl(&format!("{text}{}", sample("5"))).is_ok());
+        let line = text.lines().count() + 1;
+        for t_ns in ["-3", "1e30", "2.5"] {
+            let err = ObserveBundle::from_jsonl(&format!("{text}{}", sample(t_ns))).unwrap_err();
+            assert!(err.starts_with(&format!("line {line}:")) && err.contains("t_ns"), "{err}");
+        }
     }
 
     #[test]

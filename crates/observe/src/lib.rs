@@ -87,7 +87,7 @@ impl NoiseKind {
     }
 
     /// Parse a name produced by [`NoiseKind::name`].
-    pub fn from_name(s: &str) -> Option<NoiseKind> {
+    pub(crate) fn from_name(s: &str) -> Option<NoiseKind> {
         match s {
             "cpu_jitter" => Some(NoiseKind::CpuJitter),
             "os_detour" => Some(NoiseKind::OsDetour),
@@ -231,7 +231,7 @@ pub struct WaitAgg {
 
 /// Everything observed during one run (one pipeline cell), in its
 /// exported form: series and phase names materialised as strings. Built
-/// by [`RunObserve::finish`] from the interned raw records the hot path
+/// by `RunObserve::finish` from the interned raw records the hot path
 /// accumulates.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunData {
@@ -605,11 +605,6 @@ impl RunObserve {
         RunObserve { name: name.into(), data: RefCell::new(RawRun::default()) }
     }
 
-    /// The run name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
     /// Intern a counter-series name. Recorders on hot paths intern each
     /// name once up front and record by id; interning the same name
     /// again returns the same id.
@@ -645,16 +640,6 @@ impl RunObserve {
         }
     }
 
-    /// Record one counter sample by name. Convenience wrapper over
-    /// [`RunObserve::sample_id`] that interns per call; prefer the id
-    /// form in per-event code.
-    pub fn sample(&self, series: &str, phase: &str, t_ns: u64, seq: u64, value: i64) {
-        let mut data = self.data.borrow_mut();
-        let series = data.series_names.intern(series);
-        let phase = data.phase_names.intern(phase);
-        data.record_sample(RawSample { series, phase, t_ns, seq, value });
-    }
-
     /// Record one noise draw by interned phase id — the allocation-free
     /// hot path.
     #[allow(clippy::too_many_arguments)]
@@ -677,23 +662,6 @@ impl RunObserve {
             t_ns,
             magnitude_ns,
         });
-    }
-
-    /// Record one noise draw by phase name (interns per call).
-    #[allow(clippy::too_many_arguments)]
-    pub fn noise(
-        &self,
-        kind: NoiseKind,
-        rank: u32,
-        core: u64,
-        instance: u64,
-        phase: &str,
-        t_ns: u64,
-        magnitude_ns: i64,
-    ) {
-        let mut data = self.data.borrow_mut();
-        let phase = data.phase_names.intern(phase);
-        data.record_draw(RawDraw { kind, rank, core, instance, phase, t_ns, magnitude_ns });
     }
 
     /// Record the provenance of one wait state.
@@ -719,7 +687,7 @@ impl RunObserve {
     }
 
     /// Finish recording: compact and materialise the run's data.
-    pub fn finish(self) -> (String, RunData) {
+    pub(crate) fn finish(self) -> (String, RunData) {
         (self.name, self.data.into_inner().materialize())
     }
 }
@@ -756,7 +724,7 @@ impl Observe {
     }
 
     /// Snapshot of all attached runs, sorted by name.
-    pub fn runs(&self) -> BTreeMap<String, RunData> {
+    pub(crate) fn runs(&self) -> BTreeMap<String, RunData> {
         self.runs.lock().expect("observe lock").clone()
     }
 }
@@ -769,7 +737,7 @@ mod tests {
     fn aggregates_are_exact_after_thinning() {
         let run = RunObserve::new("r");
         for i in 0..1000u64 {
-            run.sample("numa0.bw_threads", "cg", i, i, (i % 7) as i64);
+            run.sample_id(run.series("numa0.bw_threads"), run.phase("cg"), i, i, (i % 7) as i64);
         }
         let (_, data) = run.finish();
         assert!(data.samples.len() <= SAMPLE_CAP);
@@ -783,9 +751,9 @@ mod tests {
     #[test]
     fn noise_window_join() {
         let run = RunObserve::new("r");
-        run.noise(NoiseKind::OsDetour, 1, 3, 0, "", 100, 50);
-        run.noise(NoiseKind::MemJitter, 1, 3, 1, "", 200, -20);
-        run.noise(NoiseKind::OsDetour, 2, 4, 0, "", 150, 99);
+        run.noise_id(NoiseKind::OsDetour, 1, 3, 0, run.phase(""), 100, 50);
+        run.noise_id(NoiseKind::MemJitter, 1, 3, 1, run.phase(""), 200, -20);
+        run.noise_id(NoiseKind::OsDetour, 2, 4, 0, run.phase(""), 150, 99);
         assert_eq!(run.noise_in_window(1, 0, 300), 50); // negative draw ignored
         assert_eq!(run.noise_in_window(1, 150, 300), 0);
         assert_eq!(run.noise_in_window(2, 0, 300), 99);
@@ -820,7 +788,7 @@ mod tests {
         } as u32;
         let t = next(state) % span;
         let magnitude = (next(state) % 2_000) as i64 - 500;
-        run.noise(NoiseKind::CpuJitter, rank, 0, 0, "", t, magnitude);
+        run.noise_id(NoiseKind::CpuJitter, rank, 0, 0, run.phase(""), t, magnitude);
     }
 
     /// Compare index and scan over random windows, windows whose bounds
@@ -865,10 +833,10 @@ mod tests {
     #[test]
     fn a_draw_recorded_after_a_query_is_joined() {
         let run = RunObserve::new("r");
-        run.noise(NoiseKind::OsDetour, 1, 3, 0, "", 100, 50);
+        run.noise_id(NoiseKind::OsDetour, 1, 3, 0, run.phase(""), 100, 50);
         assert_eq!(run.noise_in_window(1, 0, 300), 50);
-        run.noise(NoiseKind::OsDetour, 1, 3, 1, "", 300, 7);
-        run.noise(NoiseKind::NetJitter, 3, 3, 2, "", 300, 11);
+        run.noise_id(NoiseKind::OsDetour, 1, 3, 1, run.phase(""), 300, 7);
+        run.noise_id(NoiseKind::NetJitter, 3, 3, 2, run.phase(""), 300, 11);
         assert_eq!(run.noise_in_window(1, 0, 300), 57);
         assert_eq!(run.noise_in_window(1, 300, 300), 7);
         assert_eq!(run.noise_in_window(3, 0, 300), 11);
@@ -928,8 +896,8 @@ mod tests {
         let run = RunObserve::new("r");
         let total = LIVE_CAP as u64 * 3;
         for i in 0..total {
-            run.sample("numa0.bw_threads", "cg", i, i, 1);
-            run.noise(NoiseKind::CpuJitter, 0, 0, i, "cg", i, 2);
+            run.sample_id(run.series("numa0.bw_threads"), run.phase("cg"), i, i, 1);
+            run.noise_id(NoiseKind::CpuJitter, 0, 0, i, run.phase("cg"), i, 2);
             // The live buffers never reach LIVE_CAP.
             assert!(run.data.borrow().samples.len() < LIVE_CAP);
             assert!(run.data.borrow().draws.len() < LIVE_CAP);
@@ -948,6 +916,8 @@ mod tests {
 
     #[test]
     fn interned_recording_matches_string_recording() {
+        // Interning per call and interning once up front must record
+        // the same run: the same name always maps to the same id.
         let by_name = RunObserve::new("r");
         let by_id = RunObserve::new("r");
         let series = by_id.series("numa0.bw_threads");
@@ -955,11 +925,17 @@ mod tests {
         let cg = by_id.phase("cg");
         let none = by_id.phase("");
         for i in 0..500u64 {
-            by_name.sample("numa0.bw_threads", "cg", i, i, i as i64);
+            by_name.sample_id(
+                by_name.series("numa0.bw_threads"),
+                by_name.phase("cg"),
+                i,
+                i,
+                i as i64,
+            );
             by_id.sample_id(series, cg, i, i, i as i64);
-            by_name.sample("net.network.wire_ns", "", i, i, 7);
+            by_name.sample_id(by_name.series("net.network.wire_ns"), by_name.phase(""), i, i, 7);
             by_id.sample_id(wire, none, i, i, 7);
-            by_name.noise(NoiseKind::OsDetour, 1, 2, i, "cg", i, 9);
+            by_name.noise_id(NoiseKind::OsDetour, 1, 2, i, by_name.phase("cg"), i, 9);
             by_id.noise_id(NoiseKind::OsDetour, 1, 2, i, cg, i, 9);
         }
         assert_eq!(by_name.noise_in_window(1, 0, 499), by_id.noise_in_window(1, 0, 499));
@@ -972,7 +948,7 @@ mod tests {
         let b = Observe::new();
         let mk = |name: &str| {
             let r = RunObserve::new(name);
-            r.sample("s", "", 1, 1, 1);
+            r.sample_id(r.series("s"), r.phase(""), 1, 1, 1);
             r
         };
         a.attach(mk("x"));

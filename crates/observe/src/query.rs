@@ -97,7 +97,7 @@ pub fn noise_shares(data: &RunData) -> Vec<NoiseShare> {
 
 /// The retained wait records of `metric`, descending by severity (ties
 /// by record order) — the order behind `metric#i` names.
-pub fn waits_by_severity<'a>(data: &'a RunData, metric: &str) -> Vec<&'a WaitProvenance> {
+fn waits_by_severity<'a>(data: &'a RunData, metric: &str) -> Vec<&'a WaitProvenance> {
     let mut waits: Vec<(usize, &WaitProvenance)> =
         data.waits.iter().enumerate().filter(|(_, w)| w.metric == metric).collect();
     waits.sort_by_key(|&(i, w)| (std::cmp::Reverse(w.severity), i));
@@ -142,9 +142,15 @@ mod tests {
     fn data() -> RunData {
         let run = RunObserve::new("r");
         for i in 0..10 {
-            run.sample("numa0.bw_threads", "cg", i, i, 16);
-            run.sample("socket0.l3_dram_permille", "cg", i, i, 50 + i as i64);
-            run.sample("mpi.match_queue", "halo", i, i, 2);
+            run.sample_id(run.series("numa0.bw_threads"), run.phase("cg"), i, i, 16);
+            run.sample_id(
+                run.series("socket0.l3_dram_permille"),
+                run.phase("cg"),
+                i,
+                i,
+                50 + i as i64,
+            );
+            run.sample_id(run.series("mpi.match_queue"), run.phase("halo"), i, i, 2);
         }
         for (i, sev) in [(0u64, 500u64), (1, 900), (2, 100)] {
             run.wait(WaitProvenance {

@@ -82,13 +82,6 @@ impl OmpOverheadModel {
             self.dispatch_static
         }
     }
-
-    /// Instruction-count equivalents of the runtime costs, for the
-    /// virtual hardware counter: `lt_hwctr` sees effort inside the
-    /// OpenMP runtime because the CPU retires instructions there.
-    pub fn instructions_for(&self, seconds: f64, freq_hz: f64, ipc: f64) -> u64 {
-        (seconds * freq_hz * ipc).round().max(0.0) as u64
-    }
 }
 
 #[cfg(test)]
@@ -122,13 +115,5 @@ mod tests {
         let m = OmpOverheadModel::default();
         assert_eq!(m.wake_delay(0), 0.0);
         assert!(m.wake_delay(5) > m.wake_delay(2));
-    }
-
-    #[test]
-    fn instruction_conversion() {
-        let m = OmpOverheadModel::default();
-        // 1 us at 2.25 GHz, IPC 2 → 4500 instructions.
-        assert_eq!(m.instructions_for(1e-6, 2.25e9, 2.0), 4500);
-        assert_eq!(m.instructions_for(0.0, 2.25e9, 2.0), 0);
     }
 }

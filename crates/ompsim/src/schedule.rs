@@ -44,23 +44,10 @@ impl LoopPartition {
         self.chunks[t].iter().map(IterRange::len).sum()
     }
 
-    /// Number of chunks thread `t` received (each chunk costs one
-    /// dispatch round-trip under dynamic scheduling).
-    pub fn thread_chunks(&self, t: usize) -> usize {
-        self.chunks[t].len()
-    }
-
     /// Total chunks across the whole team — the loop's dispatch traffic,
     /// sampled by the resource observatory as `omp.loop_chunks`.
     pub fn total_chunks(&self) -> usize {
         self.chunks.iter().map(Vec::len).sum()
-    }
-
-    /// Largest per-thread iteration count — the team's critical path in
-    /// iteration units (imbalance shows as `max_thread_iters` pulling
-    /// away from the mean).
-    pub fn max_thread_iters(&self) -> u64 {
-        (0..self.chunks.len()).map(|t| self.thread_iters(t)).max().unwrap_or(0)
     }
 
     /// Check that the partition covers `[0, iters)` exactly once.
@@ -218,11 +205,10 @@ mod tests {
     #[test]
     fn occupancy_helpers_summarise_the_partition() {
         let p = static_partition(100, 4, Schedule::Static);
-        assert_eq!(p.total_chunks(), (0..4).map(|t| p.thread_chunks(t)).sum::<usize>());
-        assert_eq!(p.max_thread_iters(), 25);
+        assert_eq!(p.total_chunks(), 4);
         let chunked = static_partition(100, 4, Schedule::StaticChunk(10));
         assert_eq!(chunked.total_chunks(), 10);
-        assert_eq!(LoopPartition { chunks: Vec::new() }.max_thread_iters(), 0);
+        assert_eq!(LoopPartition { chunks: Vec::new() }.total_chunks(), 0);
     }
 
     #[test]
@@ -230,7 +216,7 @@ mod tests {
         let p = static_partition(100, 4, Schedule::Static);
         for t in 0..4 {
             assert_eq!(p.thread_iters(t), 25);
-            assert_eq!(p.thread_chunks(t), 1);
+            assert_eq!(p.chunks[t].len(), 1);
         }
     }
 

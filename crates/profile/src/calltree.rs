@@ -17,7 +17,6 @@ struct Node {
     parent: Option<CallPathId>,
     region: RegionRef,
     children: Vec<CallPathId>,
-    depth: u32,
 }
 
 /// The call-path tree.
@@ -49,8 +48,7 @@ impl CallTree {
             return id;
         }
         let id = CallPathId(self.nodes.len() as u32);
-        let depth = parent.map_or(0, |p| self.nodes[p.0 as usize].depth + 1);
-        self.nodes.push(Node { parent, region, children: Vec::new(), depth });
+        self.nodes.push(Node { parent, region, children: Vec::new() });
         match parent {
             Some(p) => self.nodes[p.0 as usize].children.push(id),
             None => self.roots.push(id),
@@ -68,24 +66,9 @@ impl CallTree {
         self.nodes.is_empty()
     }
 
-    /// Parent of a call path.
-    pub fn parent(&self, id: CallPathId) -> Option<CallPathId> {
-        self.nodes[id.0 as usize].parent
-    }
-
     /// Region at the end of the path.
     pub fn region(&self, id: CallPathId) -> RegionRef {
         self.nodes[id.0 as usize].region
-    }
-
-    /// Children of a call path.
-    pub fn children(&self, id: CallPathId) -> &[CallPathId] {
-        &self.nodes[id.0 as usize].children
-    }
-
-    /// Depth (roots are 0).
-    pub fn depth(&self, id: CallPathId) -> u32 {
-        self.nodes[id.0 as usize].depth
     }
 
     /// Iterate all ids in interning order.
@@ -107,7 +90,7 @@ impl CallTree {
 
     /// Find the call path whose rendered string equals `path` (slow;
     /// for tests and report lookups).
-    pub fn find_by_string(
+    pub(crate) fn find_by_string(
         &self,
         path: &str,
         region_name: impl Fn(RegionRef) -> String + Copy,
@@ -135,7 +118,7 @@ mod tests {
         // Same region under a different parent is a different path.
         let b = t.intern(Some(a), RegionRef(1));
         assert_ne!(a, b);
-        assert_eq!(t.depth(b), 2);
+        assert_eq!(t.path_string(b, names), "r0/r1/r1");
     }
 
     #[test]
@@ -155,8 +138,14 @@ mod tests {
         let root = t.intern(None, RegionRef(0));
         let a = t.intern(Some(root), RegionRef(1));
         let b = t.intern(Some(root), RegionRef(2));
-        assert_eq!(t.children(root), &[a, b]);
-        assert_eq!(t.parent(a), Some(root));
-        assert_eq!(t.parent(root), None);
+        // Each child is found again under its parent, in first-seen
+        // order, and renders below it.
+        assert_eq!(
+            (t.intern(Some(root), RegionRef(1)), t.intern(Some(root), RegionRef(2))),
+            (a, b)
+        );
+        assert_eq!(t.len(), 3);
+        assert_eq!(t.path_string(a, names), "r0/r1");
+        assert_eq!(t.path_string(root, names), "r0");
     }
 }

@@ -98,20 +98,6 @@ impl Profile {
         }
     }
 
-    /// Inclusive severity of `metric` at `path` including the call-path
-    /// subtree, summed over locations.
-    pub fn incl_at(&self, metric: Metric, path: CallPathId) -> f64 {
-        let mut total = 0.0;
-        let mut stack = vec![path];
-        while let Some(p) = stack.pop() {
-            for m in metric.subtree() {
-                total += self.excl(m, p);
-            }
-            stack.extend_from_slice(self.call_tree.children(p));
-        }
-        total
-    }
-
     /// The `(metric, call path) → %_T` mapping over the time hierarchy,
     /// used for the paper's J_(M,C) score. Exclusive in both dimensions;
     /// zero cells are omitted.
@@ -180,13 +166,6 @@ impl Profile {
     pub fn find_path(&self, s: &str) -> Option<CallPathId> {
         let regions = &self.regions;
         self.call_tree.find_by_string(s, |r: RegionRef| regions[r.0 as usize].name.clone())
-    }
-
-    /// Find the first call path ending in a region with the given name.
-    pub fn find_path_by_region(&self, region_name: &str) -> Option<CallPathId> {
-        self.call_tree
-            .iter()
-            .find(|&id| self.regions[self.call_tree.region(id).0 as usize].name == region_name)
     }
 
     /// Cell-wise arithmetic mean of several same-shape profiles (the
@@ -258,16 +237,6 @@ mod tests {
     }
 
     #[test]
-    fn inclusive_at_path_includes_children() {
-        let p = mk();
-        let root = p.find_path("main").unwrap();
-        let solve = p.find_path("main/solve").unwrap();
-        assert_eq!(p.incl_at(Metric::Time, root), 170.0);
-        assert_eq!(p.incl_at(Metric::Time, solve), 160.0);
-        assert_eq!(p.incl_at(Metric::Comp, solve), 120.0);
-    }
-
-    #[test]
     fn map_mc_normalises_to_pct_t() {
         let p = mk();
         let mc = p.map_mc();
@@ -303,12 +272,5 @@ mod tests {
         assert!((m.get(Metric::Comp, solve, 0) - 100.0).abs() < 1e-9); // (50+150)/2
         assert!((m.get(Metric::Comp, solve, 1) - 70.0).abs() < 1e-9);
         let _ = a;
-    }
-
-    #[test]
-    fn find_by_region_name() {
-        let p = mk();
-        assert_eq!(p.find_path_by_region("MPI_Allreduce"), p.find_path("main/solve/MPI_Allreduce"));
-        assert_eq!(p.find_path_by_region("nope"), None);
     }
 }

@@ -10,7 +10,6 @@
 
 pub mod calltree;
 pub mod cube;
-pub mod export;
 pub mod jaccard;
 pub mod metric;
 pub mod render;
@@ -18,8 +17,7 @@ pub mod system;
 
 pub use calltree::{CallPathId, CallTree};
 pub use cube::Profile;
-pub use export::{map_mc_csv, to_csv};
 pub use jaccard::{jaccard, min_pairwise_jaccard, total_variation};
 pub use metric::{Metric, N_METRICS};
-pub use render::{callpath_table, metric_table, paradigm_summary};
-pub use system::{location_spread, per_rank, system_table, LocationSpread};
+pub use render::{callpath_table, metric_table};
+pub use system::{location_spread, LocationSpread};

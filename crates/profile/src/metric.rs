@@ -74,7 +74,7 @@ impl Metric {
     ];
 
     /// Parent in the metric tree (None for roots).
-    pub fn parent(self) -> Option<Metric> {
+    pub(crate) fn parent(self) -> Option<Metric> {
         Some(match self {
             Metric::Time
             | Metric::DelayN2n
@@ -116,7 +116,7 @@ impl Metric {
 
     /// True if `self` lies in the `time` hierarchy (counted toward the
     /// total the %_T normalisation divides by).
-    pub fn is_time_metric(self) -> bool {
+    pub(crate) fn is_time_metric(self) -> bool {
         let mut m = self;
         loop {
             if m == Metric::Time {
@@ -152,11 +152,6 @@ impl Metric {
             Metric::Visits => "visits",
         }
     }
-
-    /// Storage index.
-    pub fn index(self) -> usize {
-        self as usize
-    }
 }
 
 #[cfg(test)]
@@ -167,7 +162,7 @@ mod tests {
     fn all_has_every_metric_once() {
         assert_eq!(Metric::ALL.len(), N_METRICS);
         for (i, m) in Metric::ALL.iter().enumerate() {
-            assert_eq!(m.index(), i);
+            assert_eq!(*m as usize, i);
         }
     }
 

@@ -42,18 +42,6 @@ pub fn callpath_table(profile: &Profile, metric: Metric, min_pct: f64) -> String
     out
 }
 
-/// One-line summary of the paradigm split (the Fig. 7 / Fig. 8 bars).
-pub fn paradigm_summary(profile: &Profile) -> String {
-    format!(
-        "{}: comp {:.1}%_T  mpi {:.1}%_T  omp {:.1}%_T  idle {:.1}%_T",
-        profile.clock_name,
-        profile.pct_t(Metric::Comp),
-        profile.pct_t(Metric::Mpi),
-        profile.pct_t(Metric::Omp),
-        profile.pct_t(Metric::IdleThreads),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -89,12 +77,5 @@ mod tests {
         let s = callpath_table(&mk(), Metric::Comp, 0.0);
         assert!(s.contains("main/kernel"), "{s}");
         assert!(s.contains("100.00"), "{s}");
-    }
-
-    #[test]
-    fn paradigm_summary_mentions_everything() {
-        let s = paradigm_summary(&mk());
-        assert!(s.contains("comp 80.0"), "{s}");
-        assert!(s.contains("mpi 20.0"), "{s}");
     }
 }

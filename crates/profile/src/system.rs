@@ -1,12 +1,10 @@
 //! System-dimension views: the third Cube axis.
 //!
-//! Scalasca's system tree runs job → node → rank → thread; queries like
-//! "how much time does thread 0 spend in foo?" and per-rank imbalance
-//! summaries live here.
+//! Scalasca's system tree runs job → node → rank → thread; the
+//! per-location imbalance summary of a metric lives here.
 
 use crate::cube::Profile;
 use crate::metric::Metric;
-use std::fmt::Write;
 
 /// Distribution summary of a metric across locations.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -38,41 +36,6 @@ pub fn location_spread(profile: &Profile, metric: Metric) -> LocationSpread {
         .unwrap_or(0);
     let mean = values.iter().sum::<f64>() / n as f64;
     LocationSpread { min, mean, max, argmax, imbalance: if mean > 0.0 { max / mean } else { 1.0 } }
-}
-
-/// Per-rank inclusive totals of a metric (summed over the rank's
-/// threads).
-pub fn per_rank(profile: &Profile, metric: Metric) -> Vec<f64> {
-    let mut out: Vec<f64> = Vec::new();
-    for (i, loc) in profile.locations.iter().enumerate() {
-        let rank = loc.rank as usize;
-        if out.len() <= rank {
-            out.resize(rank + 1, 0.0);
-        }
-        out[rank] += profile.metric_at_location(metric, i);
-    }
-    out
-}
-
-/// Render the per-rank distribution of the main metrics as a table —
-/// the textual system-tree view.
-pub fn system_table(profile: &Profile, metrics: &[Metric]) -> String {
-    let mut out = String::new();
-    let _ = write!(out, "{:<6}", "rank");
-    for m in metrics {
-        let _ = write!(out, " {:>14}", m.name());
-    }
-    let _ = writeln!(out);
-    let columns: Vec<Vec<f64>> = metrics.iter().map(|&m| per_rank(profile, m)).collect();
-    let n_ranks = columns.first().map_or(0, Vec::len);
-    for r in 0..n_ranks {
-        let _ = write!(out, "{r:<6}");
-        for col in &columns {
-            let _ = write!(out, " {:>14.3e}", col[r]);
-        }
-        let _ = writeln!(out);
-    }
-    out
 }
 
 #[cfg(test)]
@@ -107,20 +70,6 @@ mod tests {
         assert_eq!(s.mean, 30.0);
         assert_eq!(s.argmax, 3);
         assert!((s.imbalance - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn per_rank_sums_threads() {
-        let v = per_rank(&profile(), Metric::Comp);
-        assert_eq!(v, vec![30.0, 90.0]);
-    }
-
-    #[test]
-    fn table_renders() {
-        let t = system_table(&profile(), &[Metric::Comp, Metric::Time]);
-        assert!(t.contains("rank"), "{t}");
-        assert!(t.contains("comp"), "{t}");
-        assert!(t.lines().count() >= 3);
     }
 
     #[test]

@@ -42,11 +42,6 @@ impl Kernel {
     pub fn new(cost: Cost, working_set: u64) -> Kernel {
         Kernel { cost, working_set, burst: None }
     }
-
-    /// A kernel whose work is spread over `calls` calls to `callee`.
-    pub fn with_burst(cost: Cost, working_set: u64, callee: RegionId, calls: u64) -> Kernel {
-        Kernel { cost, working_set, burst: Some(CallBurst { callee, calls }) }
-    }
 }
 
 /// OpenMP loop schedule (subset the mini-apps use).
@@ -238,25 +233,6 @@ impl MpiOp {
             MpiOp::Reduce { .. } => "MPI_Reduce",
         }
     }
-
-    /// True for the N×N collectives whose wait time Scalasca classifies
-    /// as `wait_nxn` (Wait at N×N pattern).
-    pub fn is_nxn_collective(&self) -> bool {
-        matches!(self, MpiOp::Allreduce { .. } | MpiOp::Alltoall { .. } | MpiOp::Allgather { .. })
-    }
-
-    /// True for any collective operation.
-    pub fn is_collective(&self) -> bool {
-        matches!(
-            self,
-            MpiOp::Barrier
-                | MpiOp::Allreduce { .. }
-                | MpiOp::Alltoall { .. }
-                | MpiOp::Allgather { .. }
-                | MpiOp::Bcast { .. }
-                | MpiOp::Reduce { .. }
-        )
-    }
 }
 
 /// One step of a rank's program.
@@ -289,22 +265,8 @@ mod tests {
     }
 
     #[test]
-    fn nxn_classification() {
-        assert!(MpiOp::Allreduce { bytes: 8 }.is_nxn_collective());
-        assert!(MpiOp::Alltoall { bytes: 8 }.is_nxn_collective());
-        assert!(MpiOp::Allgather { bytes: 8 }.is_nxn_collective());
-        assert!(!MpiOp::Barrier.is_nxn_collective());
-        assert!(!MpiOp::Send { dest: 0, tag: 0, bytes: 1 }.is_nxn_collective());
-        assert!(MpiOp::Barrier.is_collective());
-        assert!(MpiOp::Bcast { root: 0, bytes: 1 }.is_collective());
-        assert!(!MpiOp::Recv { src: 0, tag: 0, bytes: 1 }.is_collective());
-    }
-
-    #[test]
     fn kernel_constructors() {
         let k = Kernel::new(Cost::scalar(10), 64);
         assert!(k.burst.is_none());
-        let k = Kernel::with_burst(Cost::scalar(10), 64, RegionId(3), 500);
-        assert_eq!(k.burst.unwrap().calls, 500);
     }
 }

@@ -56,7 +56,7 @@ impl Cost {
     }
 
     /// Scale every component by a non-negative factor, rounding.
-    pub fn scale(&self, factor: f64) -> Cost {
+    pub(crate) fn scale(&self, factor: f64) -> Cost {
         debug_assert!(factor >= 0.0);
         let s = |v: u64| (v as f64 * factor).round() as u64;
         Cost {
@@ -156,11 +156,6 @@ impl IterCost {
             }
         }
     }
-
-    /// Cost of the whole loop of `total` iterations.
-    pub fn total_cost(&self, total: u64) -> Cost {
-        self.range_cost(0, total, total)
-    }
 }
 
 #[cfg(test)]
@@ -207,7 +202,7 @@ mod tests {
         let ic = IterCost::Uniform(Cost::scalar(10));
         assert_eq!(ic.range_cost(0, 5, 100).instructions, 50);
         assert_eq!(ic.range_cost(3, 3, 100), Cost::ZERO);
-        assert_eq!(ic.total_cost(100).instructions, 1000);
+        assert_eq!(ic.range_cost(0, 100, 100).instructions, 1000);
     }
 
     #[test]
@@ -215,7 +210,7 @@ mod tests {
         // Ramp 1 → 3 over 100 iterations: mean factor 2.
         let base = Cost::scalar(1000);
         let ic = IterCost::Ramp { base, last_factor: 3.0 };
-        let total = ic.total_cost(100);
+        let total = ic.range_cost(0, 100, 100);
         let expected = base.instructions as f64 * 100.0 * 2.0;
         assert!((total.instructions as f64 - expected).abs() / expected < 0.01);
     }
@@ -224,7 +219,7 @@ mod tests {
     fn ramp_ranges_sum_to_total() {
         let base = Cost::scalar(997);
         let ic = IterCost::Ramp { base, last_factor: 4.0 };
-        let total = ic.total_cost(1000).instructions;
+        let total = ic.range_cost(0, 1000, 1000).instructions;
         let split: u64 = [(0, 250), (250, 700), (700, 1000)]
             .iter()
             .map(|&(b, e)| ic.range_cost(b, e, 1000).instructions)
@@ -244,6 +239,6 @@ mod tests {
     #[test]
     fn single_iteration_ramp_degenerates() {
         let ic = IterCost::Ramp { base: Cost::scalar(100), last_factor: 7.0 };
-        assert_eq!(ic.total_cost(1).instructions, 100);
+        assert_eq!(ic.range_cost(0, 1, 1).instructions, 100);
     }
 }

@@ -148,11 +148,6 @@ impl Program {
         n
     }
 
-    /// Total number of actions across all ranks (diagnostic).
-    pub fn total_actions(&self) -> usize {
-        self.ranks.iter().map(Vec::len).sum()
-    }
-
     /// Check structural invariants that would otherwise surface as
     /// hangs or panics deep inside the replay engine.
     pub fn validate(&self) -> Result<(), Vec<ValidationError>> {
@@ -323,7 +318,7 @@ mod tests {
         let p = pb.finish();
         assert!(p.validate().is_ok());
         assert_eq!(p.n_ranks(), 2);
-        assert_eq!(p.total_actions(), 8);
+        assert_eq!(p.ranks.iter().map(Vec::len).sum::<usize>(), 8);
     }
 
     #[test]

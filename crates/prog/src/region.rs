@@ -37,21 +37,6 @@ pub enum RegionKind {
     OmpFork,
 }
 
-impl RegionKind {
-    /// True for OpenMP runtime constructs (not user computation).
-    pub fn is_omp_construct(self) -> bool {
-        matches!(
-            self,
-            RegionKind::OmpImplicitBarrier | RegionKind::OmpBarrier | RegionKind::OmpFork
-        )
-    }
-
-    /// True for MPI API calls.
-    pub fn is_mpi(self) -> bool {
-        matches!(self, RegionKind::Mpi)
-    }
-}
-
 /// A region definition.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Region {
@@ -99,7 +84,7 @@ impl RegionTable {
     }
 
     /// The definition behind an id.
-    pub fn get(&self, id: RegionId) -> &Region {
+    pub(crate) fn get(&self, id: RegionId) -> &Region {
         &self.regions[id.0 as usize]
     }
 
@@ -178,14 +163,5 @@ mod tests {
         assert_eq!(t.find("c"), None);
         let ids: Vec<_> = t.iter().map(|(id, _)| id).collect();
         assert_eq!(ids, vec![a, b]);
-    }
-
-    #[test]
-    fn kind_predicates() {
-        assert!(RegionKind::Mpi.is_mpi());
-        assert!(!RegionKind::User.is_mpi());
-        assert!(RegionKind::OmpFork.is_omp_construct());
-        assert!(RegionKind::OmpBarrier.is_omp_construct());
-        assert!(!RegionKind::OmpLoop.is_omp_construct());
     }
 }

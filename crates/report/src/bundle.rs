@@ -6,11 +6,12 @@
 //! in-repo JSON parser; the workspace stays dependency-free) back into
 //! counters, [`Histogram`]s, and [`SpanRecord`]s for the inspector.
 //!
-//! The file comes from disk, so every number is checked: a count or a
-//! duration must be a non-negative integer no larger than 2^53 (the
-//! largest the `f64`-backed parser holds exactly), and a track or depth
-//! must fit a `u32`. A value outside those ranges is an error naming
-//! its line, never a silent clamp or wrap.
+//! The file comes from disk, so every number goes through the strict
+//! field readers on [`Value`]: a count or a duration must be a
+//! non-negative integer no larger than 2^53 (the largest the
+//! `f64`-backed parser holds exactly), and a track or depth must fit a
+//! `u32`. A value outside those ranges is an error naming its line,
+//! never a silent clamp or wrap.
 
 use nrlt_telemetry::json::{self, Value};
 use nrlt_telemetry::{Histogram, SpanRecord};
@@ -47,7 +48,7 @@ impl Bundle {
 
     /// Parse the contents of a `metrics.jsonl` export. Unknown kinds are
     /// ignored (forward compatibility); malformed lines are errors.
-    pub fn from_jsonl(text: &str) -> Result<Bundle, String> {
+    pub(crate) fn from_jsonl(text: &str) -> Result<Bundle, String> {
         let mut bundle = Bundle::default();
         for (i, line) in text.lines().enumerate() {
             if !line.trim().is_empty() {
@@ -61,18 +62,18 @@ impl Bundle {
         let v = json::parse(line)?;
         match v.get("kind").and_then(Value::as_str).unwrap_or("") {
             "counter" => {
-                self.counters.insert(str_field(&v, "name")?, u64_field(&v, "value")?);
+                self.counters.insert(v.str_field("name")?, v.u64_field("value")?);
             }
             "histogram" => {
-                self.hists.insert(str_field(&v, "name")?, parse_hist(&v)?);
+                self.hists.insert(v.str_field("name")?, parse_hist(&v)?);
             }
             "span" => self.spans.push(SpanRecord {
-                name: str_field(&v, "name")?,
-                cat: str_field(&v, "cat")?,
-                track: u32_field(&v, "track")?,
-                depth: u32_field(&v, "depth")?,
-                start_ns: u64_field(&v, "start_ns")?,
-                dur_ns: u64_field(&v, "dur_ns")?,
+                name: v.str_field("name")?,
+                cat: v.str_field("cat")?,
+                track: v.u32_field("track")?,
+                depth: v.u32_field("depth")?,
+                start_ns: v.u64_field("start_ns")?,
+                dur_ns: v.u64_field("dur_ns")?,
                 closed: matches!(v.get("closed"), Some(Value::Bool(true))),
             }),
             _ => {}
@@ -81,45 +82,18 @@ impl Bundle {
     }
 }
 
-fn str_field(v: &Value, key: &str) -> Result<String, String> {
-    v.get(key)
-        .and_then(Value::as_str)
-        .map(str::to_owned)
-        .ok_or_else(|| format!("missing string field {key:?}"))
-}
-
-/// A `u64` field: a non-negative integer no larger than 2^53, above
-/// which the `f64`-backed parser no longer holds every integer exactly.
-fn u64_field(v: &Value, key: &str) -> Result<u64, String> {
-    const MAX_EXACT: f64 = (1u64 << 53) as f64;
-    let f = v
-        .get(key)
-        .and_then(Value::as_f64)
-        .ok_or_else(|| format!("missing numeric field {key:?}"))?;
-    if !(0.0..=MAX_EXACT).contains(&f) || f.fract() != 0.0 {
-        return Err(format!("field {key:?} is {f}, not an integer in [0, 2^53]"));
-    }
-    Ok(f as u64)
-}
-
-/// A `u32` field (a span's track or depth).
-fn u32_field(v: &Value, key: &str) -> Result<u32, String> {
-    let n = u64_field(v, key)?;
-    u32::try_from(n).map_err(|_| format!("field {key:?} is {n}, above u32::MAX"))
-}
-
 /// Rebuild a [`Histogram`] from its exported digest: bucket counts slot
 /// back in by each bucket's lower bound.
 fn parse_hist(v: &Value) -> Result<Histogram, String> {
     let mut h = Histogram::new();
-    h.count = u64_field(v, "count")?;
-    h.sum = u64_field(v, "sum")?;
-    h.max = u64_field(v, "max")?;
-    h.min = if h.count == 0 { u64::MAX } else { u64_field(v, "min")? };
+    h.count = v.u64_field("count")?;
+    h.sum = v.u64_field("sum")?;
+    h.max = v.u64_field("max")?;
+    h.min = if h.count == 0 { u64::MAX } else { v.u64_field("min")? };
     if let Some(buckets) = v.get("buckets").and_then(Value::as_arr) {
         for b in buckets {
-            let lo = u64_field(b, "lo")?;
-            let count = u64_field(b, "count")?;
+            let lo = b.u64_field("lo")?;
+            let count = b.u64_field("count")?;
             h.buckets[Histogram::bucket_index(lo)] = count;
         }
     }

@@ -66,7 +66,7 @@ pub struct GaugeRow {
 
 impl GaugeRow {
     /// Mean sample value.
-    pub fn mean(&self) -> f64 {
+    pub(crate) fn mean(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {
@@ -112,7 +112,7 @@ pub fn load_engine_bundle(dir: &Path) -> Result<EngineBundle, String> {
     let det = parse(&text).map_err(|e| format!("{}: {e}", det_path.display()))?;
     let mut runs = Vec::new();
     for run in arr(&det, "runs")? {
-        runs.push(parse_run(run)?);
+        runs.push(parse_run(run).map_err(|e| format!("{}: {e}", det_path.display()))?);
     }
     let samples = std::fs::read_to_string(dir.join("samples.folded"))
         .ok()
@@ -141,50 +141,38 @@ fn kind_samples(stacks: &[(Vec<String>, u64)]) -> BTreeMap<String, KindSamples> 
 
 fn parse_run(run: &Value) -> Result<EngineRun, String> {
     let mut out = EngineRun {
-        name: str_field(run, "run").ok_or("run entry without a name")?,
-        events: u64_field(run, "events"),
+        name: run.str_field("run")?,
+        events: run.u64_field("events")?,
         ..EngineRun::default()
     };
     for kind in arr(run, "kinds")? {
         out.kinds.push(KindRow {
-            event: str_field(kind, "event").ok_or("kind without an event name")?,
-            count: u64_field(kind, "count"),
-            virtual_ns: u64_field(kind, "virtual_ns"),
+            event: kind.str_field("event")?,
+            count: kind.u64_field("count")?,
+            virtual_ns: kind.u64_field("virtual_ns")?,
             samples: KindSamples::default(),
         });
     }
     for gauge in arr(run, "gauges").unwrap_or(&[]) {
         out.gauges.push(GaugeRow {
-            series: str_field(gauge, "series").unwrap_or_default(),
-            phase: str_field(gauge, "phase").unwrap_or_default(),
-            count: u64_field(gauge, "count"),
-            sum: i64_field(gauge, "sum"),
-            max: i64_field(gauge, "max"),
+            series: gauge.str_field("series")?,
+            phase: gauge.str_field("phase")?,
+            count: gauge.u64_field("count")?,
+            sum: gauge.i64_field("sum")?,
+            max: gauge.i64_field("max")?,
         });
     }
     for h in arr(run, "hwm").unwrap_or(&[]) {
-        out.hwm.push((str_field(h, "name").unwrap_or_default(), u64_field(h, "value")));
+        out.hwm.push((h.str_field("name")?, h.u64_field("value")?));
     }
     for a in arr(run, "allocs").unwrap_or(&[]) {
-        out.allocs.push((str_field(a, "site").unwrap_or_default(), u64_field(a, "count")));
+        out.allocs.push((a.str_field("site")?, a.u64_field("count")?));
     }
     Ok(out)
 }
 
 fn arr<'a>(v: &'a Value, key: &str) -> Result<&'a [Value], String> {
     v.get(key).and_then(Value::as_arr).ok_or_else(|| format!("missing array {key:?}"))
-}
-
-fn str_field(v: &Value, key: &str) -> Option<String> {
-    v.get(key).and_then(Value::as_str).map(str::to_owned)
-}
-
-fn u64_field(v: &Value, key: &str) -> u64 {
-    v.get(key).and_then(Value::as_f64).map(|f| f.max(0.0) as u64).unwrap_or(0)
-}
-
-fn i64_field(v: &Value, key: &str) -> i64 {
-    v.get(key).and_then(Value::as_f64).map(|f| f as i64).unwrap_or(0)
 }
 
 /// Sum per-kind rows across runs (kinds matched by event name, order of
@@ -233,7 +221,7 @@ fn fmt_ms(ns: u64) -> String {
 /// * `top` bounds the queue-pressure and allocation tables.
 ///
 /// Errors when the filter matches nothing or the bundle is empty.
-pub fn engine_text(
+pub(crate) fn engine_text(
     bundle: &EngineBundle,
     run_filter: Option<&str>,
     top: usize,
@@ -608,5 +596,33 @@ mod tests {
         let text = engine_text(&joined, None, 5).unwrap();
         assert!(text.contains("ranked by exclusive samples"), "{text}");
         assert!(text.find("noise_draw") < text.find("kernel_advance"), "{text}");
+    }
+
+    #[test]
+    fn out_of_range_or_missing_numbers_are_errors() {
+        let doc = |kind: &str| {
+            format!(
+                "{{\"version\": 1, \"runs\": [{{\"run\": \"r\", \"events\": 3, \
+                 \"kinds\": [{kind}], \"gauges\": [], \"hwm\": [], \"allocs\": []}}]}}"
+            )
+        };
+        let dir = std::env::temp_dir().join(format!("nrlt-engine-strict-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let load = |kind: &str| {
+            std::fs::write(dir.join("engineprof.json"), doc(kind)).unwrap();
+            load_engine_bundle(&dir)
+        };
+        let ok = load(r#"{"event": "barrier", "count": 2, "virtual_ns": 40}"#).unwrap();
+        assert_eq!((ok.runs[0].kinds[0].count, ok.runs[0].kinds[0].virtual_ns), (2, 40));
+        let bad = [
+            ("count", r#"{"event": "barrier", "count": -1, "virtual_ns": 40}"#),
+            ("count", r#"{"event": "barrier", "count": 1.5, "virtual_ns": 40}"#),
+            ("virtual_ns", r#"{"event": "barrier", "count": 2}"#),
+        ];
+        let errs: Vec<String> = bad.iter().map(|(_, kind)| load(kind).unwrap_err()).collect();
+        std::fs::remove_dir_all(&dir).ok();
+        for ((field, kind), err) in bad.iter().zip(&errs) {
+            assert!(err.contains("engineprof.json") && err.contains(field), "{kind}: {err}");
+        }
     }
 }

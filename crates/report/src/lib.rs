@@ -21,8 +21,8 @@
 //!   (`samples.folded`).
 //! * [`flame`] — the collapsed-stack codec of the sampler's
 //!   `samples.folded`.
-//! * [`bench`] — host parallelism and peak-RSS (`VmHWM`) probes shared
-//!   by the bench harness and the repository benchmark.
+//! * [`bench`](mod@bench) — host parallelism and peak-RSS (`VmHWM`)
+//!   probes shared by the bench harness and the repository benchmark.
 //! * [`observe`] — the resource-observatory explorer over `--observe`
 //!   bundles (`nrlt-observe`): top contended resources per phase,
 //!   noise share per wait-metric cell, wait-state provenance chains.
@@ -53,9 +53,8 @@ pub mod query;
 pub mod severity;
 
 pub use bundle::Bundle;
-pub use engine::{engine_diff, engine_text, load_engine_bundle, EngineBundle, EngineRun};
+pub use engine::{engine_diff, load_engine_bundle, EngineBundle, EngineRun};
 pub use flame::{folded_from_counts, parse_folded};
 pub use inspect::inspect_text;
-pub use observe::{observe_text, wait_names};
 pub use query::{engine_query, observe_query};
 pub use severity::{mode_text, severity_json, severity_text};

@@ -13,9 +13,7 @@
 //! counts.
 
 use nrlt_observe::export::ObserveBundle;
-use nrlt_observe::query::{
-    dominant_wait, named_wait, noise_shares, top_contended, waits_by_severity,
-};
+use nrlt_observe::query::{dominant_wait, named_wait, noise_shares, top_contended};
 use nrlt_observe::{RunData, WaitProvenance};
 use std::fmt::Write as _;
 
@@ -27,7 +25,7 @@ use std::fmt::Write as _;
 ///   to print instead of each run's dominant one.
 ///
 /// Errors when the filter or the wait name matches nothing.
-pub fn observe_text(
+pub(crate) fn observe_text(
     bundle: &ObserveBundle,
     run_filter: Option<&str>,
     top_k: usize,
@@ -182,20 +180,6 @@ fn render_provenance(out: &mut String, w: &WaitProvenance) {
     }
 }
 
-/// List the retained wait-state names of a run (for `--wait`
-/// discovery): `metric#i` with per-metric severity-descending indices.
-pub fn wait_names(data: &RunData) -> Vec<String> {
-    let metrics: std::collections::BTreeSet<&str> =
-        data.waits.iter().map(|w| w.metric.as_str()).collect();
-    let mut names = Vec::new();
-    for metric in metrics {
-        for i in 0..waits_by_severity(data, metric).len() {
-            names.push(format!("{metric}#{i}"));
-        }
-    }
-    names
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -205,11 +189,17 @@ mod tests {
         let obs = Observe::new();
         let run = RunObserve::new("App:tsc:rep0");
         for i in 0..8 {
-            run.sample("numa0.bw_threads", "cg", 10 * i, i, 12 + i as i64);
-            run.sample("mpi.match_queue_sends", "halo", 10 * i, i, 3);
+            run.sample_id(
+                run.series("numa0.bw_threads"),
+                run.phase("cg"),
+                10 * i,
+                i,
+                12 + i as i64,
+            );
+            run.sample_id(run.series("mpi.match_queue_sends"), run.phase("halo"), 10 * i, i, 3);
         }
-        run.noise(NoiseKind::OsDetour, 0, 5, 1, "cg", 40, 900);
-        run.noise(NoiseKind::NetJitter, 1, 0, 2, "halo", 55, -120);
+        run.noise_id(NoiseKind::OsDetour, 0, 5, 1, run.phase("cg"), 40, 900);
+        run.noise_id(NoiseKind::NetJitter, 1, 0, 2, run.phase("halo"), 55, -120);
         run.wait(WaitProvenance {
             metric: "delay_mpi_latesender".into(),
             waiter_loc: 2,
@@ -254,7 +244,5 @@ mod tests {
         assert!(text.contains("wait state delay_mpi_latesender#0:"));
         assert!(observe_text(&b, Some("nope"), 1, None).is_err());
         assert!(observe_text(&b, None, 1, Some("delay_mpi_latesender#9")).is_err());
-        let names = wait_names(&b.runs["App:tsc:rep0"]);
-        assert_eq!(names, vec!["delay_mpi_latesender#0"]);
     }
 }

@@ -6,7 +6,9 @@
 
 use std::path::Path;
 
-use crate::{engine_text, load_engine_bundle, observe_text};
+use crate::engine::engine_text;
+use crate::load_engine_bundle;
+use crate::observe::observe_text;
 use nrlt_observe::export::ObserveBundle;
 
 /// Prefix a load error with `path` unless the loader already named it.

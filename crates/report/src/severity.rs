@@ -42,7 +42,7 @@ pub struct Hotspot {
 impl Hotspot {
     /// Imbalance factor max/mean (1.0 = perfectly balanced; 0.0 when the
     /// mean is zero).
-    pub fn imbalance(&self) -> f64 {
+    pub(crate) fn imbalance(&self) -> f64 {
         if self.loc_mean == 0.0 {
             0.0
         } else {
@@ -60,7 +60,7 @@ fn mode_cells(profile: &Profile) -> BTreeMap<(Metric, String), f64> {
 
 /// The top-`n` exclusive (metric, call path) cells ranked by `%_T` under
 /// the first measured mode, with all modes' values attached.
-pub fn hotspots(result: &ExperimentResult, n: usize) -> Vec<Hotspot> {
+pub(crate) fn hotspots(result: &ExperimentResult, n: usize) -> Vec<Hotspot> {
     let Some(ranking) = result.modes.first() else {
         return Vec::new();
     };

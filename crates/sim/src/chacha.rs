@@ -27,7 +27,7 @@ pub struct ChaCha8 {
 
 impl ChaCha8 {
     /// Build a stream from a 256-bit key.
-    pub fn from_seed(seed: [u8; 32]) -> ChaCha8 {
+    pub(crate) fn from_seed(seed: [u8; 32]) -> ChaCha8 {
         let mut key = [0u32; 8];
         for (i, chunk) in seed.chunks_exact(4).enumerate() {
             key[i] = u32::from_le_bytes(chunk.try_into().unwrap());
@@ -64,7 +64,7 @@ impl ChaCha8 {
     }
 
     /// Next 32 bits of keystream.
-    pub fn next_u32(&mut self) -> u32 {
+    fn next_u32(&mut self) -> u32 {
         if self.idx >= 16 {
             self.refill();
         }
@@ -74,19 +74,19 @@ impl ChaCha8 {
     }
 
     /// Next 64 bits of keystream (low word first).
-    pub fn next_u64(&mut self) -> u64 {
+    pub(crate) fn next_u64(&mut self) -> u64 {
         let lo = self.next_u32() as u64;
         let hi = self.next_u32() as u64;
         lo | (hi << 32)
     }
 
     /// Uniform `f64` in `[0, 1)` with 53 bits of precision.
-    pub fn next_f64(&mut self) -> f64 {
+    pub(crate) fn next_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
     /// Uniform `f64` in `[lo, hi)`.
-    pub fn range_f64(&mut self, lo: f64, hi: f64) -> f64 {
+    pub(crate) fn range_f64(&mut self, lo: f64, hi: f64) -> f64 {
         lo + (hi - lo) * self.next_f64()
     }
 }
@@ -94,13 +94,13 @@ impl ChaCha8 {
 /// Compute the first keystream block of four independent streams at once.
 ///
 /// Each returned generator is positioned exactly as if it had been built
-/// with [`ChaCha8::from_seed`] and had produced its first block: same
+/// with `ChaCha8::from_seed` and had produced its first block: same
 /// key, block counter already advanced to 1, sixteen unread words — the
 /// keystream continues bit-identically across later refills. On
-/// `x86_64` the four blocks come from one SSE2 pass ([`sse2::blocks4`]);
-/// elsewhere each stream runs the scalar [`ChaCha8::refill`], which is
+/// `x86_64` the four blocks come from one SSE2 pass (`sse2::blocks4`);
+/// elsewhere each stream runs the scalar `ChaCha8::refill`, which is
 /// also the reference the tests compare the SSE2 kernel against.
-pub fn warm4(seeds: [[u8; 32]; 4]) -> [ChaCha8; 4] {
+pub(crate) fn warm4(seeds: [[u8; 32]; 4]) -> [ChaCha8; 4] {
     let mut streams = seeds.map(ChaCha8::from_seed);
     #[cfg(target_arch = "x86_64")]
     {

@@ -29,7 +29,7 @@ pub mod rng;
 pub mod time;
 pub mod topology;
 
-pub use chacha::{warm4, ChaCha8};
+pub use chacha::ChaCha8;
 pub use memory::{cache_bandwidth_share, dram_fraction, memory_time, shared_bandwidth};
 pub use noise::{KernelNoise, NoiseConfig, NoiseModel};
 pub use placement::{JobLayout, Location, PinPolicy, Placement};

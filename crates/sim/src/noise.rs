@@ -129,7 +129,7 @@ impl NoiseModel {
 
     /// Multiplicative factor on the CPU part of the `instance`-th kernel
     /// on `core`.
-    pub fn cpu_factor(&self, core: u64, instance: u64) -> f64 {
+    pub(crate) fn cpu_factor(&self, core: u64, instance: u64) -> f64 {
         if self.config.cpu_sigma == 0.0 {
             return 1.0;
         }
@@ -139,7 +139,7 @@ impl NoiseModel {
 
     /// Multiplicative factor on the memory part of the `instance`-th
     /// kernel on `core`.
-    pub fn mem_factor(&self, core: u64, instance: u64) -> f64 {
+    pub(crate) fn mem_factor(&self, core: u64, instance: u64) -> f64 {
         if self.config.mem_sigma == 0.0 {
             return 1.0;
         }
@@ -148,13 +148,11 @@ impl NoiseModel {
         jitter_factor(&mut rng, self.config.mem_sigma)
     }
 
-    /// Extra time stolen by OS detours from a computation of length
-    /// `span_secs` on `core`, in seconds.
-    ///
-    /// The number of detours is drawn from a Poisson distribution with
-    /// mean `detour_rate × span`, each detour contributing an exponential
-    /// duration with the configured mean.
-    pub fn detour_time(&self, core: u64, instance: u64, span_secs: f64) -> f64 {
+    /// The scalar reference for
+    /// [`detour_time_warmed`](Self::detour_time_warmed): the same draw
+    /// from a freshly derived stream.
+    #[cfg(test)]
+    fn detour_time(&self, core: u64, instance: u64, span_secs: f64) -> f64 {
         if !self.detour_on() || span_secs <= 0.0 {
             return 0.0;
         }
@@ -165,7 +163,7 @@ impl NoiseModel {
     ///
     /// The stream key `(MemBias, core, 0)` carries no instance, so the
     /// value is constant per core — it is drawn once and memoised.
-    pub fn mem_bias(&self, core: u64) -> f64 {
+    pub(crate) fn mem_bias(&self, core: u64) -> f64 {
         if self.config.mem_bias_sigma == 0.0 {
             return 1.0;
         }
@@ -216,11 +214,11 @@ impl NoiseModel {
     /// keys exactly as the per-channel calls would and computes their
     /// first keystream blocks together ([`RngFactory::stream4`]), so each
     /// channel sees an identical stream position and the returned factors
-    /// are bit-for-bit the values of [`cpu_factor`](Self::cpu_factor) /
-    /// [`mem_factor`](Self::mem_factor); the detour stream is handed back
-    /// warmed for [`detour_time_warmed`](Self::detour_time_warmed). When
-    /// fewer than two channels are live the batch would waste block
-    /// computations, so the call falls through to the scalar paths.
+    /// are bit-for-bit the values of `cpu_factor` / `mem_factor`; the
+    /// detour stream is handed back warmed for
+    /// [`detour_time_warmed`](Self::detour_time_warmed). When fewer than
+    /// two channels are live the batch would waste block computations,
+    /// so the call falls through to the scalar paths.
     ///
     /// The result reports what was drawn ([`KernelNoise::draws`],
     /// [`KernelNoise::warmed`]) so a caller can account for it.
@@ -266,11 +264,15 @@ impl NoiseModel {
         kn
     }
 
-    /// [`detour_time`](Self::detour_time) drawn from the stream warmed by
-    /// [`kernel_noise`](Self::kernel_noise); identical values, the block
-    /// is just already computed (the scalar stream is derived when the
-    /// batch skipped the detour lane). `None` when the channel draws
-    /// nothing: detours off, or an empty span.
+    /// Extra time stolen by OS detours from a computation of length
+    /// `span_secs` on the kernel's core, in seconds, drawn from the
+    /// stream warmed by [`kernel_noise`](Self::kernel_noise) (the scalar
+    /// stream is derived when the batch skipped the detour lane). `None`
+    /// when the channel draws nothing: detours off, or an empty span.
+    ///
+    /// The number of detours is drawn from a Poisson distribution with
+    /// mean `detour_rate × span`, each detour contributing an exponential
+    /// duration with the configured mean.
     pub fn detour_time_warmed(&self, kn: &mut KernelNoise, span_secs: f64) -> Option<f64> {
         if !self.detour_on() || span_secs <= 0.0 {
             return None;
@@ -282,8 +284,8 @@ impl NoiseModel {
         Some(self.detours(&mut rng, span_secs))
     }
 
-    /// The OS-detour draw of [`detour_time`](Self::detour_time), read
-    /// from `rng`.
+    /// The OS-detour draw of
+    /// [`detour_time_warmed`](Self::detour_time_warmed), read from `rng`.
     fn detours(&self, rng: &mut ChaCha8, span_secs: f64) -> f64 {
         let n = poisson(rng, self.config.detour_rate * span_secs);
         let mut total = 0.0;

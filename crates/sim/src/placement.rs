@@ -73,12 +73,6 @@ impl JobLayout {
         (loc.rank * self.threads_per_rank + loc.thread) as usize
     }
 
-    /// Inverse of [`JobLayout::location_index`].
-    pub fn location_at(&self, index: usize) -> Location {
-        let index = index as u32;
-        Location { rank: index / self.threads_per_rank, thread: index % self.threads_per_rank }
-    }
-
     /// Iterate all locations in dense order.
     pub fn iter_locations(&self) -> impl Iterator<Item = Location> + '_ {
         (0..self.ranks).flat_map(move |rank| {
@@ -279,7 +273,6 @@ mod tests {
         let layout = JobLayout::block(5, 3);
         for (i, loc) in layout.iter_locations().enumerate() {
             assert_eq!(layout.location_index(loc), i);
-            assert_eq!(layout.location_at(i), loc);
         }
         assert_eq!(layout.locations(), 15);
     }

@@ -50,11 +50,6 @@ impl RngFactory {
         RngFactory { seed }
     }
 
-    /// The experiment seed this factory was built from.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
     /// Derive the stream for `(kind, entity, instance)`.
     ///
     /// `entity` typically identifies a location (rank/thread) or a core;
@@ -66,7 +61,7 @@ impl RngFactory {
 
     /// The 256-bit ChaCha key that [`stream`](Self::stream) would seed
     /// for `(kind, entity, instance)`.
-    pub fn stream_key(&self, kind: StreamKind, entity: u64, instance: u64) -> [u8; 32] {
+    fn stream_key(&self, kind: StreamKind, entity: u64, instance: u64) -> [u8; 32] {
         let mut key = [0u8; 32];
         key[..8].copy_from_slice(&self.seed.to_le_bytes());
         key[8..16].copy_from_slice(&(kind as u64).to_le_bytes());

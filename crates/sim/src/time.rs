@@ -32,7 +32,7 @@ impl VirtualTime {
 
     /// Time as fractional seconds (for reports).
     #[inline]
-    pub fn as_secs_f64(self) -> f64 {
+    pub(crate) fn as_secs_f64(self) -> f64 {
         self.0 as f64 * 1e-9
     }
 
@@ -41,12 +41,6 @@ impl VirtualTime {
     #[inline]
     pub fn saturating_since(self, earlier: VirtualTime) -> VirtualDuration {
         VirtualDuration(self.0.saturating_sub(earlier.0))
-    }
-
-    /// The later of two instants.
-    #[inline]
-    pub fn max(self, other: VirtualTime) -> VirtualTime {
-        VirtualTime(self.0.max(other.0))
     }
 }
 

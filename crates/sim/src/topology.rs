@@ -101,17 +101,17 @@ impl NodeSpec {
     }
 
     /// Cores per socket.
-    pub fn cores_per_socket(&self) -> u32 {
+    pub(crate) fn cores_per_socket(&self) -> u32 {
         self.numa_per_socket * self.cores_per_numa
     }
 
     /// Cores per node.
-    pub fn cores_per_node(&self) -> u32 {
+    pub(crate) fn cores_per_node(&self) -> u32 {
         self.sockets * self.cores_per_socket()
     }
 
     /// NUMA domains per node.
-    pub fn numa_per_node(&self) -> u32 {
+    pub(crate) fn numa_per_node(&self) -> u32 {
         self.sockets * self.numa_per_socket
     }
 
@@ -142,38 +142,28 @@ impl Machine {
         Machine::new(NodeSpec::jureca_dc(), nodes)
     }
 
-    /// Total cores in the allocation.
-    pub fn total_cores(&self) -> u32 {
-        self.nodes * self.spec.cores_per_node()
-    }
-
     /// Total NUMA domains in the allocation.
     pub fn total_numa(&self) -> u32 {
         self.nodes * self.spec.numa_per_node()
     }
 
     /// The node a core belongs to.
-    pub fn node_of(&self, core: CoreId) -> NodeId {
+    pub(crate) fn node_of(&self, core: CoreId) -> NodeId {
         NodeId(core.0 / self.spec.cores_per_node())
     }
 
     /// The socket a core belongs to (machine-global index).
-    pub fn socket_of(&self, core: CoreId) -> SocketId {
+    pub(crate) fn socket_of(&self, core: CoreId) -> SocketId {
         SocketId(core.0 / self.spec.cores_per_socket())
     }
 
     /// The NUMA domain a core belongs to (machine-global index).
-    pub fn numa_of(&self, core: CoreId) -> NumaId {
+    pub(crate) fn numa_of(&self, core: CoreId) -> NumaId {
         NumaId(core.0 / self.spec.cores_per_numa)
     }
 
-    /// The socket a NUMA domain belongs to.
-    pub fn socket_of_numa(&self, numa: NumaId) -> SocketId {
-        SocketId(numa.0 / self.spec.numa_per_socket)
-    }
-
     /// Whether two cores are on the same node (shared-memory reachable).
-    pub fn same_node(&self, a: CoreId, b: CoreId) -> bool {
+    pub(crate) fn same_node(&self, a: CoreId, b: CoreId) -> bool {
         self.node_of(a) == self.node_of(b)
     }
 }
@@ -187,7 +177,7 @@ mod tests {
         let m = Machine::jureca_dc(2);
         assert_eq!(m.spec.cores_per_node(), 128);
         assert_eq!(m.spec.numa_per_node(), 8);
-        assert_eq!(m.total_cores(), 256);
+        assert_eq!(m.nodes, 2);
         assert_eq!(m.total_numa(), 16);
     }
 
@@ -210,14 +200,6 @@ mod tests {
     }
 
     #[test]
-    fn numa_to_socket() {
-        let m = Machine::jureca_dc(1);
-        assert_eq!(m.socket_of_numa(NumaId(0)), SocketId(0));
-        assert_eq!(m.socket_of_numa(NumaId(3)), SocketId(0));
-        assert_eq!(m.socket_of_numa(NumaId(4)), SocketId(1));
-    }
-
-    #[test]
     fn same_node_predicate() {
         let m = Machine::jureca_dc(2);
         assert!(m.same_node(CoreId(0), CoreId(127)));
@@ -229,8 +211,6 @@ mod tests {
         let s = NodeSpec::skylake();
         assert_eq!(s.cores_per_node(), 48);
         assert_eq!(s.numa_per_node(), 2);
-        let m = Machine::new(s, 4);
-        assert_eq!(m.total_cores(), 192);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! `ph` = `B`/`E` (nested begin/end), `C` (counter), `i` (instant) and
 //! `M` (metadata) records, timestamps in microseconds.
 //!
-//! [`pipeline_trace_json`] renders the *host-side* telemetry of a run —
+//! `pipeline_trace_json` renders the *host-side* telemetry of a run —
 //! the pipeline spans recorded through a [`Telemetry`] handle; the
 //! builders below it let other layers emit documents in the same form.
 
@@ -16,7 +16,7 @@ use crate::Telemetry;
 /// trace document. Spans become `B`/`E` pairs on their track's tid;
 /// counters are attached as `args` of a final instant event so they show
 /// up in the UI without needing counter tracks.
-pub fn pipeline_trace_json(tel: &Telemetry) -> String {
+pub(crate) fn pipeline_trace_json(tel: &Telemetry) -> String {
     let mut events: Vec<String> = Vec::new();
     events.push(meta_event(0, 0, "process_name", "nrlt pipeline"));
 

@@ -46,7 +46,7 @@ impl Histogram {
     }
 
     /// Inclusive value range of bucket `i`.
-    pub fn bucket_range(i: usize) -> (u64, u64) {
+    pub(crate) fn bucket_range(i: usize) -> (u64, u64) {
         assert!(i < N_BUCKETS, "bucket {i} out of range");
         if i == 0 {
             (0, 0)
@@ -117,7 +117,7 @@ impl Histogram {
     }
 
     /// Non-empty buckets as `(index, low, high, count)` rows.
-    pub fn nonzero_buckets(&self) -> Vec<(usize, u64, u64, u64)> {
+    pub(crate) fn nonzero_buckets(&self) -> Vec<(usize, u64, u64, u64)> {
         self.buckets
             .iter()
             .enumerate()

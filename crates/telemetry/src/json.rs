@@ -6,21 +6,26 @@
 //! it whatever bundle files it is pointed at, so a malformed document
 //! must come back as an `Err`, never as a crash:
 //!
-//! * **depth limit** — nesting beyond [`ParseLimits::max_depth`] is an
-//!   error instead of a recursion-driven stack overflow (an overflow
-//!   aborts the process; it cannot be caught),
-//! * **size limit** — documents larger than [`ParseLimits::max_bytes`]
-//!   are rejected before a byte is parsed,
+//! * **depth limit** — nesting beyond [`MAX_DEPTH`] is an error instead
+//!   of a recursion-driven stack overflow (an overflow aborts the
+//!   process; it cannot be caught),
+//! * **size limit** — documents larger than [`MAX_BYTES`] are rejected
+//!   before a byte is parsed,
 //! * **finite numbers only** — `1e999` and friends overflow `f64` to
 //!   infinity under `str::parse`; JSON has no Inf/NaN, so non-finite
 //!   results are errors (the exporters render them as `0`),
 //! * **no trailing garbage** — a document must consume its input.
+//!
+//! The field readers on [`Value`] (`str_field`, `u64_field`,
+//! `u32_field`, `i64_field`) are the one set of rules every bundle
+//! loader applies to the numbers it reads back: integers only, within
+//! the range an `f64` holds exactly, with an error naming the field.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// Escape a string for inclusion in a JSON document (without the quotes).
-pub fn escape(s: &str) -> String {
+fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -110,44 +115,72 @@ impl Value {
             _ => None,
         }
     }
-}
 
-/// Hard bounds enforced while parsing untrusted documents.
-#[derive(Debug, Clone, Copy)]
-pub struct ParseLimits {
-    /// Maximum container nesting (arrays + objects). Exceeding it is an
-    /// error — the alternative is a stack overflow, which aborts.
-    pub max_depth: usize,
-    /// Maximum document size in bytes, checked before parsing.
-    pub max_bytes: usize,
-}
+    /// The string member `key` of an object.
+    pub fn str_field(&self, key: &str) -> Result<String, String> {
+        self.get(key)
+            .and_then(Value::as_str)
+            .map(str::to_owned)
+            .ok_or_else(|| format!("missing string field {key:?}"))
+    }
 
-impl Default for ParseLimits {
-    fn default() -> Self {
-        // Far above anything the exporters write (the largest committed
-        // document is tens of kilobytes; whole bundles are megabytes),
-        // far below anything that could exhaust the stack or memory.
-        ParseLimits { max_depth: 128, max_bytes: 64 << 20 }
+    fn num_field(&self, key: &str) -> Result<f64, String> {
+        self.get(key)
+            .and_then(Value::as_f64)
+            .ok_or_else(|| format!("missing numeric field {key:?}"))
+    }
+
+    /// The numeric member `key` as a `u64`: a non-negative integer no
+    /// larger than 2^53, above which the `f64`-backed parser no longer
+    /// holds every integer exactly. Anything else is an error, never a
+    /// clamp or a truncation.
+    pub fn u64_field(&self, key: &str) -> Result<u64, String> {
+        let f = self.num_field(key)?;
+        if !(0.0..=MAX_EXACT).contains(&f) || f.fract() != 0.0 {
+            return Err(format!("field {key:?} is {f}, not an integer in [0, 2^53]"));
+        }
+        Ok(f as u64)
+    }
+
+    /// [`u64_field`](Self::u64_field) that must also fit a `u32`.
+    pub fn u32_field(&self, key: &str) -> Result<u32, String> {
+        let n = self.u64_field(key)?;
+        u32::try_from(n).map_err(|_| format!("field {key:?} is {n}, above u32::MAX"))
+    }
+
+    /// The numeric member `key` as an `i64`: an integer in
+    /// [-2^53, 2^53], the signed twin of [`u64_field`](Self::u64_field).
+    pub fn i64_field(&self, key: &str) -> Result<i64, String> {
+        let f = self.num_field(key)?;
+        if !(-MAX_EXACT..=MAX_EXACT).contains(&f) || f.fract() != 0.0 {
+            return Err(format!("field {key:?} is {f}, not an integer in [-2^53, 2^53]"));
+        }
+        Ok(f as i64)
     }
 }
 
-/// Parse a complete JSON document under [`ParseLimits::default`].
-/// Errors carry a byte offset.
-pub fn parse(input: &str) -> Result<Value, String> {
-    parse_with_limits(input, &ParseLimits::default())
-}
+/// 2^53: every integer up to it is exact in an `f64`.
+const MAX_EXACT: f64 = (1u64 << 53) as f64;
 
-/// Parse a complete JSON document under explicit [`ParseLimits`].
-pub fn parse_with_limits(input: &str, limits: &ParseLimits) -> Result<Value, String> {
-    if input.len() > limits.max_bytes {
-        return Err(format!(
-            "document is {} bytes, limit is {} bytes",
-            input.len(),
-            limits.max_bytes
-        ));
+/// Maximum container nesting (arrays + objects). Exceeding it is an
+/// error — the alternative is a stack overflow, which aborts.
+pub const MAX_DEPTH: usize = 128;
+
+/// Maximum document size in bytes, checked before parsing. Like
+/// [`MAX_DEPTH`], far above anything the exporters write (the largest
+/// committed document is tens of kilobytes; whole bundles are
+/// megabytes), far below anything that could exhaust the stack or
+/// memory.
+pub const MAX_BYTES: usize = 64 << 20;
+
+/// Parse a complete JSON document of at most [`MAX_BYTES`] bytes and
+/// [`MAX_DEPTH`] levels of nesting. Errors carry a byte offset.
+pub fn parse(input: &str) -> Result<Value, String> {
+    if input.len() > MAX_BYTES {
+        return Err(format!("document is {} bytes, limit is {MAX_BYTES} bytes", input.len()));
     }
     let bytes = input.as_bytes();
-    let mut p = Parser { bytes, pos: 0, depth: 0, max_depth: limits.max_depth };
+    let mut p = Parser { bytes, pos: 0, depth: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -161,7 +194,6 @@ struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
     depth: usize,
-    max_depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -286,8 +318,8 @@ impl<'a> Parser<'a> {
 
     fn enter(&mut self) -> Result<(), String> {
         self.depth += 1;
-        if self.depth > self.max_depth {
-            return Err(format!("nesting deeper than {} at byte {}", self.max_depth, self.pos));
+        if self.depth > MAX_DEPTH {
+            return Err(format!("nesting deeper than {MAX_DEPTH} at byte {}", self.pos));
         }
         Ok(())
     }
@@ -352,52 +384,6 @@ impl<'a> Parser<'a> {
     }
 }
 
-/// Render a [`Value`] back to compact JSON. Object members come out in
-/// `BTreeMap` (key-sorted) order, so rendering is deterministic — the
-/// same parsed document always serializes to the same bytes.
-pub fn render(v: &Value) -> String {
-    let mut out = String::new();
-    render_into(v, &mut out);
-    out
-}
-
-fn render_into(v: &Value, out: &mut String) {
-    match v {
-        Value::Null => out.push_str("null"),
-        Value::Bool(true) => out.push_str("true"),
-        Value::Bool(false) => out.push_str("false"),
-        Value::Num(n) => out.push_str(&number(*n)),
-        Value::Str(s) => {
-            out.push('"');
-            out.push_str(&escape(s));
-            out.push('"');
-        }
-        Value::Arr(items) => {
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                render_into(item, out);
-            }
-            out.push(']');
-        }
-        Value::Obj(members) => {
-            out.push('{');
-            for (i, (k, val)) in members.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push('"');
-                out.push_str(&escape(k));
-                out.push_str("\":");
-                render_into(val, out);
-            }
-            out.push('}');
-        }
-    }
-}
-
 fn utf8_len(first: u8) -> usize {
     match first {
         0x00..=0x7f => 1,
@@ -456,19 +442,23 @@ mod tests {
 
     #[test]
     fn depth_limit_is_exact() {
-        let limits = ParseLimits { max_depth: 3, ..ParseLimits::default() };
-        assert!(parse_with_limits("[[[1]]]", &limits).is_ok());
-        assert!(parse_with_limits("[[[[1]]]]", &limits).is_err());
+        let nested = |depth: usize| format!("{}1{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        assert!(parse(&nested(MAX_DEPTH + 1)).is_err());
         // Sibling containers don't accumulate depth.
-        assert!(parse_with_limits("[[1],[2],[{\"a\":3}]]", &limits).is_ok());
+        let siblings = format!("[{},{}]", nested(MAX_DEPTH - 1), nested(MAX_DEPTH - 1));
+        assert!(parse(&siblings).is_ok());
     }
 
     #[test]
     fn oversized_documents_are_rejected_before_parsing() {
-        let limits = ParseLimits { max_bytes: 16, ..ParseLimits::default() };
-        assert!(parse_with_limits("[1,2,3]", &limits).is_ok());
-        let err = parse_with_limits("[1,2,3,4,5,6,7,8,9]", &limits).unwrap_err();
-        assert!(err.contains("limit is 16 bytes"), "{err}");
+        // Whitespace alone is a parse error; the size check must come
+        // first and name the limit.
+        let err = parse(&" ".repeat(MAX_BYTES + 1)).unwrap_err();
+        assert!(err.contains(&format!("limit is {MAX_BYTES} bytes")), "{err}");
+        let mut padded = " ".repeat(MAX_BYTES - 2);
+        padded.push_str("[]");
+        assert!(parse(&padded).is_ok());
     }
 
     #[test]
@@ -507,17 +497,6 @@ mod tests {
     }
 
     #[test]
-    fn render_roundtrips_and_is_deterministic() {
-        let doc = r#"{"z": [1, 2.5, true, null], "a": {"nested": "v\"al"}, "m": -3}"#;
-        let v = parse(doc).unwrap();
-        let rendered = render(&v);
-        // Keys come out sorted; numbers re-render canonically.
-        assert_eq!(rendered, r#"{"a":{"nested":"v\"al"},"m":-3,"z":[1,2.5,true,null]}"#);
-        // Round trip is a fixed point.
-        assert_eq!(render(&parse(&rendered).unwrap()), rendered);
-    }
-
-    #[test]
     fn number_rendering_is_json_safe() {
         assert_eq!(number(1.5), "1.5");
         assert_eq!(number(2.0), "2");
@@ -525,5 +504,31 @@ mod tests {
         assert_eq!(number(f64::NAN), "0");
         assert_eq!(number(f64::INFINITY), "0");
         assert!(parse(&number(123.456)).is_ok());
+    }
+
+    #[test]
+    fn field_readers_accept_exact_integers_only() {
+        let v = parse(
+            r#"{"s": "x", "n": 7, "big": 9007199254740992, "neg": -3, "frac": 1.5,
+                "huge": 1e30, "u32max": 4294967295, "over": 4294967296}"#,
+        )
+        .unwrap();
+        assert_eq!(v.str_field("s"), Ok("x".to_owned()));
+        assert!(v.str_field("n").unwrap_err().contains("missing string field \"n\""));
+        assert_eq!(v.u64_field("n"), Ok(7));
+        assert_eq!(v.u64_field("big"), Ok(1 << 53));
+        assert_eq!(v.u32_field("u32max"), Ok(u32::MAX));
+        assert_eq!(v.i64_field("neg"), Ok(-3));
+        assert_eq!(v.i64_field("big"), Ok(1 << 53));
+        for key in ["neg", "frac", "huge", "s", "absent"] {
+            let err = v.u64_field(key).unwrap_err();
+            assert!(err.contains(&format!("{key:?}")), "{key}: {err}");
+        }
+        assert!(v.u32_field("over").unwrap_err().contains("above u32::MAX"));
+        for key in ["frac", "huge", "absent"] {
+            assert!(v.i64_field(key).is_err(), "{key}");
+        }
+        assert_eq!(parse(r#"{"m": -9007199254740992}"#).unwrap().i64_field("m"), Ok(-(1 << 53)));
+        assert!(parse(r#"{"m": -9007199254740994}"#).unwrap().i64_field("m").is_err());
     }
 }

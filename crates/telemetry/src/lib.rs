@@ -14,7 +14,7 @@
 //!
 //! * [`export::metrics_jsonl`] — machine-readable JSON-lines dump
 //!   (rendered for humans by `nrlt-report inspect`),
-//! * [`chrome::pipeline_trace_json`] — Chrome trace-event format
+//! * `chrome::pipeline_trace_json` — Chrome trace-event format
 //!   (loadable in `chrome://tracing` / [Perfetto](https://ui.perfetto.dev)).
 //!
 //! Everything is opt-in: instrumented layers take `Option<&Telemetry>`
@@ -32,7 +32,7 @@ pub mod manifest;
 pub mod sample;
 
 pub use hist::Histogram;
-pub use manifest::{git_rev, write_exports, Manifest, RunInfo};
+pub use manifest::{write_exports, Manifest, RunInfo};
 pub use sample::SampleProf;
 
 use std::cell::Cell;

@@ -61,7 +61,7 @@ impl Manifest {
     }
 
     /// Render as a JSON document.
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(&self) -> String {
         let argv: Vec<String> = self.argv.iter().map(|a| json::string(a)).collect();
         let runs: Vec<String> = self
             .runs
@@ -91,7 +91,7 @@ impl Manifest {
 
 /// The current git revision (short hash, `-dirty` suffix when the tree
 /// has modifications), or `"unknown"` when git is unavailable.
-pub fn git_rev() -> String {
+pub(crate) fn git_rev() -> String {
     let rev = std::process::Command::new("git")
         .args(["rev-parse", "--short", "HEAD"])
         .output()

@@ -276,6 +276,16 @@ impl ProfInner {
             }
         }
     }
+
+    /// Stop and join the sampler thread (idempotent). The folded
+    /// histogram keeps everything sampled so far.
+    fn stop_sampler(&self) {
+        self.stop.store(true, Ordering::Release);
+        let handle = self.sampler.lock().expect("sampler poisoned").take();
+        if let Some(handle) = handle {
+            let _ = handle.join();
+        }
+    }
 }
 
 /// The sampling-profiler handle. Clone-free sharing happens through the
@@ -357,16 +367,6 @@ impl SampleProf {
         *sampler = Some(handle);
     }
 
-    /// Stop and join the sampler thread (idempotent). The folded
-    /// histogram keeps everything sampled so far.
-    pub fn stop(&self) {
-        self.inner.stop.store(true, Ordering::Release);
-        let handle = self.inner.sampler.lock().expect("sampler poisoned").take();
-        if let Some(handle) = handle {
-            let _ = handle.join();
-        }
-    }
-
     /// Sampler wake-ups so far (including idle ticks).
     pub fn ticks(&self) -> u64 {
         self.inner.ticks.load(Ordering::Relaxed)
@@ -434,11 +434,7 @@ impl Drop for InstallGuard {
             }
         }
         EPOCH.fetch_add(1, Ordering::Release);
-        self.inner.stop.store(true, Ordering::Release);
-        let handle = self.inner.sampler.lock().expect("sampler poisoned").take();
-        if let Some(handle) = handle {
-            let _ = handle.join();
-        }
+        self.inner.stop_sampler();
     }
 }
 
@@ -525,7 +521,8 @@ pub fn frame(id: FrameId) -> FrameGuard {
 /// True when this thread currently holds a publication slot. The
 /// disabled-run contract test asserts this stays false without an
 /// installed profiler.
-pub fn attached() -> bool {
+#[cfg(test)]
+fn attached() -> bool {
     THREAD.with(|cell| cell.borrow().slot.is_some())
 }
 
@@ -635,7 +632,7 @@ mod tests {
                 std::thread::sleep(Duration::from_millis(5));
             }
         }
-        prof.stop();
+        prof.inner.stop_sampler();
         drop(guard);
         assert!(prof.publishes() >= 3);
         assert!(prof.samples() > 0, "sampler must observe the held stack");
@@ -694,7 +691,7 @@ mod tests {
         // released every slot.
         assert_eq!(prof.active_slots(), 0);
         assert!(prof.publishes() >= 4);
-        prof.stop();
+        prof.inner.stop_sampler();
         drop(guard);
     }
 
@@ -709,7 +706,7 @@ mod tests {
         while prof.samples() == 0 && std::time::Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(5));
         }
-        prof.stop();
+        prof.inner.stop_sampler();
         let counts = prof.stack_counts();
         assert!(
             counts.keys().any(|s| s.last() == Some(&"(truncated)")),
@@ -729,7 +726,7 @@ mod tests {
         let leaf = leaf_handle().expect("installed profiler must hand out a leaf handle");
         leaf.push(frames::ENGINE_RANK);
         leaf.pop();
-        prof.stop();
+        prof.inner.stop_sampler();
         drop(guard);
         assert!(prof.publishes() >= 2);
     }

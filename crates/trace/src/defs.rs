@@ -59,11 +59,6 @@ impl RegionRole {
             _ => return None,
         })
     }
-
-    /// True for any barrier-like OpenMP synchronisation region.
-    pub fn is_omp_barrier(self) -> bool {
-        matches!(self, RegionRole::OmpImplicitBarrier | RegionRole::OmpBarrier)
-    }
 }
 
 /// One region definition.
@@ -139,17 +134,6 @@ impl Definitions {
         }
     }
 
-    /// Location reference for `(rank, thread)`.
-    pub fn location_ref(&self, rank: u32, thread: u32) -> LocationRef {
-        debug_assert!(thread < self.threads_per_rank);
-        LocationRef(rank * self.threads_per_rank + thread)
-    }
-
-    /// Definition behind a location reference.
-    pub fn location(&self, r: LocationRef) -> &LocationDef {
-        &self.locations[r.0 as usize]
-    }
-
     /// Definition behind a region reference.
     pub fn region(&self, r: RegionRef) -> &RegionDef {
         &self.regions[r.0 as usize]
@@ -186,9 +170,6 @@ mod tests {
     fn location_ref_math() {
         let d = sample();
         assert_eq!(d.n_ranks(), 2);
-        assert_eq!(d.location_ref(1, 0), LocationRef(2));
-        assert_eq!(d.location(LocationRef(3)).rank, 1);
-        assert_eq!(d.location(LocationRef(3)).thread, 1);
     }
 
     #[test]
@@ -212,12 +193,5 @@ mod tests {
     fn clock_names() {
         assert_eq!(ClockKind::Physical.name(), "tsc");
         assert_eq!(ClockKind::Logical { model: "lt_bb".into() }.name(), "lt_bb");
-    }
-
-    #[test]
-    fn barrier_role_predicate() {
-        assert!(RegionRole::OmpImplicitBarrier.is_omp_barrier());
-        assert!(RegionRole::OmpBarrier.is_omp_barrier());
-        assert!(!RegionRole::OmpCritical.is_omp_barrier());
     }
 }

@@ -132,14 +132,6 @@ impl Event {
     pub fn new(time: u64, kind: EventKind) -> Event {
         Event { time, kind }
     }
-
-    /// True for `Enter`/`Leave`/`CallBurst` region events.
-    pub fn is_region_event(&self) -> bool {
-        matches!(
-            self.kind,
-            EventKind::Enter { .. } | EventKind::Leave { .. } | EventKind::CallBurst { .. }
-        )
-    }
 }
 
 #[cfg(test)]
@@ -161,15 +153,5 @@ mod tests {
         assert!(CollectiveOp::Allgather.is_nxn());
         assert!(!CollectiveOp::Barrier.is_nxn());
         assert!(!CollectiveOp::Bcast.is_nxn());
-    }
-
-    #[test]
-    fn region_event_predicate() {
-        let r = RegionRef(0);
-        assert!(Event::new(0, EventKind::Enter { region: r }).is_region_event());
-        assert!(
-            Event::new(0, EventKind::CallBurst { region: r, count: 1, start: 0 }).is_region_event()
-        );
-        assert!(!Event::new(0, EventKind::SendPost { peer: 0, tag: 0, bytes: 0 }).is_region_event());
     }
 }

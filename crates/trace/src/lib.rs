@@ -63,11 +63,6 @@ impl Trace {
         self.streams.iter().map(EventStream::len).sum()
     }
 
-    /// The event stream of one location.
-    pub fn stream(&self, loc: LocationRef) -> &EventStream {
-        &self.streams[loc.0 as usize]
-    }
-
     /// Largest timestamp in the trace (0 for an empty trace).
     pub fn end_time(&self) -> u64 {
         self.streams.iter().filter_map(|s| s.last()).map(|e| e.time).max().unwrap_or(0)
@@ -158,7 +153,7 @@ mod tests {
         assert_eq!(t.total_events(), 2);
         assert_eq!(t.start_time(), 3);
         assert_eq!(t.end_time(), 9);
-        assert_eq!(t.stream(LocationRef(0)).len(), 2);
+        assert_eq!(t.streams[0].len(), 2);
     }
 
     #[test]

@@ -295,34 +295,13 @@ impl SegmentIndex {
     }
 
     /// Total events across all chunks.
-    pub fn total_events(&self) -> u64 {
+    pub(crate) fn total_events(&self) -> u64 {
         self.total_events
     }
 
     /// The chunk records of one location, in time order.
     pub fn chunks(&self, loc: usize) -> &[ChunkMeta] {
         self.per_loc.get(loc).map(Vec::as_slice).unwrap_or(&[])
-    }
-
-    /// Index of the first chunk of `loc` whose events can reach time
-    /// `t` (i.e. `last_time >= t`), galloping forward from `hint` —
-    /// the same exponential-probe idiom as the analysis delay cursors.
-    /// Exact for any hint.
-    pub fn chunk_lower_bound(&self, loc: usize, t: u64, hint: usize) -> usize {
-        let xs = self.chunks(loc);
-        let mut lo = hint.min(xs.len());
-        if lo > 0 && xs[lo - 1].last_time >= t {
-            lo = 0; // hint overshot: fall back to a full search
-        }
-        let mut step = 1;
-        let mut hi = lo;
-        while hi < xs.len() && xs[hi].last_time < t {
-            lo = hi + 1;
-            hi += step;
-            step *= 2;
-        }
-        let hi = hi.min(xs.len());
-        lo + xs[lo..hi].partition_point(|c| c.last_time < t)
     }
 }
 
@@ -380,12 +359,12 @@ impl SpilledTrace {
     }
 
     /// Number of locations (= streams on the resident path).
-    pub fn n_locations(&self) -> usize {
+    pub(crate) fn n_locations(&self) -> usize {
         self.n_locations
     }
 
     /// Total events in the segment file.
-    pub fn total_events(&self) -> usize {
+    pub(crate) fn total_events(&self) -> usize {
         self.index.total_events() as usize
     }
 
@@ -401,7 +380,7 @@ impl SpilledTrace {
 
     /// A streaming cursor over one location's events, decoded chunk by
     /// chunk into a bounded scratch buffer.
-    pub fn cursor(&self, loc: usize) -> Result<SegmentCursor, SegmentError> {
+    pub(crate) fn cursor(&self, loc: usize) -> Result<SegmentCursor, SegmentError> {
         Ok(SegmentCursor {
             file: File::open(&self.path)?,
             chunks: self.index.chunks(loc).to_vec(),
@@ -451,22 +430,6 @@ impl SegmentCursor {
             }
         }
         false
-    }
-
-    /// Advance past all events with time < `t`, galloping over whole
-    /// chunks via the index metadata before decoding anything.
-    pub fn skip_until(&mut self, t: u64) {
-        // Skip whole undecoded chunks that end before t.
-        while self.next_chunk < self.chunks.len()
-            && self.idx >= self.buf.len()
-            && self.chunks[self.next_chunk].last_time < t
-        {
-            self.next_chunk += 1;
-        }
-        // Skip within the decoded chunk.
-        while self.idx < self.buf.len() && self.buf.time(self.idx) < t {
-            self.idx += 1;
-        }
     }
 }
 
@@ -776,29 +739,6 @@ mod tests {
     }
 
     #[test]
-    fn chunk_lower_bound_gallops_exactly() {
-        let path = temp_segment_path("test-lb");
-        let mut w = SegmentWriter::create(&path).unwrap();
-        let mut buf = EventStream::new();
-        // 8 chunks of 4 events: chunk k covers times [40k, 40k+30].
-        for k in 0..8u64 {
-            for i in 0..4 {
-                buf.push(Event::new(40 * k + 10 * i, EventKind::Enter { region: RegionRef(0) }));
-            }
-            w.spill(0, &mut buf).unwrap();
-        }
-        let index = w.finish().unwrap();
-        let _ = std::fs::remove_file(&path);
-        let chunks = index.chunks(0);
-        for t in [0u64, 1, 30, 31, 70, 155, 290, 311, 1000] {
-            let want = chunks.partition_point(|c| c.last_time < t);
-            for hint in 0..=chunks.len() {
-                assert_eq!(index.chunk_lower_bound(0, t, hint), want, "t={t} hint={hint}");
-            }
-        }
-    }
-
-    #[test]
     fn merge_orders_by_time_then_location() {
         let a = vec![
             Event::new(1, EventKind::Enter { region: RegionRef(0) }),
@@ -812,36 +752,5 @@ mod tests {
         let order: Vec<(u32, u64)> = merged.by_ref().map(|(loc, ev)| (loc, ev.time)).collect();
         assert_eq!(order, vec![(0, 1), (1, 1), (1, 3), (0, 5)]);
         assert_eq!(merged.max_heap_occupancy(), 2);
-    }
-
-    #[test]
-    fn cursor_skip_until_lands_on_lower_bound() {
-        let path = temp_segment_path("test-skip");
-        let mut w = SegmentWriter::create(&path).unwrap();
-        let mut buf = EventStream::new();
-        for k in 0..4u64 {
-            for i in 0..4 {
-                buf.push(Event::new(20 * k + 5 * i, EventKind::Enter { region: RegionRef(0) }));
-            }
-            w.spill(0, &mut buf).unwrap();
-        }
-        let index = w.finish().unwrap();
-        let spilled = SpilledTrace::from_parts(
-            Definitions {
-                regions: std::sync::Arc::new(vec![]),
-                locations: std::sync::Arc::new(vec![]),
-                threads_per_rank: 1,
-                clock: crate::ClockKind::Physical,
-            },
-            path,
-            index,
-            1,
-        );
-        let mut c = spilled.cursor(0).unwrap();
-        c.skip_until(37);
-        assert_eq!(c.next().unwrap().time, 40);
-        let mut c2 = spilled.cursor(0).unwrap();
-        c2.skip_until(0);
-        assert_eq!(c2.next().unwrap().time, 0);
     }
 }

@@ -2,11 +2,10 @@
 //!
 //! Analysis passes consume a trace through [`TraceView`]: definition
 //! tables plus one event iterator per location. The resident
-//! [`Trace`] iterates its in-memory SoA columns; a
-//! [`SpilledTrace`](crate::segment::SpilledTrace) streams chunks from
-//! its segment file through a bounded scratch buffer. Both yield the
-//! identical event sequence, which is what makes the out-of-core path
-//! byte-identical end to end.
+//! [`Trace`] iterates its in-memory SoA columns; a [`SpilledTrace`]
+//! streams chunks from its segment file through a bounded scratch
+//! buffer. Both yield the identical event sequence, which is what makes
+//! the out-of-core path byte-identical end to end.
 
 use crate::defs::Definitions;
 use crate::event::Event;
@@ -23,14 +22,6 @@ pub enum TraceData {
 }
 
 impl TraceData {
-    /// Definition tables.
-    pub fn defs(&self) -> &Definitions {
-        match self {
-            TraceData::Resident(t) => &t.defs,
-            TraceData::Spilled(t) => &t.defs,
-        }
-    }
-
     /// Total events across all locations.
     pub fn total_events(&self) -> usize {
         match self {
@@ -197,7 +188,7 @@ mod tests {
         let r = resident();
         let s = spilled();
         assert_eq!(r.total_events(), s.total_events());
-        assert_eq!(r.defs(), s.defs());
+        assert_eq!(r.view().defs(), s.view().defs());
         assert_eq!(r.view().n_locations(), s.view().n_locations());
         for loc in 0..3 {
             let a: Vec<Event> = r.view().events(loc).collect();

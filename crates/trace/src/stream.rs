@@ -60,12 +60,12 @@ pub struct EventStream {
 
 impl EventStream {
     /// An empty stream.
-    pub fn new() -> EventStream {
+    pub(crate) fn new() -> EventStream {
         EventStream::default()
     }
 
     /// An empty stream with room for `cap` events per column.
-    pub fn with_capacity(cap: usize) -> EventStream {
+    pub(crate) fn with_capacity(cap: usize) -> EventStream {
         EventStream {
             times: Vec::with_capacity(cap),
             tags: Vec::with_capacity(cap),
@@ -115,7 +115,8 @@ impl EventStream {
     }
 
     /// Rewrite the timestamp of event `i` (test fixtures).
-    pub fn set_time(&mut self, i: usize, t: u64) {
+    #[cfg(test)]
+    pub(crate) fn set_time(&mut self, i: usize, t: u64) {
         self.times[i] = t;
     }
 
@@ -146,12 +147,12 @@ impl EventStream {
 
     /// Recompose event `i`.
     #[inline]
-    pub fn get(&self, i: usize) -> Event {
+    pub(crate) fn get(&self, i: usize) -> Event {
         Event { time: self.times[i], kind: self.kind(i) }
     }
 
     /// First event, if any.
-    pub fn first(&self) -> Option<Event> {
+    pub(crate) fn first(&self) -> Option<Event> {
         if self.is_empty() {
             None
         } else {
@@ -164,8 +165,9 @@ impl EventStream {
         self.len().checked_sub(1).map(|i| self.get(i))
     }
 
-    /// Remove and return the last event.
-    pub fn pop(&mut self) -> Option<Event> {
+    /// Remove and return the last event (test fixtures).
+    #[cfg(test)]
+    pub(crate) fn pop(&mut self) -> Option<Event> {
         let last = self.last()?;
         self.times.pop();
         self.tags.pop();
@@ -180,7 +182,7 @@ impl EventStream {
     ///
     /// The spill path encodes a full chunk out of the stream and then
     /// keeps recording into the same (already-sized) buffers.
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.times.clear();
         self.tags.clear();
         self.a.clear();

@@ -123,11 +123,11 @@ pub(crate) fn happens_before_edges(trace: &Trace) -> Vec<Edge> {
 pub fn verify_clock_condition(trace: &Trace) -> Vec<String> {
     let mut violations = Vec::new();
     for (loc, stream) in trace.streams.iter().enumerate() {
-        for w in stream.times().windows(2) {
-            if w[1] < w[0] {
+        for (prev, ev) in stream.iter().zip(stream.iter().skip(1)) {
+            if ev.time < prev.time {
                 violations.push(format!(
                     "location {loc}: program order violated ({} after {})",
-                    w[1], w[0]
+                    ev.time, prev.time
                 ));
             }
         }

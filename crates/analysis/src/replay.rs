@@ -167,7 +167,7 @@ pub fn replay(trace: &Trace) -> (CallTree, Vec<LocalReplay>) {
 }
 
 /// [`replay`] over a [`TraceView`] — the streaming entry point. A
-/// resident view iterates in-memory columns; a spilled view decodes
+/// resident view iterates in-memory event rows; a spilled view decodes
 /// segment chunks through a bounded cursor, so peak memory stays
 /// O(locations × chunk) however many events the trace holds. Either way
 /// the produced structures are identical.

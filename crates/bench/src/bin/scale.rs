@@ -125,8 +125,8 @@ fn measure_and_render(
     (rendered, view.total_events() as u64, result.events)
 }
 
-/// Stream every location through the k-way merge — the cross-location
-/// access pattern out-of-core passes use — and report heap KPIs.
+/// Stream every location through the k-way merge — one global time
+/// order over all ranks — and report the merge KPIs.
 fn merged_event_count(view: &TraceView<'_>, prof_run: Option<&RunProf>) -> u64 {
     let _frame = sample::frame(frames::ANALYZE_MERGE);
     let mut merged = MergedEvents::new(view.all_events());

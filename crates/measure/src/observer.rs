@@ -16,18 +16,22 @@ use nrlt_sim::{
 use nrlt_telemetry::Telemetry;
 use nrlt_trace::{
     ClockKind, Definitions, Event, EventKind, LocationDef, RegionDef, RegionRef, RegionRole,
-    SegmentWriter, SpilledTrace, Trace, TraceData, NO_ROOT,
+    SegmentWriter, Trace, TraceData, NO_ROOT,
 };
-use std::path::PathBuf;
 use std::sync::Arc;
 
 /// Events per stream between simulated buffer flushes (Score-P flushes
 /// its per-thread trace buffer when it fills; we count, not charge).
 const FLUSH_EVERY: usize = 4096;
 
-/// Resident bytes per event across the six SoA columns — what the
-/// `--trace-budget` accounting charges per buffered event.
+/// Resident bytes per buffered event that the `--trace-budget`
+/// accounting charges: one 32-byte [`Event`] row plus one byte of
+/// slack. It stays 33 so that chunk sizes, the resident column of the
+/// `scale` table and `trace.resident_mib` keep their values.
 pub const BYTES_PER_EVENT: u64 = 33;
+
+// A growing `Event` must not make the budget undercount.
+const _: () = assert!(std::mem::size_of::<Event>() as u64 <= BYTES_PER_EVENT);
 
 /// Smallest per-location chunk the spill path will use. Below this the
 /// per-chunk bookkeeping dominates and nothing is saved.
@@ -39,7 +43,6 @@ const MAX_CHUNK_EVENTS: usize = 1 << 20;
 /// `--trace-budget` caps resident event storage.
 struct SpillState {
     writer: SegmentWriter,
-    path: PathBuf,
     /// Events per location at which a stream spills one chunk.
     chunk_events: usize,
     /// Synchronous mid-run spills (recording stalled on the write).
@@ -342,7 +345,7 @@ impl<'a> TracingObserver<'a> {
         // The estimate-sized reservations would defeat the budget;
         // restart from one chunk per location.
         self.streams = Trace::presized_streams(n, chunk_events);
-        self.spill = Some(SpillState { writer, path, chunk_events, stalls: 0 });
+        self.spill = Some(SpillState { writer, chunk_events, stalls: 0 });
     }
 
     /// Consume the observer, yielding the recorded trace — resident or
@@ -378,8 +381,8 @@ impl<'a> TracingObserver<'a> {
             t.add("measure.spill_bytes", summary.bytes);
             t.add("measure.spill_stalls", summary.stalls);
         }
-        let index = spill.writer.finish().expect("finish trace spill segment");
-        let trace = SpilledTrace::from_parts(self.defs, spill.path, index, n_locations);
+        let trace =
+            spill.writer.finish(self.defs, n_locations).expect("finish trace spill segment");
         (TraceData::Spilled(trace), summary)
     }
 

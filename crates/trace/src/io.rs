@@ -7,9 +7,9 @@
 //! monotonically non-decreasing per location, which makes the deltas
 //! small.
 
-use crate::defs::{ClockKind, Definitions, LocationDef, RegionDef, RegionRole};
-use crate::event::CollectiveOp;
-use crate::stream::{EventStream, T_BURST, T_COLLECTIVE_END, T_ENTER, T_LEAVE, T_MAX};
+use crate::defs::{ClockKind, Definitions, LocationDef, RegionDef, RegionRef, RegionRole};
+use crate::event::{CollectiveOp, Event, EventKind};
+use crate::stream::EventStream;
 use crate::Trace;
 
 /// Magic bytes at the start of every trace file.
@@ -137,71 +137,105 @@ fn get_u32(buf: &mut Reader<'_>) -> Result<u32, DecodeError> {
     u32::try_from(get_varint(buf)?).map_err(|_| DecodeError::Overflow)
 }
 
+// Tag bytes of the event encoding, one per `EventKind` variant.
+const T_ENTER: u8 = 0;
+const T_LEAVE: u8 = 1;
+const T_BURST: u8 = 2;
+const T_SEND_POST: u8 = 3;
+const T_RECV_POST: u8 = 4;
+const T_RECV_COMPLETE: u8 = 5;
+const T_COLLECTIVE_END: u8 = 6;
+
 /// Append the rows of one event stream — the one event encoding both the
 /// whole-trace format here and the spill chunks of `segment.rs` use.
 ///
 /// Each event is its time delta from the previous event (the first from
-/// 0), its [`EventStream`] tag byte, then only the columns that tag uses:
-/// `a` for `Enter`/`Leave`; `a`, `x` and the backwards delta to its start
-/// for `CallBurst`; `a`, `b`, `x` for sends, receives and `CollectiveEnd`.
+/// 0), its tag byte, then only the fields that kind has, as varints:
+/// the region for `Enter`/`Leave`; the region, the count and the
+/// backwards delta to its start for `CallBurst`; peer, tag and bytes for
+/// sends and receives; root, op and bytes for `CollectiveEnd`.
 pub(crate) fn put_events(buf: &mut Vec<u8>, stream: &EventStream) {
-    let c = stream.columns();
     let mut last = 0u64;
-    for (i, (&time, &tag)) in c.times.iter().zip(c.tags).enumerate() {
+    for Event { time, kind } in stream {
         debug_assert!(time >= last, "stream timestamps must be monotone");
         put_varint(buf, time - last);
         last = time;
+        let (tag, a, rest) = match kind {
+            EventKind::Enter { region } => (T_ENTER, region.0, None),
+            EventKind::Leave { region } => (T_LEAVE, region.0, None),
+            // start <= event time; store the backwards delta.
+            EventKind::CallBurst { region, count, start } => {
+                (T_BURST, region.0, Some((count, time - start)))
+            }
+            EventKind::SendPost { peer, tag, bytes } => {
+                (T_SEND_POST, peer, Some((tag.into(), bytes)))
+            }
+            EventKind::RecvPost { peer, tag, bytes } => {
+                (T_RECV_POST, peer, Some((tag.into(), bytes)))
+            }
+            EventKind::RecvComplete { peer, tag, bytes } => {
+                (T_RECV_COMPLETE, peer, Some((tag.into(), bytes)))
+            }
+            EventKind::CollectiveEnd { op, bytes, root } => {
+                (T_COLLECTIVE_END, root, Some((op as u64, bytes)))
+            }
+        };
         buf.push(tag);
-        put_varint(buf, c.a[i] as u64);
-        match tag {
-            T_ENTER | T_LEAVE => {}
-            T_BURST => {
-                put_varint(buf, c.x[i]);
-                // start <= event time; store the backwards delta.
-                put_varint(buf, time - c.y[i]);
-            }
-            _ => {
-                put_varint(buf, c.b[i] as u64);
-                put_varint(buf, c.x[i]);
-            }
+        put_varint(buf, a.into());
+        if let Some((b, x)) = rest {
+            put_varint(buf, b);
+            put_varint(buf, x);
         }
     }
 }
 
-/// Read `n` rows written by [`put_events`]. Every tag, collective op and
-/// `u32` field is checked, so a stream that decodes `Ok` can be iterated
-/// without panicking.
-pub(crate) fn get_events(buf: &mut Reader<'_>, n: usize) -> Result<EventStream, DecodeError> {
+/// Append `n` rows written by [`put_events`] to `out`. Every tag,
+/// collective op and `u32` field is checked, so a stream that decodes
+/// `Ok` holds only well-formed events.
+pub(crate) fn get_events(
+    buf: &mut Reader<'_>,
+    n: usize,
+    out: &mut EventStream,
+) -> Result<(), DecodeError> {
     // `n` is untrusted: every row takes at least one byte, so the input
     // length bounds the pre-allocation.
-    let mut out = EventStream::with_capacity(n.min(buf.remaining()));
+    out.reserve(n.min(buf.remaining()));
     let mut last = 0u64;
     for _ in 0..n {
         let time = last.checked_add(get_varint(buf)?).ok_or(DecodeError::NonMonotoneTime)?;
         last = time;
         let tag = buf.get_u8()?;
-        if tag > T_MAX {
+        if tag > T_COLLECTIVE_END {
             return Err(DecodeError::BadTag(tag));
         }
         let a = get_u32(buf)?;
-        let (b, x, y) = match tag {
-            T_ENTER | T_LEAVE => (0, 0, 0),
+        let kind = match tag {
+            T_ENTER => EventKind::Enter { region: RegionRef(a) },
+            T_LEAVE => EventKind::Leave { region: RegionRef(a) },
             T_BURST => {
                 let count = get_varint(buf)?;
                 let back = get_varint(buf)?;
-                (0, count, time.checked_sub(back).ok_or(DecodeError::NonMonotoneTime)?)
+                let start = time.checked_sub(back).ok_or(DecodeError::NonMonotoneTime)?;
+                EventKind::CallBurst { region: RegionRef(a), count, start }
             }
             T_COLLECTIVE_END => {
                 // A defined op is below 0x80, so its varint is one byte.
                 let op = buf.get_u8()?;
-                CollectiveOp::from_u8(op).ok_or(DecodeError::BadTag(op))?;
-                (op as u32, get_varint(buf)?, 0)
+                let op = CollectiveOp::from_u8(op).ok_or(DecodeError::BadTag(op))?;
+                EventKind::CollectiveEnd { op, bytes: get_varint(buf)?, root: a }
             }
-            _ => (get_u32(buf)?, get_varint(buf)?, 0),
+            _ => {
+                let (peer, tag_field, bytes) = (a, get_u32(buf)?, get_varint(buf)?);
+                match tag {
+                    T_SEND_POST => EventKind::SendPost { peer, tag: tag_field, bytes },
+                    T_RECV_POST => EventKind::RecvPost { peer, tag: tag_field, bytes },
+                    _ => EventKind::RecvComplete { peer, tag: tag_field, bytes },
+                }
+            }
         };
-        out.push_raw(time, tag, a, b, x, y);
+        out.push(Event { time, kind });
     }
-    Ok(out)
+    Ok(())
 }
 
 /// Serialise a trace to bytes.
@@ -290,7 +324,9 @@ pub fn decode(data: &[u8]) -> Result<Trace, DecodeError> {
     let mut streams = Vec::with_capacity(n_streams.min(CAP));
     for _ in 0..n_streams {
         let n_events = get_varint(&mut buf)? as usize;
-        streams.push(get_events(&mut buf, n_events)?);
+        let mut stream = EventStream::new();
+        get_events(&mut buf, n_events, &mut stream)?;
+        streams.push(stream);
     }
 
     Ok(Trace {
@@ -307,8 +343,6 @@ pub fn decode(data: &[u8]) -> Result<Trace, DecodeError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::defs::RegionRef;
-    use crate::event::{Event, EventKind};
 
     fn sample_trace() -> Trace {
         let defs = Definitions {
@@ -359,6 +393,36 @@ mod tests {
         assert_eq!(back.streams, t.streams);
     }
 
+    /// Both on-disk formats, pinned to literal bytes: a change of the
+    /// in-memory event layout must not move a byte of either. Round
+    /// trips alone would also pass an encoding that changed but still
+    /// agrees with itself.
+    #[test]
+    fn encodings_are_pinned() {
+        const TRACE: [u8; 98] = [
+            78, 82, 76, 84, 0, 2, 1, 7, 108, 116, 95, 115, 116, 109, 116, 2, 4, 109, 97, 105, 110,
+            0, 13, 77, 80, 73, 95, 65, 108, 108, 114, 101, 100, 117, 99, 101, 1, 1, 2, 0, 0, 0, 1,
+            0, 16, 2, 7, 0, 0, 0, 10, 2, 1, 42, 8, 2, 0, 1, 0, 3, 1, 7, 128, 32, 8, 6, 255, 255,
+            255, 255, 15, 1, 8, 1, 1, 1, 9, 1, 0, 4, 5, 0, 0, 1, 4, 0, 7, 128, 32, 9, 5, 0, 7, 128,
+            32, 18, 1, 0,
+        ];
+        // A segment file holding location 0's stream as its one chunk:
+        // header, chunk, footer, trailer.
+        const SEGMENT: [u8; 66] = [
+            78, 82, 76, 83, 0, 2, 7, 0, 0, 0, 10, 2, 1, 42, 8, 2, 0, 1, 0, 3, 1, 7, 128, 32, 8, 6,
+            255, 255, 255, 255, 15, 1, 8, 1, 1, 1, 9, 1, 0, 1, 0, 6, 33, 7, 0, 30, 0, 0, 0, 0, 0,
+            0, 0, 7, 31, 131, 140, 50, 234, 218, 231, 68, 78, 82, 76, 70,
+        ];
+        let t = sample_trace();
+        assert_eq!(encode(&t), TRACE);
+
+        let path = crate::segment::temp_segment_path("test-pinned");
+        let mut w = crate::segment::SegmentWriter::create(&path).unwrap();
+        w.spill(0, &mut t.streams[0].clone()).unwrap();
+        let spilled = w.finish(t.defs.clone(), 1).unwrap();
+        assert_eq!(std::fs::read(spilled.path()).unwrap(), SEGMENT);
+    }
+
     #[test]
     fn bad_magic_rejected() {
         let mut bytes = encode(&sample_trace());
@@ -397,7 +461,6 @@ mod tests {
 
     #[test]
     fn fields_past_u32_are_rejected() {
-        use crate::stream::T_SEND_POST;
         let big = u32::MAX as u64 + 1;
         // One Enter whose region (`a`) overflows, one send whose tag
         // (`b`) does: both must fail instead of truncating.
@@ -405,7 +468,8 @@ mod tests {
             let mut buf = row;
             put_varint(&mut buf, big);
             put_varint(&mut buf, 0);
-            assert_eq!(get_events(&mut Reader::new(&buf), 1), Err(DecodeError::Overflow));
+            let mut out = EventStream::new();
+            assert_eq!(get_events(&mut Reader::new(&buf), 1, &mut out), Err(DecodeError::Overflow));
         }
     }
 

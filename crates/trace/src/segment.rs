@@ -2,7 +2,7 @@
 //!
 //! The resident [`Trace`](crate::Trace) keeps every event of every
 //! location in memory, which caps experiments at the host's RAM
-//! (~33 bytes/event across the six SoA columns). This module spills an
+//! (a 32-byte [`Event`] row per event). This module spills an
 //! [`EventStream`] to an append-only segment file in fixed-capacity
 //! **chunks** so recording and analysis both run in
 //! O(locations × chunk) memory instead of O(events).
@@ -20,7 +20,7 @@
 //! * **chunk** — ≤ `chunk_events` events of one location: a varint
 //!   event count, then one row per event in the event encoding the
 //!   whole-trace format uses too (`io::put_events`: time delta, tag
-//!   byte, the columns that tag uses). Chunks of different locations
+//!   byte, the fields that kind has). Chunks of different locations
 //!   interleave in spill order; chunks of one location appear in time
 //!   order.
 //! * **footer** — varint chunk count, then one record per chunk:
@@ -35,10 +35,19 @@
 //! Definition tables are *not* stored here: they stay Arc-shared in
 //! memory ([`Definitions`]) exactly as on the resident path, so a
 //! spilled trace is `(defs, segment file)`.
+//!
+//! ## Reading back
+//!
+//! A [`SpilledTrace`] holds one open handle to its file — the writer's
+//! own, or the one [`SpilledTrace::open`] opened — and every
+//! [`SegmentCursor`] borrows it, reading chunks with positioned reads
+//! (`read_exact_at`) into buffers it reuses. A merge over 10,000
+//! locations therefore holds one descriptor, not 10,000.
+//! [`MergedEvents`] merges the per-location cursors with a loser tree.
 
-use std::collections::BinaryHeap;
-use std::fs::File;
-use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
+use std::fs::{File, OpenOptions};
+use std::io::{BufWriter, Write};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -135,9 +144,12 @@ pub struct SpillStats {
 /// The writer owns a scratch encode buffer reused across chunks; a
 /// [`spill`](SegmentWriter::spill) encodes one location's resident
 /// events, appends them, and clears the stream in place so recording
-/// continues into the same allocations.
+/// continues into the same allocations. The file is opened read+write
+/// once, and [`finish`](SegmentWriter::finish) hands that same handle
+/// to the [`SpilledTrace`] that reads it back.
 pub struct SegmentWriter {
     file: BufWriter<File>,
+    path: PathBuf,
     pos: u64,
     chunks: Vec<ChunkMeta>,
     scratch: Vec<u8>,
@@ -147,11 +159,14 @@ pub struct SegmentWriter {
 impl SegmentWriter {
     /// Create a segment file at `path`, truncating any existing file.
     pub fn create(path: &Path) -> Result<SegmentWriter, SegmentError> {
-        let mut file = BufWriter::new(File::create(path)?);
+        let file =
+            OpenOptions::new().read(true).write(true).create(true).truncate(true).open(path)?;
+        let mut file = BufWriter::new(file);
         file.write_all(SEG_MAGIC)?;
         file.write_all(&SEG_VERSION.to_be_bytes())?;
         Ok(SegmentWriter {
             file,
+            path: path.to_path_buf(),
             pos: 6,
             chunks: Vec::new(),
             scratch: Vec::new(),
@@ -193,8 +208,16 @@ impl SegmentWriter {
         self.stats
     }
 
-    /// Write the footer and trailer and flush. Returns the chunk index.
-    pub fn finish(mut self) -> Result<SegmentIndex, SegmentError> {
+    /// Write the footer and trailer and flush, yielding the spilled
+    /// trace of `defs` over the written file and its chunk index.
+    ///
+    /// `n_locations` is the trace's location count (the index alone
+    /// cannot know it: trailing locations may have recorded nothing).
+    pub fn finish(
+        mut self,
+        defs: Definitions,
+        n_locations: usize,
+    ) -> Result<SpilledTrace, SegmentError> {
         self.scratch.clear();
         put_varint(&mut self.scratch, self.chunks.len() as u64);
         for c in &self.chunks {
@@ -210,8 +233,9 @@ impl SegmentWriter {
         self.file.write_all(&(self.scratch.len() as u64).to_be_bytes())?;
         self.file.write_all(&sum.to_be_bytes())?;
         self.file.write_all(FOOTER_MAGIC)?;
-        self.file.flush()?;
-        Ok(SegmentIndex::from_chunks(self.chunks))
+        let file = self.file.into_inner().map_err(|e| e.into_error())?;
+        let index = SegmentIndex::from_chunks(self.chunks);
+        Ok(SpilledTrace { defs, path: self.path, file, index, n_locations })
     }
 }
 
@@ -240,13 +264,18 @@ impl SegmentIndex {
     /// header magic/version, trailer magic, footer checksum. Rejects
     /// truncated and corrupt files without reading any chunk.
     pub fn load(path: &Path) -> Result<SegmentIndex, SegmentError> {
-        let mut file = File::open(path)?;
+        SegmentIndex::read(&File::open(path)?)
+    }
+
+    /// [`load`](SegmentIndex::load) from an open file, with positioned
+    /// reads.
+    fn read(file: &File) -> Result<SegmentIndex, SegmentError> {
         let file_len = file.metadata()?.len();
         if file_len < 6 + TRAILER_LEN {
             return Err(crate::DecodeError::Truncated.into());
         }
         let mut header = [0u8; 6];
-        file.read_exact(&mut header)?;
+        file.read_exact_at(&mut header, 0)?;
         if &header[..4] != SEG_MAGIC {
             return Err(crate::DecodeError::BadMagic.into());
         }
@@ -255,8 +284,7 @@ impl SegmentIndex {
             return Err(crate::DecodeError::BadVersion(version).into());
         }
         let mut trailer = [0u8; TRAILER_LEN as usize];
-        file.seek(SeekFrom::End(-(TRAILER_LEN as i64)))?;
-        file.read_exact(&mut trailer)?;
+        file.read_exact_at(&mut trailer, file_len - TRAILER_LEN)?;
         if &trailer[16..20] != FOOTER_MAGIC {
             return Err(crate::DecodeError::BadMagic.into());
         }
@@ -267,8 +295,7 @@ impl SegmentIndex {
         }
         let footer_off = file_len - TRAILER_LEN - footer_len;
         let mut footer = vec![0u8; footer_len as usize];
-        file.seek(SeekFrom::Start(footer_off))?;
-        file.read_exact(&mut footer)?;
+        file.read_exact_at(&mut footer, footer_off)?;
         if fnv1a(&footer) != want_sum {
             return Err(SegmentError::BadChecksum);
         }
@@ -307,13 +334,21 @@ impl SegmentIndex {
 
 /// Decode one chunk's bytes back into an [`EventStream`].
 pub fn decode_chunk(data: &[u8]) -> Result<EventStream, crate::DecodeError> {
+    let mut out = EventStream::new();
+    decode_chunk_into(data, &mut out)?;
+    Ok(out)
+}
+
+/// [`decode_chunk`] into a cleared `out`, reusing its allocation.
+fn decode_chunk_into(data: &[u8], out: &mut EventStream) -> Result<(), crate::DecodeError> {
+    out.clear();
     let mut r = Reader::new(data);
     let n = get_varint(&mut r)? as usize;
-    let out = get_events(&mut r, n)?;
+    get_events(&mut r, n, out)?;
     if r.remaining() != 0 {
         return Err(crate::DecodeError::Truncated);
     }
-    Ok(out)
+    Ok(())
 }
 
 static SEGMENT_SEQ: AtomicU64 = AtomicU64::new(0);
@@ -326,36 +361,25 @@ pub fn temp_segment_path(tag: &str) -> PathBuf {
 }
 
 /// A trace whose events live in a segment file: Arc-shared definition
-/// tables in memory, event chunks on disk. The file is deleted when
-/// the value drops.
+/// tables in memory, event chunks on disk behind one open file handle
+/// that every cursor shares. The file is deleted when the value drops.
 #[derive(Debug)]
 pub struct SpilledTrace {
     /// Definition tables (identical to the resident path's).
     pub defs: Definitions,
     path: PathBuf,
+    file: File,
     index: SegmentIndex,
     n_locations: usize,
 }
 
 impl SpilledTrace {
-    /// Assemble a spilled trace from a finished writer's parts.
-    ///
-    /// `n_locations` is the trace's location count (the index alone
-    /// cannot know it: trailing locations may have recorded nothing).
-    pub fn from_parts(
-        defs: Definitions,
-        path: PathBuf,
-        index: SegmentIndex,
-        n_locations: usize,
-    ) -> SpilledTrace {
-        SpilledTrace { defs, path, index, n_locations }
-    }
-
     /// Open and validate an existing segment file.
     pub fn open(defs: Definitions, path: PathBuf) -> Result<SpilledTrace, SegmentError> {
-        let index = SegmentIndex::load(&path)?;
+        let file = File::open(&path)?;
+        let index = SegmentIndex::read(&file)?;
         let n_locations = defs.locations.len();
-        Ok(SpilledTrace { defs, path, index, n_locations })
+        Ok(SpilledTrace { defs, path, file, index, n_locations })
     }
 
     /// Number of locations (= streams on the resident path).
@@ -380,15 +404,14 @@ impl SpilledTrace {
 
     /// A streaming cursor over one location's events, decoded chunk by
     /// chunk into a bounded scratch buffer.
-    pub(crate) fn cursor(&self, loc: usize) -> Result<SegmentCursor, SegmentError> {
-        Ok(SegmentCursor {
-            file: File::open(&self.path)?,
-            chunks: self.index.chunks(loc).to_vec(),
-            next_chunk: 0,
-            buf: EventStream::new(),
+    pub(crate) fn cursor(&self, loc: usize) -> SegmentCursor<'_> {
+        SegmentCursor {
+            file: &self.file,
+            chunks: self.index.chunks(loc),
             raw: Vec::new(),
+            buf: EventStream::new(),
             idx: 0,
-        })
+        }
     }
 }
 
@@ -401,29 +424,29 @@ impl Drop for SpilledTrace {
 
 /// Streaming iterator over one location's spilled events.
 ///
-/// Holds one decoded chunk at a time, so memory stays bounded by the
-/// chunk capacity regardless of how many events the location recorded.
-pub struct SegmentCursor {
-    file: File,
-    chunks: Vec<ChunkMeta>,
-    next_chunk: usize,
-    buf: EventStream,
+/// Borrows its trace's file handle and its location's slice of the
+/// chunk index, and holds one decoded chunk at a time, so memory stays
+/// bounded by the chunk capacity regardless of how many events the
+/// location recorded. The raw and decoded buffers are reused from
+/// chunk to chunk.
+pub struct SegmentCursor<'a> {
+    file: &'a File,
+    chunks: &'a [ChunkMeta],
     raw: Vec<u8>,
+    buf: EventStream,
     idx: usize,
 }
 
-impl SegmentCursor {
+impl SegmentCursor<'_> {
     fn load_next_chunk(&mut self) -> bool {
-        while self.next_chunk < self.chunks.len() {
-            let meta = self.chunks[self.next_chunk];
-            self.next_chunk += 1;
+        while let Some((meta, rest)) = self.chunks.split_first() {
+            self.chunks = rest;
             self.raw.resize(meta.len as usize, 0);
             // The index was validated at open and the chunks were
             // written by this process (or validated on load): a failure
             // here is a torn file mid-run, which we surface loudly.
-            self.file.seek(SeekFrom::Start(meta.offset)).expect("segment seek");
-            self.file.read_exact(&mut self.raw).expect("segment chunk read");
-            self.buf = decode_chunk(&self.raw).expect("segment chunk decode");
+            self.file.read_exact_at(&mut self.raw, meta.offset).expect("segment chunk read");
+            decode_chunk_into(&self.raw, &mut self.buf).expect("segment chunk decode");
             self.idx = 0;
             if !self.buf.is_empty() {
                 return true;
@@ -433,7 +456,7 @@ impl SegmentCursor {
     }
 }
 
-impl Iterator for SegmentCursor {
+impl Iterator for SegmentCursor<'_> {
     type Item = Event;
 
     #[inline]
@@ -450,65 +473,57 @@ impl Iterator for SegmentCursor {
 /// K-way merge over per-location event iterators, yielding
 /// `(location, event)` in global `(time, location)` order.
 ///
-/// At most one event per location is buffered in the heap, so the
-/// merge's working set is O(locations) however large the trace. The
-/// peak heap occupancy is tracked for the engineprof gauges.
+/// A loser tree over one buffered head per source: each internal node
+/// keeps the loser of the match played there, and `tree[0]` the overall
+/// winner. A head's key packs `time << 32 | location` into a `u128`, so
+/// every match is one integer compare and keys are unique; an exhausted
+/// source's key is `u128::MAX`, above every real key. Taking the winner
+/// and refilling its source replays only that leaf's path to the root:
+/// ⌈log₂ k⌉ compares per event. The merge's working set is O(sources)
+/// however large the trace.
 pub struct MergedEvents<I> {
     sources: Vec<I>,
-    heap: BinaryHeap<HeapItem>,
-    max_occupancy: usize,
+    heads: Vec<Option<Event>>,
+    keys: Vec<u128>,
+    /// `tree[0]` is the winning source; `tree[n]` for `n` in `1..k` the
+    /// loser at internal node `n`, whose children are nodes `2n` and
+    /// `2n + 1`. Source `i` is leaf node `k + i`.
+    tree: Vec<u32>,
+    non_empty: usize,
 }
 
-struct HeapItem {
-    time: u64,
-    loc: u32,
-    ev: Event,
-}
-
-// Min-heap on (time, loc) via reversed Ord. Only one item per location
-// is ever enqueued, so the (time, loc) key is unique and the order
-// total and deterministic.
-impl PartialEq for HeapItem {
-    fn eq(&self, other: &HeapItem) -> bool {
-        (self.time, self.loc) == (other.time, other.loc)
-    }
-}
-impl Eq for HeapItem {}
-impl PartialOrd for HeapItem {
-    fn partial_cmp(&self, other: &HeapItem) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for HeapItem {
-    fn cmp(&self, other: &HeapItem) -> std::cmp::Ordering {
-        (other.time, other.loc).cmp(&(self.time, self.loc))
-    }
+fn merge_key(head: &Option<Event>, loc: usize) -> u128 {
+    head.map_or(u128::MAX, |ev| (ev.time as u128) << 32 | loc as u128)
 }
 
 impl<I: Iterator<Item = Event>> MergedEvents<I> {
     /// Build a merge over one iterator per location (index = location).
-    pub fn new(sources: Vec<I>) -> MergedEvents<I> {
-        let mut m = MergedEvents {
-            heap: BinaryHeap::with_capacity(sources.len()),
-            sources,
-            max_occupancy: 0,
-        };
-        for loc in 0..m.sources.len() {
-            m.refill(loc as u32);
+    pub fn new(mut sources: Vec<I>) -> MergedEvents<I> {
+        let k = sources.len();
+        let heads: Vec<Option<Event>> = sources.iter_mut().map(Iterator::next).collect();
+        let keys: Vec<u128> = heads.iter().enumerate().map(|(i, h)| merge_key(h, i)).collect();
+        let non_empty = heads.iter().filter(|h| h.is_some()).count();
+        // Play the initial tournament bottom-up: `winner[n]` is the
+        // winner of node `n`'s subtree, leaves first.
+        let mut tree = vec![0u32; k];
+        let mut winner = vec![0u32; k];
+        winner.extend(0..k as u32);
+        for n in (1..k).rev() {
+            let (a, b) = (winner[2 * n], winner[2 * n + 1]);
+            let (win, lose) = if keys[a as usize] < keys[b as usize] { (a, b) } else { (b, a) };
+            winner[n] = win;
+            tree[n] = lose;
         }
-        m.max_occupancy = m.heap.len();
-        m
+        if k > 0 {
+            tree[0] = winner[1];
+        }
+        MergedEvents { sources, heads, keys, tree, non_empty }
     }
 
-    fn refill(&mut self, loc: u32) {
-        if let Some(ev) = self.sources[loc as usize].next() {
-            self.heap.push(HeapItem { time: ev.time, loc, ev });
-        }
-    }
-
-    /// Largest number of simultaneously buffered events observed.
+    /// Number of simultaneously buffered events: one head per source
+    /// that was non-empty at construction.
     pub fn max_heap_occupancy(&self) -> usize {
-        self.max_occupancy
+        self.non_empty
     }
 }
 
@@ -516,10 +531,24 @@ impl<I: Iterator<Item = Event>> Iterator for MergedEvents<I> {
     type Item = (u32, Event);
 
     fn next(&mut self) -> Option<(u32, Event)> {
-        let item = self.heap.pop()?;
-        self.refill(item.loc);
-        self.max_occupancy = self.max_occupancy.max(self.heap.len());
-        Some((item.loc, item.ev))
+        let w = *self.tree.first()? as usize;
+        let ev = self.heads[w]?;
+        self.heads[w] = self.sources[w].next();
+        self.keys[w] = merge_key(&self.heads[w], w);
+        // Replay the refilled leaf's path: at each node the smaller key
+        // moves up and the larger stays as that node's loser.
+        let mut cur = w as u32;
+        let mut node = (w + self.tree.len()) / 2;
+        while node > 0 {
+            let other = self.tree[node];
+            if self.keys[other as usize] < self.keys[cur as usize] {
+                self.tree[node] = cur;
+                cur = other;
+            }
+            node /= 2;
+        }
+        self.tree[0] = cur;
+        Some((w as u32, ev))
     }
 }
 
@@ -597,20 +626,9 @@ mod tests {
             let mut w = SegmentWriter::create(&path).unwrap();
             w.spill(0, &mut s).unwrap();
             assert!(s.is_empty(), "spill clears the stream");
-            let index = w.finish().unwrap();
-            assert_eq!(index.total_events(), n as u64);
-            let spilled = SpilledTrace::from_parts(
-                Definitions {
-                    regions: std::sync::Arc::new(vec![]),
-                    locations: std::sync::Arc::new(vec![]),
-                    threads_per_rank: 1,
-                    clock: crate::ClockKind::Physical,
-                },
-                path,
-                index,
-                1,
-            );
-            let back: Vec<Event> = spilled.cursor(0).unwrap().collect();
+            let spilled = w.finish(no_defs(), 1).unwrap();
+            assert_eq!(spilled.total_events(), n);
+            let back: Vec<Event> = spilled.cursor(0).collect();
             assert_eq!(back, events, "case {case}");
         }
     }
@@ -633,38 +651,39 @@ mod tests {
         }
         assert_eq!(w.stats().chunks, 30);
         assert_eq!(w.stats().events, 300);
-        let index = w.finish().unwrap();
+        let spilled = w.finish(no_defs(), 3).unwrap();
         // Reload the index from disk and compare to the in-memory one.
         let loaded = SegmentIndex::load(&path).unwrap();
-        assert_eq!(loaded.total_events(), index.total_events());
+        assert_eq!(loaded.total_events(), spilled.index().total_events());
         for loc in 0..3 {
-            assert_eq!(loaded.chunks(loc), index.chunks(loc));
+            assert_eq!(loaded.chunks(loc), spilled.index().chunks(loc));
         }
-        let spilled = SpilledTrace::from_parts(
-            Definitions {
-                regions: std::sync::Arc::new(vec![]),
-                locations: std::sync::Arc::new(vec![]),
-                threads_per_rank: 1,
-                clock: crate::ClockKind::Physical,
-            },
-            path,
-            index,
-            3,
-        );
         for (loc, evs) in per_loc.iter().enumerate() {
-            let back: Vec<Event> = spilled.cursor(loc).unwrap().collect();
+            let back: Vec<Event> = spilled.cursor(loc).collect();
             assert_eq!(&back, evs, "location {loc}");
         }
     }
 
+    fn no_defs() -> Definitions {
+        Definitions {
+            regions: std::sync::Arc::new(vec![]),
+            locations: std::sync::Arc::new(vec![]),
+            threads_per_rank: 1,
+            clock: crate::ClockKind::Physical,
+        }
+    }
+
+    /// A one-chunk segment file that outlives its writer's trace: the
+    /// bytes are copied to a fresh path the caller owns.
     fn tiny_segment() -> (PathBuf, Vec<Event>) {
         let mut rng = SplitMix64(7);
         let events = random_stream(&mut rng, 20);
         let mut s: EventStream = events.clone().into();
-        let path = temp_segment_path("test-corrupt");
-        let mut w = SegmentWriter::create(&path).unwrap();
+        let mut w = SegmentWriter::create(&temp_segment_path("test-tiny")).unwrap();
         w.spill(0, &mut s).unwrap();
-        w.finish().unwrap();
+        let spilled = w.finish(no_defs(), 1).unwrap();
+        let path = temp_segment_path("test-corrupt");
+        std::fs::copy(spilled.path(), &path).unwrap();
         (path, events)
     }
 
@@ -723,16 +742,7 @@ mod tests {
         let (path, _) = tiny_segment();
         assert!(path.exists());
         {
-            let _t = SpilledTrace::open(
-                Definitions {
-                    regions: std::sync::Arc::new(vec![]),
-                    locations: std::sync::Arc::new(vec![]),
-                    threads_per_rank: 1,
-                    clock: crate::ClockKind::Physical,
-                },
-                path.clone(),
-            )
-            .unwrap();
+            let _t = SpilledTrace::open(no_defs(), path.clone()).unwrap();
             assert_eq!(_t.total_events(), 20);
         }
         assert!(!path.exists());
@@ -752,5 +762,46 @@ mod tests {
         let order: Vec<(u32, u64)> = merged.by_ref().map(|(loc, ev)| (loc, ev.time)).collect();
         assert_eq!(order, vec![(0, 1), (1, 1), (1, 3), (0, 5)]);
         assert_eq!(merged.max_heap_occupancy(), 2);
+    }
+
+    #[test]
+    fn merge_matches_sort_oracle() {
+        let mut rng = SplitMix64(0x1057);
+        for k in [0usize, 1, 2, 3, 5, 64, 1000] {
+            for round in 0..4 {
+                // Timestamps from a narrow range, so many are equal across
+                // locations; about one source in four is empty.
+                let sources: Vec<Vec<Event>> = (0..k)
+                    .map(|_| {
+                        let n = if rng.next().is_multiple_of(4) {
+                            0
+                        } else {
+                            (rng.next() % 24) as usize
+                        };
+                        let mut t = rng.next() % 8;
+                        (0..n)
+                            .map(|_| {
+                                t += rng.next() % 3;
+                                random_event(&mut rng, t)
+                            })
+                            .collect()
+                    })
+                    .collect();
+                let mut oracle: Vec<(u32, Event)> = sources
+                    .iter()
+                    .enumerate()
+                    .flat_map(|(loc, evs)| evs.iter().map(move |&ev| (loc as u32, ev)))
+                    .collect();
+                // Stable: a location's equal-time events keep stream order.
+                oracle.sort_by_key(|&(loc, ev)| (ev.time, loc));
+                let non_empty = sources.iter().filter(|s| !s.is_empty()).count();
+                let mut merged =
+                    MergedEvents::new(sources.into_iter().map(Vec::into_iter).collect());
+                let got: Vec<(u32, Event)> = merged.by_ref().collect();
+                assert_eq!(got, oracle, "k = {k}, round {round}");
+                assert_eq!(merged.next(), None, "k = {k}: exhausted merge stays exhausted");
+                assert_eq!(merged.max_heap_occupancy(), non_empty, "k = {k}, round {round}");
+            }
+        }
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! Analysis passes consume a trace through [`TraceView`]: definition
 //! tables plus one event iterator per location. The resident
-//! [`Trace`] iterates its in-memory SoA columns; a [`SpilledTrace`]
+//! [`Trace`] iterates its in-memory event rows; a [`SpilledTrace`]
 //! streams chunks from its segment file through a bounded scratch
 //! buffer. Both yield the identical event sequence, which is what makes
 //! the out-of-core path byte-identical end to end.
@@ -96,18 +96,18 @@ impl<'a> TraceView<'a> {
 
     /// Iterate one location's events in time order.
     ///
-    /// Panics if the spilled segment file disappeared mid-run — the
-    /// file is process-private and owned by the `SpilledTrace`.
+    /// A spilled location's iterator panics if a chunk read fails
+    /// mid-run — the file is process-private and owned by the
+    /// `SpilledTrace`.
     pub fn events(&self, loc: usize) -> LocationEvents<'a> {
         match self {
             TraceView::Resident(t) => LocationEvents::Resident(t.streams[loc].iter()),
-            TraceView::Spilled(t) => {
-                LocationEvents::Spilled(t.cursor(loc).expect("segment file open"))
-            }
+            TraceView::Spilled(t) => LocationEvents::Spilled(t.cursor(loc)),
         }
     }
 
-    /// One iterator per location, for k-way merges.
+    /// One iterator per location, for k-way merges. On a spilled trace
+    /// every iterator reads through the trace's one file handle.
     pub fn all_events(&self) -> Vec<LocationEvents<'a>> {
         (0..self.n_locations()).map(|loc| self.events(loc)).collect()
     }
@@ -115,10 +115,10 @@ impl<'a> TraceView<'a> {
 
 /// Event iterator over one location of a [`TraceView`].
 pub enum LocationEvents<'a> {
-    /// Iterating in-memory columns.
+    /// Iterating in-memory rows.
     Resident(stream::Iter<'a>),
     /// Streaming chunks from a segment file.
-    Spilled(SegmentCursor),
+    Spilled(SegmentCursor<'a>),
 }
 
 impl Iterator for LocationEvents<'_> {
@@ -179,8 +179,7 @@ mod tests {
             }
             w.spill(loc as u32, &mut buf).unwrap();
         }
-        let index = w.finish().unwrap();
-        TraceData::Spilled(SpilledTrace::from_parts(defs(3), path, index, 3))
+        TraceData::Spilled(w.finish(defs(3), 3).unwrap())
     }
 
     #[test]

@@ -1,62 +1,21 @@
-//! Struct-of-arrays event streams.
+//! Per-location event streams, stored as [`Event`] rows.
 //!
-//! A recorded stream is pushed once and scanned many times (replay,
-//! causality, rendering). Storing the events as an array of enum
-//! structs wastes bandwidth on those scans: every pass drags the full
-//! payload of every event through the cache even when it only needs
-//! the timestamps, and the enum padding is dead weight. [`EventStream`]
-//! stores one column per field instead — times, kind tags, and three
-//! payload columns — so column-only scans touch a fraction of the
-//! memory and the payload decode happens only for events actually
-//! inspected.
-//!
-//! The public [`Event`] value type remains the interchange currency:
-//! `push` decomposes one, `get`/iteration recompose them on the fly.
+//! A recorded stream is pushed once per event and read front to back
+//! by every consumer (replay, causality, spill, merge), each of which
+//! needs the whole event. [`EventStream`] is therefore a plain
+//! `Vec<Event>`: a push is one 32-byte store, and iteration yields the
+//! stored rows as they are, with nothing to recompose.
 
-use crate::defs::RegionRef;
-use crate::event::{CollectiveOp, Event, EventKind};
+use crate::event::{Event, EventKind};
 
-// Column tag bytes, one per `EventKind` variant. They are also the tag
-// bytes of the on-disk event encoding (`io::put_events`).
-pub(crate) const T_ENTER: u8 = 0;
-pub(crate) const T_LEAVE: u8 = 1;
-pub(crate) const T_BURST: u8 = 2;
-pub(crate) const T_SEND_POST: u8 = 3;
-pub(crate) const T_RECV_POST: u8 = 4;
-pub(crate) const T_RECV_COMPLETE: u8 = 5;
-pub(crate) const T_COLLECTIVE_END: u8 = 6;
-/// Largest valid column tag byte.
-pub(crate) const T_MAX: u8 = T_COLLECTIVE_END;
-
-/// Borrowed view of the raw columns, for the event encoder.
-pub(crate) struct Columns<'a> {
-    pub times: &'a [u64],
-    pub tags: &'a [u8],
-    pub a: &'a [u32],
-    pub b: &'a [u32],
-    pub x: &'a [u64],
-    pub y: &'a [u64],
-}
-
-/// One location's event stream in struct-of-arrays layout.
-///
-/// Column roles per kind (unused columns hold 0):
-///
-/// | kind            | `a`      | `b`   | `x`     | `y`     |
-/// |-----------------|----------|-------|---------|---------|
-/// | `Enter`/`Leave` | region   | —     | —       | —       |
-/// | `CallBurst`     | region   | —     | count   | start   |
-/// | send/recv       | peer     | tag   | bytes   | —       |
-/// | `CollectiveEnd` | root     | op    | bytes   | —       |
+/// One location's event stream, in time order.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct EventStream {
-    times: Vec<u64>,
-    tags: Vec<u8>,
-    a: Vec<u32>,
-    b: Vec<u32>,
-    x: Vec<u64>,
-    y: Vec<u64>,
+    rows: Vec<Event>,
 }
+
+/// Iterator over an [`EventStream`], yielding its rows by value.
+pub type Iter<'a> = std::iter::Copied<std::slice::Iter<'a, Event>>;
 
 impl EventStream {
     /// An empty stream.
@@ -64,222 +23,86 @@ impl EventStream {
         EventStream::default()
     }
 
-    /// An empty stream with room for `cap` events per column.
+    /// An empty stream with room for `cap` events.
     pub(crate) fn with_capacity(cap: usize) -> EventStream {
-        EventStream {
-            times: Vec::with_capacity(cap),
-            tags: Vec::with_capacity(cap),
-            a: Vec::with_capacity(cap),
-            b: Vec::with_capacity(cap),
-            x: Vec::with_capacity(cap),
-            y: Vec::with_capacity(cap),
-        }
+        EventStream { rows: Vec::with_capacity(cap) }
     }
 
     /// Number of events.
     pub fn len(&self) -> usize {
-        self.times.len()
+        self.rows.len()
     }
 
     /// True when no events have been recorded.
     pub fn is_empty(&self) -> bool {
-        self.times.is_empty()
+        self.rows.is_empty()
     }
 
-    /// Append one event, decomposed into the columns.
+    /// Append one event.
     #[inline]
     pub fn push(&mut self, ev: Event) {
-        self.times.push(ev.time);
-        let (tag, a, b, x, y) = match ev.kind {
-            EventKind::Enter { region } => (T_ENTER, region.0, 0, 0, 0),
-            EventKind::Leave { region } => (T_LEAVE, region.0, 0, 0, 0),
-            EventKind::CallBurst { region, count, start } => (T_BURST, region.0, 0, count, start),
-            EventKind::SendPost { peer, tag, bytes } => (T_SEND_POST, peer, tag, bytes, 0),
-            EventKind::RecvPost { peer, tag, bytes } => (T_RECV_POST, peer, tag, bytes, 0),
-            EventKind::RecvComplete { peer, tag, bytes } => (T_RECV_COMPLETE, peer, tag, bytes, 0),
-            EventKind::CollectiveEnd { op, bytes, root } => {
-                (T_COLLECTIVE_END, root, op as u32, bytes, 0)
-            }
-        };
-        self.tags.push(tag);
-        self.a.push(a);
-        self.b.push(b);
-        self.x.push(x);
-        self.y.push(y);
+        self.rows.push(ev);
+    }
+
+    /// Reserve room for `additional` more events (event decode path).
+    pub(crate) fn reserve(&mut self, additional: usize) {
+        self.rows.reserve(additional);
     }
 
     /// Timestamp of event `i`.
     #[inline]
     pub fn time(&self, i: usize) -> u64 {
-        self.times[i]
+        self.rows[i].time
     }
 
     /// Rewrite the timestamp of event `i` (test fixtures).
     #[cfg(test)]
     pub(crate) fn set_time(&mut self, i: usize, t: u64) {
-        self.times[i] = t;
+        self.rows[i].time = t;
     }
 
-    /// The full timestamp column — the cheap path for time-only scans.
-    pub fn times(&self) -> &[u64] {
-        &self.times
-    }
-
-    /// Recompose the payload of event `i`.
+    /// Payload of event `i`.
     #[inline]
     pub fn kind(&self, i: usize) -> EventKind {
-        let (a, b, x, y) = (self.a[i], self.b[i], self.x[i], self.y[i]);
-        match self.tags[i] {
-            T_ENTER => EventKind::Enter { region: RegionRef(a) },
-            T_LEAVE => EventKind::Leave { region: RegionRef(a) },
-            T_BURST => EventKind::CallBurst { region: RegionRef(a), count: x, start: y },
-            T_SEND_POST => EventKind::SendPost { peer: a, tag: b, bytes: x },
-            T_RECV_POST => EventKind::RecvPost { peer: a, tag: b, bytes: x },
-            T_RECV_COMPLETE => EventKind::RecvComplete { peer: a, tag: b, bytes: x },
-            T_COLLECTIVE_END => EventKind::CollectiveEnd {
-                op: CollectiveOp::from_u8(b as u8).expect("tag byte written by push"),
-                bytes: x,
-                root: a,
-            },
-            t => unreachable!("corrupt stream tag {t}"),
-        }
+        self.rows[i].kind
     }
 
-    /// Recompose event `i`.
+    /// Event `i`.
     #[inline]
     pub(crate) fn get(&self, i: usize) -> Event {
-        Event { time: self.times[i], kind: self.kind(i) }
+        self.rows[i]
     }
 
     /// First event, if any.
     pub(crate) fn first(&self) -> Option<Event> {
-        if self.is_empty() {
-            None
-        } else {
-            Some(self.get(0))
-        }
+        self.rows.first().copied()
     }
 
     /// Last event, if any.
     pub fn last(&self) -> Option<Event> {
-        self.len().checked_sub(1).map(|i| self.get(i))
+        self.rows.last().copied()
     }
 
     /// Remove and return the last event (test fixtures).
     #[cfg(test)]
     pub(crate) fn pop(&mut self) -> Option<Event> {
-        let last = self.last()?;
-        self.times.pop();
-        self.tags.pop();
-        self.a.pop();
-        self.b.pop();
-        self.x.pop();
-        self.y.pop();
-        Some(last)
+        self.rows.pop()
     }
 
-    /// Drop all events, keeping the column allocations for reuse.
+    /// Drop all events, keeping the allocation for reuse.
     ///
     /// The spill path encodes a full chunk out of the stream and then
-    /// keeps recording into the same (already-sized) buffers.
+    /// keeps recording into the same (already-sized) buffer; a segment
+    /// cursor decodes every chunk into the same stream.
     pub(crate) fn clear(&mut self) {
-        self.times.clear();
-        self.tags.clear();
-        self.a.clear();
-        self.b.clear();
-        self.x.clear();
-        self.y.clear();
+        self.rows.clear();
     }
 
-    /// Raw column view for the event encoder.
-    pub(crate) fn columns(&self) -> Columns<'_> {
-        Columns {
-            times: &self.times,
-            tags: &self.tags,
-            a: &self.a,
-            b: &self.b,
-            x: &self.x,
-            y: &self.y,
-        }
-    }
-
-    /// Append one already-decomposed event (event decode path). The
-    /// caller guarantees `tag` is a valid column tag byte and, for a
-    /// `CollectiveEnd`, `b` a defined [`CollectiveOp`].
-    #[inline]
-    pub(crate) fn push_raw(&mut self, time: u64, tag: u8, a: u32, b: u32, x: u64, y: u64) {
-        debug_assert!(tag <= T_MAX);
-        self.times.push(time);
-        self.tags.push(tag);
-        self.a.push(a);
-        self.b.push(b);
-        self.x.push(x);
-        self.y.push(y);
-    }
-
-    /// Iterate the events, recomposed by value.
+    /// Iterate the events by value.
     pub fn iter(&self) -> Iter<'_> {
-        Iter {
-            times: self.times.iter(),
-            tags: self.tags.iter(),
-            a: self.a.iter(),
-            b: self.b.iter(),
-            x: self.x.iter(),
-            y: self.y.iter(),
-        }
+        self.rows.iter().copied()
     }
 }
-
-/// Iterator over an [`EventStream`], yielding recomposed [`Event`]s.
-///
-/// Holds one slice iterator per column so advancing is a set of pointer
-/// increments with a single end check — no per-column bounds checks.
-#[derive(Debug, Clone)]
-pub struct Iter<'a> {
-    times: std::slice::Iter<'a, u64>,
-    tags: std::slice::Iter<'a, u8>,
-    a: std::slice::Iter<'a, u32>,
-    b: std::slice::Iter<'a, u32>,
-    x: std::slice::Iter<'a, u64>,
-    y: std::slice::Iter<'a, u64>,
-}
-
-impl Iterator for Iter<'_> {
-    type Item = Event;
-
-    #[inline]
-    fn next(&mut self) -> Option<Event> {
-        let &time = self.times.next()?;
-        // The columns are always the same length, so the remaining
-        // `next()`s cannot fail.
-        let &tag = self.tags.next()?;
-        let &a = self.a.next()?;
-        let &b = self.b.next()?;
-        let &x = self.x.next()?;
-        let &y = self.y.next()?;
-        let kind = match tag {
-            T_ENTER => EventKind::Enter { region: RegionRef(a) },
-            T_LEAVE => EventKind::Leave { region: RegionRef(a) },
-            T_BURST => EventKind::CallBurst { region: RegionRef(a), count: x, start: y },
-            T_SEND_POST => EventKind::SendPost { peer: a, tag: b, bytes: x },
-            T_RECV_POST => EventKind::RecvPost { peer: a, tag: b, bytes: x },
-            T_RECV_COMPLETE => EventKind::RecvComplete { peer: a, tag: b, bytes: x },
-            T_COLLECTIVE_END => EventKind::CollectiveEnd {
-                op: CollectiveOp::from_u8(b as u8).expect("tag byte written by push"),
-                bytes: x,
-                root: a,
-            },
-            t => unreachable!("corrupt stream tag {t}"),
-        };
-        Some(Event { time, kind })
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        self.times.size_hint()
-    }
-}
-
-impl ExactSizeIterator for Iter<'_> {}
 
 impl<'a> IntoIterator for &'a EventStream {
     type Item = Event;
@@ -292,25 +115,21 @@ impl<'a> IntoIterator for &'a EventStream {
 
 impl FromIterator<Event> for EventStream {
     fn from_iter<I: IntoIterator<Item = Event>>(iter: I) -> EventStream {
-        let iter = iter.into_iter();
-        let mut s = EventStream::with_capacity(iter.size_hint().0);
-        for ev in iter {
-            s.push(ev);
-        }
-        s
+        EventStream { rows: iter.into_iter().collect() }
     }
 }
 
 impl From<Vec<Event>> for EventStream {
-    fn from(events: Vec<Event>) -> EventStream {
-        events.into_iter().collect()
+    fn from(rows: Vec<Event>) -> EventStream {
+        EventStream { rows }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::NO_ROOT;
+    use crate::defs::RegionRef;
+    use crate::event::{CollectiveOp, NO_ROOT};
 
     fn one_of_each() -> Vec<Event> {
         vec![
@@ -360,16 +179,15 @@ mod tests {
         assert_eq!(s.last(), None);
         assert_eq!(s.pop(), None);
         assert_eq!(s.iter().count(), 0);
-        assert_eq!(s.times(), &[] as &[u64]);
     }
 
     #[test]
     fn clear_keeps_capacity() {
         let mut s: EventStream = one_of_each().into();
-        let cap = s.times.capacity();
+        let cap = s.rows.capacity();
         s.clear();
         assert!(s.is_empty());
-        assert_eq!(s.times.capacity(), cap);
+        assert_eq!(s.rows.capacity(), cap);
         s.push(Event::new(1, EventKind::Enter { region: RegionRef(0) }));
         assert_eq!(s.len(), 1);
     }

@@ -123,11 +123,10 @@ fn spill_chunks(trace: &Trace) -> Vec<Vec<u8>> {
     for (loc, s) in trace.streams.iter().enumerate() {
         w.spill(loc as u32, &mut s.clone()).unwrap();
     }
-    let index = w.finish().unwrap();
+    let spilled = w.finish(trace.defs.clone(), trace.streams.len()).unwrap();
     let file = std::fs::read(&path).unwrap();
-    std::fs::remove_file(&path).ok();
     (0..trace.streams.len())
-        .flat_map(|loc| index.chunks(loc).to_vec())
+        .flat_map(|loc| spilled.index().chunks(loc).to_vec())
         .map(|c| file[c.offset as usize..(c.offset + c.len) as usize].to_vec())
         .collect()
 }

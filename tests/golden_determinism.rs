@@ -2,7 +2,7 @@
 //! configuration the CI throughput smoke drives — must produce
 //! field-identical [`ExperimentResult`]s across worker counts and
 //! across repeated invocations. This pins down the engine-speed
-//! overhaul's core claim: arena books, the ladder calendar, SoA event
+//! overhaul's core claim: arena books, the ladder calendar, row event
 //! streams, and batched noise draws change wall time only, never a
 //! result. Every comparison below is exact (`assert_eq!` on the full
 //! field set), not approximate.

@@ -1,4 +1,4 @@
-//! Out-of-core golden determinism: a run whose trace spills columnar
+//! Out-of-core golden determinism: a run whose trace spills event
 //! segments to disk must produce results **byte-identical** to the
 //! fully resident path — same profiles, same severity report, same
 //! event counts. The spill layer may only change *where* events live
@@ -70,4 +70,42 @@ fn spilled_run_is_deterministic_across_jobs() {
         severity_text(&fanned, 10),
         "spilled severity report diverged across --jobs"
     );
+}
+
+/// The cross-location order every merge consumer sees: the merged
+/// `(location, event)` sequence of a MiniFE-2 `lt_stmt` trace is the
+/// same resident and spilled at `--trace-budget 1`.
+#[test]
+fn merged_event_order_is_identical_when_spilled() {
+    use nrlt::measure_sys::{measure_prepared_spilled, prepare_measure};
+    use nrlt::trace::{Event, MergedEvents, TraceData};
+    use nrlt::{exec_config_for, measure_config_for};
+
+    let instance = minife_2();
+    let cfg = exec_config_for(&instance, &NoiseConfig::realistic(), 4242);
+    let mcfg = measure_config_for(&instance, ClockMode::LtStmt);
+    let prep = prepare_measure(&instance.program, &cfg);
+    let merged = |budget| {
+        let (trace, _) = measure_prepared_spilled(
+            &instance.program,
+            &prep,
+            &cfg,
+            &mcfg,
+            budget,
+            None,
+            None,
+            None,
+        );
+        assert_eq!(matches!(trace, TraceData::Spilled(_)), budget.is_some());
+        let view = trace.view();
+        let mut merge = MergedEvents::new(view.all_events());
+        let events: Vec<(u32, Event)> = merge.by_ref().collect();
+        assert_eq!(events.len(), view.total_events());
+        (events, merge.max_heap_occupancy())
+    };
+    let (resident, resident_heads) = merged(None);
+    let (spilled, spilled_heads) = merged(Some(1));
+    assert!(!resident.is_empty());
+    assert_eq!(resident_heads, spilled_heads);
+    assert!(resident == spilled, "merged (location, event) order diverged under spill");
 }

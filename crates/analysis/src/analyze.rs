@@ -260,20 +260,18 @@ pub fn analyze_view(
             n_locs,
         );
         for rank in 0..n_ranks {
-            for inst in gather_barriers(&locals, rank, tpr) {
-                let latest = inst
-                    .members
+            for members in gather_barriers(&locals, rank, tpr).iter() {
+                let latest = members
                     .iter()
                     .map(|&(loc, i)| locals[loc].barriers[i].enter)
                     .max()
                     .unwrap_or(0);
-                let delayer = inst
-                    .members
+                let delayer = members
                     .iter()
                     .max_by_key(|&&(loc, i)| (locals[loc].barriers[i].enter, loc))
                     .copied()
                     .expect("barrier has members");
-                for &(loc, i) in &inst.members {
+                for &(loc, i) in members {
                     let b = &locals[loc].barriers[i];
                     let dur = b.leave - b.enter;
                     let wait = latest.saturating_sub(b.enter).min(dur);
@@ -704,9 +702,8 @@ mod tests {
             windows.insert(mpi_window(loc, to));
         }
         for rank in 0..locals.len() as u32 / tpr {
-            for inst in gather_barriers(locals, rank, tpr) {
-                let (to, loc) = inst
-                    .members
+            for members in gather_barriers(locals, rank, tpr).iter() {
+                let (to, loc) = members
                     .iter()
                     .map(|&(loc, i)| (locals[loc].barriers[i].enter, loc))
                     .max()

@@ -98,9 +98,9 @@ pub(crate) fn happens_before_edges(trace: &Trace) -> Vec<Edge> {
     // Barrier edges within each team.
     let n_ranks = trace.defs.n_ranks();
     for rank in 0..n_ranks {
-        for inst in crate::patterns::gather_barriers(&locals, rank, tpr) {
+        for members in crate::patterns::gather_barriers(&locals, rank, tpr).iter() {
             let recs: Vec<(usize, &crate::replay::BarrierRec)> =
-                inst.members.iter().map(|&(loc, i)| (loc, &locals[loc].barriers[i])).collect();
+                members.iter().map(|&(loc, i)| (loc, &locals[loc].barriers[i])).collect();
             for &(floc, f) in &recs {
                 for &(tloc, t) in &recs {
                     if floc != tloc {

@@ -32,20 +32,7 @@ pub struct SpanIndex {
 impl SpanIndex {
     /// Build the index from the replay data.
     pub(crate) fn build(locals: &[LocalReplay]) -> SpanIndex {
-        let spans: Vec<Vec<(u64, u64, CallPathId)>> = locals
-            .iter()
-            .map(|r| {
-                let mut v: Vec<(u64, u64, CallPathId)> = r
-                    .segments
-                    .iter()
-                    .map(|s| (s.start, s.end, s.path))
-                    .chain(r.mpi_instances.iter().map(|m| (m.enter, m.leave, m.path)))
-                    .filter(|&(s, e, _)| e > s)
-                    .collect();
-                v.sort_unstable_by_key(|&(s, _, _)| s);
-                v
-            })
-            .collect();
+        let spans: Vec<Vec<(u64, u64, CallPathId)>> = locals.iter().map(merged_spans).collect();
         let n_paths = spans
             .iter()
             .flat_map(|v| v.iter().map(|&(_, _, p)| p.0 as usize + 1))
@@ -144,6 +131,31 @@ impl SpanIndex {
         }
         out
     }
+}
+
+/// One location's spans in time order: its segments and MPI instances
+/// of positive length. Each list is already in time order and no two
+/// spans overlap, so a two-way merge gives the order a sort by start
+/// would, in linear time.
+fn merged_spans(r: &LocalReplay) -> Vec<(u64, u64, CallPathId)> {
+    let positive = |&(s, e, _): &(u64, u64, CallPathId)| e > s;
+    let mut segs = r.segments.iter().map(|s| (s.start, s.end, s.path)).filter(positive).peekable();
+    let mut mpi =
+        r.mpi_instances.iter().map(|m| (m.enter, m.leave, m.path)).filter(positive).peekable();
+    let mut out = Vec::with_capacity(r.segments.len() + r.mpi_instances.len());
+    loop {
+        let next = match (segs.peek(), mpi.peek()) {
+            (Some(a), Some(b)) if b.0 < a.0 => mpi.next(),
+            (Some(_), _) => segs.next(),
+            (None, _) => mpi.next(),
+        };
+        match next {
+            Some(span) => out.push(span),
+            None => break,
+        }
+    }
+    debug_assert!(out.windows(2).all(|w| w[0].0 < w[1].0), "spans overlap");
+    out
 }
 
 /// One delay attribution target: call path + location + cost.
@@ -460,5 +472,42 @@ mod tests {
         // Zero severity or self-delay: nothing.
         assert!(delay_for_wait(&idx, &locals, 0, 10, 1, 80, 0, true).is_empty());
         assert!(delay_for_wait(&idx, &locals, 1, 10, 1, 80, 5, true).is_empty());
+    }
+
+    /// The merged index equals a sort of the concatenated spans on the
+    /// replayed traces of a hybrid run (`tsc`, noisy) and a logical one.
+    fn check_merge_matches_sort(instance: nrlt_miniapps::BenchmarkInstance) {
+        use nrlt_exec::ExecConfig;
+        use nrlt_measure::{measure, ClockMode, FilterRules, MeasureConfig};
+        for mode in [ClockMode::Tsc, ClockMode::LtStmt] {
+            let cfg = ExecConfig::jureca(instance.nodes, instance.layout.clone(), 1000);
+            let mcfg = MeasureConfig::new(mode)
+                .with_filter(FilterRules::from_rules(instance.filter_rules.iter().cloned()));
+            let (trace, _) = measure(&instance.program, &cfg, &mcfg);
+            let (_, locals) = crate::replay::replay(&trace);
+            let index = SpanIndex::build(&locals);
+            for (loc, r) in locals.iter().enumerate() {
+                let mut sorted: Vec<(u64, u64, CallPathId)> = r
+                    .segments
+                    .iter()
+                    .map(|s| (s.start, s.end, s.path))
+                    .chain(r.mpi_instances.iter().map(|m| (m.enter, m.leave, m.path)))
+                    .filter(|&(s, e, _)| e > s)
+                    .collect();
+                sorted.sort_by_key(|&(s, _, _)| s);
+                assert!(!sorted.is_empty());
+                assert_eq!(index.spans[loc], sorted, "{} {mode} location {loc}", instance.name);
+            }
+        }
+    }
+
+    #[test]
+    fn merged_spans_match_a_sort_on_minife_2() {
+        check_merge_matches_sort(nrlt_miniapps::minife_2());
+    }
+
+    #[test]
+    fn merged_spans_match_a_sort_on_lulesh_2() {
+        check_merge_matches_sort(nrlt_miniapps::lulesh_2());
     }
 }

@@ -24,5 +24,5 @@ pub use combined::{combine, CombinedCell, CombinedReport, WAIT_METRICS};
 pub use critical::{critical_path, CriticalPath};
 pub use delay::SpanIndex;
 pub use idle::IdleChunk;
-pub use patterns::{BarrierInstance, CollectiveInstance, MatchedMessage};
+pub use patterns::{CollectiveInstance, MatchedMessage};
 pub use replay::{replay, LocalReplay, MpiInstance, SegClass, Segment};

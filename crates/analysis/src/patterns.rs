@@ -14,7 +14,7 @@
 //! * **Wait at OpenMP barrier** and **barrier overhead** — arrival
 //!   spread vs. release cost within a thread team.
 
-use crate::replay::LocalReplay;
+use crate::replay::{BarrierRec, LocalReplay};
 use nrlt_trace::CollectiveOp;
 use std::collections::HashMap;
 
@@ -180,12 +180,22 @@ pub(crate) fn wait_nxn_severity(enter: u64, leave: u64, latest_enter: u64) -> u6
     latest_enter.saturating_sub(enter).min(leave - enter)
 }
 
-/// A barrier instance across a thread team: per-thread records at the
-/// same (region, occurrence).
-#[derive(Debug, Clone)]
-pub struct BarrierInstance {
-    /// Per team thread: (location index, barrier record index).
-    pub members: Vec<(usize, usize)>,
+/// The barrier instances of one rank's thread team, in (region, k)
+/// order: one flat member list, cut into instances by offsets.
+#[derive(Debug)]
+pub(crate) struct TeamBarriers {
+    /// Per instance, per team thread that passed it: (location index,
+    /// barrier record index), in team-thread order.
+    members: Vec<(usize, usize)>,
+    /// Instance `j` is `members[starts[j]..starts[j + 1]]`.
+    starts: Vec<usize>,
+}
+
+impl TeamBarriers {
+    /// The members of each instance, in (region, k) order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &[(usize, usize)]> {
+        self.starts.windows(2).map(|w| &self.members[w[0]..w[1]])
+    }
 }
 
 /// Group barrier passages of one rank's team into instances.
@@ -196,7 +206,7 @@ pub(crate) fn gather_barriers(
     locals: &[LocalReplay],
     rank: u32,
     threads_per_rank: u32,
-) -> Vec<BarrierInstance> {
+) -> TeamBarriers {
     let base = (rank * threads_per_rank) as usize;
     let team = base..base + threads_per_rank as usize;
     // Group by (region, k-th passage of that region) with dense per-region
@@ -213,7 +223,7 @@ pub(crate) fn gather_barriers(
     let mut occ = vec![0u32; n_regions];
     let mut max_occ = vec![0u32; n_regions];
     for loc in team.clone() {
-        occ.iter_mut().for_each(|o| *o = 0);
+        occ.fill(0);
         for b in &locals[loc].barriers {
             occ[b.region.0 as usize] += 1;
         }
@@ -226,18 +236,35 @@ pub(crate) fn gather_barriers(
     for r in 0..n_regions {
         offsets[r + 1] = offsets[r] + max_occ[r] as usize;
     }
-    let mut out: Vec<BarrierInstance> =
-        (0..offsets[n_regions]).map(|_| BarrierInstance { members: Vec::new() }).collect();
-    for loc in team {
-        occ.iter_mut().for_each(|o| *o = 0);
-        for (i, b) in locals[loc].barriers.iter().enumerate() {
-            let r = b.region.0 as usize;
-            let k = occ[r] as usize;
-            occ[r] += 1;
-            out[offsets[r] + k].members.push((loc, i));
+    let instance_of = |occ: &mut [u32], b: &BarrierRec| {
+        let r = b.region.0 as usize;
+        occ[r] += 1;
+        offsets[r] + occ[r] as usize - 1
+    };
+    // Counting sort of the passages by instance: count each instance's
+    // members, then place them, visiting threads in team order.
+    let n_instances = offsets[n_regions];
+    let mut starts = vec![0usize; n_instances + 1];
+    for loc in team.clone() {
+        occ.fill(0);
+        for b in &locals[loc].barriers {
+            starts[instance_of(&mut occ, b) + 1] += 1;
         }
     }
-    out
+    for j in 0..n_instances {
+        starts[j + 1] += starts[j];
+    }
+    let mut next = starts.clone();
+    let mut members = vec![(0, 0); starts[n_instances]];
+    for loc in team {
+        occ.fill(0);
+        for (i, b) in locals[loc].barriers.iter().enumerate() {
+            let j = instance_of(&mut occ, b);
+            members[next[j]] = (loc, i);
+            next[j] += 1;
+        }
+    }
+    TeamBarriers { members, starts }
 }
 
 #[cfg(test)]
@@ -273,5 +300,33 @@ mod tests {
         assert_eq!(wait_nxn_severity(10, 100, 70), 60);
         assert_eq!(wait_nxn_severity(70, 100, 70), 0);
         assert_eq!(wait_nxn_severity(10, 40, 70), 30); // clipped
+    }
+
+    #[test]
+    fn barriers_group_by_region_then_passage_in_team_order() {
+        use nrlt_profile::CallPathId;
+        use nrlt_trace::RegionRef;
+        let passes = |regions: &[u32]| LocalReplay {
+            barriers: regions
+                .iter()
+                .map(|&r| BarrierRec {
+                    region: RegionRef(r),
+                    path: CallPathId(0),
+                    enter: 0,
+                    leave: 1,
+                })
+                .collect(),
+            ..Default::default()
+        };
+        // Rank 0 is locations 0..2 and is left alone; rank 1's second
+        // thread passes region 2 once more than its first thread.
+        let locals = vec![passes(&[5]), passes(&[5]), passes(&[2, 0, 2]), passes(&[2, 0, 2, 2])];
+        let groups: Vec<Vec<(usize, usize)>> =
+            gather_barriers(&locals, 1, 2).iter().map(<[_]>::to_vec).collect();
+        assert_eq!(
+            groups,
+            vec![vec![(2, 1), (3, 1)], vec![(2, 0), (3, 0)], vec![(2, 2), (3, 2)], vec![(3, 3)],]
+        );
+        assert_eq!(gather_barriers(&[LocalReplay::default()], 0, 1).iter().count(), 0);
     }
 }

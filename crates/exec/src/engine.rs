@@ -23,7 +23,7 @@ use crate::regions::{
 use crate::result::ExecResult;
 use nrlt_mpisim::{message_timing, Channel, CommScope, LinkKind, Matcher};
 use nrlt_observe::{NoiseKind, PhaseId as ObsPhase, RunObserve, SeriesId};
-use nrlt_ompsim::{simulate_dynamic, static_partition};
+use nrlt_ompsim::{simulate_dynamic, static_share};
 use nrlt_prog::{
     Action, Kernel, MpiOp, OmpAction, OmpFor, ParallelRegion, PhaseId, Program, RegionId,
     RegionTable, Schedule,
@@ -1667,13 +1667,16 @@ impl<'a, O: Observer> Engine<'a, O> {
             self.scratch.inst_base = inst_base;
             self.scratch.counters = counters;
         } else {
-            let partition = static_partition(f.iters, team, f.schedule);
+            // Each thread's share is computed on the spot, so a static
+            // loop allocates nothing.
+            let mut n_chunks = 0usize;
             for i in 0..team {
                 let mut cost = nrlt_prog::Cost::ZERO;
                 let mut iters = 0u64;
-                for range in &partition.chunks[i as usize] {
+                for range in static_share(f.iters, team, f.schedule, i) {
                     cost += f.iter_cost.range_cost(range.begin, range.end, f.iters);
                     iters += range.len();
+                    n_chunks += 1;
                 }
                 let inst = self.next_instance(loc(i));
                 let (dur, extra) = self.pricer(r).price(
@@ -1699,7 +1702,7 @@ impl<'a, O: Observer> Engine<'a, O> {
                     self.obs_phase(r),
                     t_ns,
                     self.n_events,
-                    partition.total_chunks() as i64,
+                    n_chunks as i64,
                 );
             }
         }

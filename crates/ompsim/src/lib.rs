@@ -18,4 +18,6 @@ pub mod overhead;
 pub mod schedule;
 
 pub use overhead::OmpOverheadModel;
-pub use schedule::{simulate_dynamic, static_partition, DynamicResult, IterRange, LoopPartition};
+pub use schedule::{
+    simulate_dynamic, static_partition, static_share, DynamicResult, IterRange, LoopPartition,
+};

@@ -72,46 +72,46 @@ impl LoopPartition {
     }
 }
 
-/// Partition a static schedule (no runtime feedback needed).
+/// Partition a static schedule (no runtime feedback needed): row `t`
+/// is [`static_share`] of thread `t`.
 ///
 /// Panics if called with a dynamic/guided schedule — use
 /// [`simulate_dynamic`] for those.
 pub fn static_partition(iters: u64, nthreads: u32, schedule: Schedule) -> LoopPartition {
+    let chunks = (0..nthreads.max(1))
+        .map(|thread| static_share(iters, nthreads, schedule, thread).collect())
+        .collect();
+    LoopPartition { chunks }
+}
+
+/// The ranges thread `thread` executes under a static schedule, in
+/// order, computed without building the team's partition.
+///
+/// `StaticChunk(c)` deals chunks of `c` iterations round-robin, so
+/// thread `t` runs chunks `t, t + T, t + 2T, …`. `Static` is the same
+/// rule with `c = ceil(n / T)`, which leaves each thread at most one
+/// contiguous block.
+///
+/// Panics if called with a dynamic/guided schedule — use
+/// [`simulate_dynamic`] for those.
+pub fn static_share(
+    iters: u64,
+    nthreads: u32,
+    schedule: Schedule,
+    thread: u32,
+) -> impl Iterator<Item = IterRange> {
     let t = nthreads.max(1) as u64;
-    match schedule {
-        Schedule::Static => {
-            // One contiguous block per thread, chunk = ceil(n / T).
-            let chunk = iters.div_ceil(t).max(1);
-            let chunks = (0..t)
-                .map(|i| {
-                    let begin = (i * chunk).min(iters);
-                    let end = ((i + 1) * chunk).min(iters);
-                    if begin < end {
-                        vec![IterRange { begin, end }]
-                    } else {
-                        vec![]
-                    }
-                })
-                .collect();
-            LoopPartition { chunks }
-        }
-        Schedule::StaticChunk(c) => {
-            let c = c.max(1);
-            let mut chunks: Vec<Vec<IterRange>> = vec![Vec::new(); t as usize];
-            let mut begin = 0;
-            let mut turn = 0usize;
-            while begin < iters {
-                let end = (begin + c).min(iters);
-                chunks[turn % t as usize].push(IterRange { begin, end });
-                begin = end;
-                turn += 1;
-            }
-            LoopPartition { chunks }
-        }
+    let chunk = match schedule {
+        Schedule::Static => iters.div_ceil(t).max(1),
+        Schedule::StaticChunk(c) => c.max(1),
         Schedule::Dynamic(_) | Schedule::Guided => {
             panic!("dynamic/guided schedules need runtime simulation")
         }
-    }
+    };
+    let stride = t.saturating_mul(chunk);
+    let first = Some(u64::from(thread).saturating_mul(chunk)).filter(|&b| b < iters);
+    std::iter::successors(first, move |&b| b.checked_add(stride).filter(|&b| b < iters))
+        .map(move |begin| IterRange { begin, end: begin.saturating_add(chunk).min(iters) })
 }
 
 #[derive(Debug, PartialEq)]

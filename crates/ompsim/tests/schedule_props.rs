@@ -2,7 +2,7 @@
 //! exactly, regardless of shape. A deterministic splitmix64 generator
 //! replaces proptest so the suite runs with no external dependencies.
 
-use nrlt_ompsim::{simulate_dynamic, static_partition};
+use nrlt_ompsim::{simulate_dynamic, static_partition, static_share, IterRange};
 use nrlt_prog::Schedule;
 
 /// Deterministic pseudo-random generator (splitmix64).
@@ -60,6 +60,48 @@ fn chunked_partitions_cover_exactly() {
         all.sort_by_key(|r| r.begin);
         for r in &all[..all.len().saturating_sub(1)] {
             assert_eq!(r.len(), chunk.min(iters));
+        }
+    }
+}
+
+/// The static partition as a runtime deals it: chunks of `chunk`
+/// iterations handed to threads in turn.
+fn dealt_rows(iters: u64, threads: u32, chunk: u64) -> Vec<Vec<IterRange>> {
+    let mut rows = vec![Vec::new(); threads as usize];
+    let (mut begin, mut turn) = (0, 0);
+    while begin < iters {
+        let end = (begin + chunk).min(iters);
+        rows[turn % threads as usize].push(IterRange { begin, end });
+        begin = end;
+        turn += 1;
+    }
+    rows
+}
+
+#[test]
+fn thread_shares_equal_partition_rows() {
+    let mut g = Gen(5);
+    for _case in 0..300 {
+        let iters = g.below(20_000);
+        let threads = g.range(1, 130) as u32;
+        let chunk = g.range(1, 700);
+        for (schedule, dealt) in [
+            (Schedule::Static, iters.div_ceil(threads as u64).max(1)),
+            (Schedule::StaticChunk(chunk), chunk),
+        ] {
+            let p = static_partition(iters, threads, schedule);
+            assert_eq!(
+                p.chunks,
+                dealt_rows(iters, threads, dealt),
+                "{schedule:?} {iters}/{threads}"
+            );
+            for t in 0..threads {
+                let share: Vec<IterRange> = static_share(iters, threads, schedule, t).collect();
+                assert_eq!(
+                    share, p.chunks[t as usize],
+                    "{schedule:?} {iters}/{threads} thread {t}"
+                );
+            }
         }
     }
 }

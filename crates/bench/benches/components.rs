@@ -9,9 +9,8 @@
 //! `cargo bench --bench components`.
 
 use nrlt_core::analysis::analyze;
-use nrlt_core::exec::{LadderQueue, WildcardBook};
+use nrlt_core::exec::{Channel, LadderQueue, Matcher, WildcardBook};
 use nrlt_core::measure_sys::{measure, MeasureConfig};
-use nrlt_core::mpisim::{Channel, Matcher};
 use nrlt_core::prelude::*;
 use nrlt_core::sim::{jitter_factor, RngFactory, StreamKind};
 use nrlt_core::trace::{decode, encode};
@@ -189,7 +188,7 @@ fn main() {
         for i in 0..10_000u64 {
             let ch = Channel { src: (i % 16) as u32, dst: ((i + 1) % 16) as u32, tag: 0 };
             m.post_send(ch, 1024, i);
-            m.post_recv(ch, 1024, i);
+            m.post_recv(ch, i);
         }
         m
     });

@@ -50,9 +50,7 @@ pub use nrlt_exec as exec;
 pub use nrlt_exec::engineprof;
 pub use nrlt_measure as measure_sys;
 pub use nrlt_miniapps as miniapps;
-pub use nrlt_mpisim as mpisim;
 pub use nrlt_observe as observe;
-pub use nrlt_ompsim as ompsim;
 pub use nrlt_profile as profile;
 pub use nrlt_prog as prog;
 pub use nrlt_sim as sim;

@@ -1,7 +1,5 @@
 //! Run configuration for the replay engine.
 
-use nrlt_mpisim::{CollectiveModel, P2pModel};
-use nrlt_ompsim::OmpOverheadModel;
 use nrlt_sim::{JobLayout, Machine, NoiseConfig};
 
 /// Everything the engine needs besides the program and the observer.
@@ -15,26 +13,16 @@ pub struct ExecConfig {
     pub noise: NoiseConfig,
     /// Experiment repetition seed; drives every random stream.
     pub seed: u64,
-    /// Point-to-point protocol parameters.
-    pub p2p: P2pModel,
-    /// Collective timing parameters.
-    pub collective: CollectiveModel,
-    /// OpenMP runtime overheads.
-    pub omp: OmpOverheadModel,
 }
 
 impl ExecConfig {
-    /// A configuration on `nodes` Jureca-DC nodes with default protocol
-    /// models and realistic noise.
+    /// A configuration on `nodes` Jureca-DC nodes with realistic noise.
     pub fn jureca(nodes: u32, layout: JobLayout, seed: u64) -> Self {
         ExecConfig {
             machine: Machine::jureca_dc(nodes),
             layout,
             noise: NoiseConfig::realistic(),
             seed,
-            p2p: P2pModel::default(),
-            collective: CollectiveModel::default(),
-            omp: OmpOverheadModel::default(),
         }
     }
 

@@ -11,19 +11,25 @@
 //! The [`Observer`] is invoked at every observable point and may charge
 //! overhead, exactly as instrumentation perturbs a real run.
 
+use crate::collective::{completion_times, CommScope};
 use crate::config::ExecConfig;
 use crate::duration::{DurationModel, ExecPhase, KernelProbe};
 use crate::engineprof::{EventKind, RunProf};
 use crate::ladder::LadderQueue;
+use crate::matching::{Channel, Matcher};
 use crate::observer::{EventInfo, Observer, RuntimeKind, WorkItem};
+use crate::overhead::{
+    barrier_cost, fork_cost, loop_dispatch_cost, wake_delay, CRITICAL_LOCK, DISPATCH_DYNAMIC,
+    JOIN_COST, WAKE_STAGGER,
+};
+use crate::protocol::{is_eager, message_timing, LinkKind, RECV_OVERHEAD, SEND_OVERHEAD};
 use crate::regions::{
     collective_kind, implicit_barrier_of, parallel_regions, prepare_regions, DerivedRegions,
     ParallelRegions,
 };
 use crate::result::ExecResult;
-use nrlt_mpisim::{message_timing, Channel, CommScope, LinkKind, Matcher};
+use crate::schedule::{simulate_dynamic, static_share};
 use nrlt_observe::{NoiseKind, PhaseId as ObsPhase, RunObserve, SeriesId};
-use nrlt_ompsim::{simulate_dynamic, static_share};
 use nrlt_prog::{
     Action, Kernel, MpiOp, OmpAction, OmpFor, ParallelRegion, PhaseId, Program, RegionId,
     RegionTable, Schedule,
@@ -974,12 +980,12 @@ impl<'a, O: Observer> Engine<'a, O> {
         let piggyback = self.observer.piggyback(m);
         let t = self.states[r as usize].time;
         let t = self.emit(m, t, EventInfo::SendPost { peer: dest, tag, bytes });
-        let so = Self::sec(self.config.p2p.send_overhead);
+        let so = Self::sec(SEND_OVERHEAD);
         self.observer.on_runtime(m, RuntimeKind::Mpi, so);
         let t = t + so;
         self.states[r as usize].time = t;
         let req = self.states[r as usize].pending.len();
-        let eager = self.config.p2p.is_eager(bytes);
+        let eager = is_eager(bytes);
         self.prof_pending_alloc(r);
         self.states[r as usize].pending.push(Request {
             kind: ReqKind::Send,
@@ -996,7 +1002,7 @@ impl<'a, O: Observer> Engine<'a, O> {
         if let Some(mtch) =
             self.matcher.post_send(channel, bytes, SendInfo { rank: r, req, post: t, piggyback })
         {
-            self.resolve_match(channel, mtch.send.data, mtch.recv.data, bytes);
+            self.resolve_match(channel, mtch.send.data, mtch.recv, bytes);
         } else if let Some(recv) = self.wildcard.pop((dest, tag)) {
             // A wildcard receive is already blocked on this (dst, tag):
             // hand it the send we just enqueued.
@@ -1029,11 +1035,9 @@ impl<'a, O: Observer> Engine<'a, O> {
             consumed: false,
         });
         let channel = Channel { src, dst: r, tag };
-        if let Some(mtch) =
-            self.matcher.post_recv(channel, bytes, RecvInfo { rank: r, req, post: t })
-        {
+        if let Some(mtch) = self.matcher.post_recv(channel, RecvInfo { rank: r, req, post: t }) {
             let bytes = mtch.send.bytes;
-            self.resolve_match(channel, mtch.send.data, mtch.recv.data, bytes);
+            self.resolve_match(channel, mtch.send.data, mtch.recv, bytes);
         }
         self.observe_queues(r);
         self.prof_queues(r);
@@ -1103,7 +1107,6 @@ impl<'a, O: Observer> Engine<'a, O> {
             LinkKind::Network
         };
         let timing = message_timing(
-            &self.config.p2p,
             &self.config.machine.spec,
             link,
             bytes,
@@ -1119,7 +1122,6 @@ impl<'a, O: Observer> Engine<'a, O> {
             // jitter this message absorbed; the keyed stream is stateless,
             // so the extra call perturbs nothing.
             let clean = message_timing(
-                &self.config.p2p,
                 &self.config.machine.spec,
                 link,
                 bytes,
@@ -1250,20 +1252,14 @@ impl<'a, O: Observer> Engine<'a, O> {
             inst.arrivals.iter().map(|a| Self::secs_of(a.expect("unresolved arrival").0)).collect();
         let max_piggy = inst.arrivals.iter().map(|a| a.unwrap().1).max().unwrap_or(0);
         let noise = self.net_noise(u64::MAX, index as u64);
-        let completions_s = self
-            .config
-            .collective
-            .completion_times(inst.op, spec, scope, inst.bytes, &arrivals, noise);
+        let completions_s = completion_times(inst.op, spec, scope, inst.bytes, &arrivals, noise);
         let completions: Vec<VirtualTime> =
             completions_s.iter().map(|&s| VirtualTime((s.max(0.0) * 1e9).round() as u64)).collect();
         let last_arrival =
             inst.arrivals.iter().map(|a| a.unwrap().0).max().unwrap_or(VirtualTime::ZERO);
         if let Some(obs) = self.obs {
             // Unit-noise replay of the collective isolates its jitter.
-            let clean = self
-                .config
-                .collective
-                .completion_times(inst.op, spec, scope, inst.bytes, &arrivals, 1.0);
+            let clean = completion_times(inst.op, spec, scope, inst.bytes, &arrivals, 1.0);
             let ids = self.obs_ids.as_ref().expect("observed path without interned names");
             let seq = self.n_events;
             let t_ns = last_arrival.nanos();
@@ -1348,7 +1344,7 @@ impl<'a, O: Observer> Engine<'a, O> {
                     other => panic!("blocked cursor not on an MPI action: {other:?}"),
                 };
                 // Complete receives in posting order; sends just consume.
-                let ro = Self::sec(self.config.p2p.recv_overhead);
+                let ro = Self::sec(RECV_OVERHEAD);
                 for &i in &needed {
                     let (kind, peer, tag, bytes, piggy) = {
                         let q = &self.states[r as usize].pending[i];
@@ -1429,7 +1425,7 @@ impl<'a, O: Observer> Engine<'a, O> {
 
         // Fork management on the master.
         t = self.emit(m, t, EventInfo::Enter { region: derived.fork });
-        let fork = Self::sec(self.config.omp.fork_cost(team));
+        let fork = Self::sec(fork_cost(team));
         self.observer.on_runtime(m, RuntimeKind::Omp, fork);
         t += fork;
         t = self.emit(m, t, EventInfo::Leave { region: derived.fork });
@@ -1448,9 +1444,7 @@ impl<'a, O: Observer> Engine<'a, O> {
         let master_piggy = self.observer.piggyback(m);
         let mut tt = std::mem::take(&mut self.scratch.tt);
         tt.clear();
-        tt.extend(
-            (0..team).map(|i| self.clamp(loc(i), t + Self::sec(self.config.omp.wake_delay(i)))),
-        );
+        tt.extend((0..team).map(|i| self.clamp(loc(i), t + Self::sec(wake_delay(i)))));
         for i in 1..team {
             self.observer.sync_logical(loc(i), master_piggy);
         }
@@ -1520,7 +1514,7 @@ impl<'a, O: Observer> Engine<'a, O> {
                                 extra_instructions: extra,
                             },
                         );
-                        let lockc = Self::sec(self.config.omp.critical_lock);
+                        let lockc = Self::sec(CRITICAL_LOCK);
                         self.observer.on_runtime(l, RuntimeKind::Omp, lockc);
                         te = te + dur + wo + lockc;
                         te = self.emit(l, te, EventInfo::Leave { region: *region });
@@ -1552,7 +1546,7 @@ impl<'a, O: Observer> Engine<'a, O> {
         // Join management on the master.
         let mut t = tt[0];
         t = self.emit(m, t, EventInfo::Enter { region: derived.join });
-        let join = Self::sec(self.config.omp.join_cost());
+        let join = Self::sec(JOIN_COST);
         self.observer.on_runtime(m, RuntimeKind::Omp, join);
         t += join;
         t = self.emit(m, t, EventInfo::Leave { region: derived.join });
@@ -1567,7 +1561,7 @@ impl<'a, O: Observer> Engine<'a, O> {
 
         // Loop entry: dispatch overhead + loop region enter.
         for i in 0..team {
-            let disp = Self::sec(self.config.omp.loop_dispatch_cost(false, 1));
+            let disp = Self::sec(loop_dispatch_cost(false, 1));
             self.observer.on_runtime(loc(i), RuntimeKind::Omp, disp);
             tt[i as usize] += disp;
             tt[i as usize] =
@@ -1587,7 +1581,6 @@ impl<'a, O: Observer> Engine<'a, O> {
                 log.clear();
             }
             chunk_log.resize_with(team as usize, Vec::new);
-            let dispatch = self.config.omp.dispatch_dynamic;
             // Pre-assign instance numbers deterministically per thread.
             let mut inst_base = std::mem::take(&mut self.scratch.inst_base);
             inst_base.clear();
@@ -1625,7 +1618,7 @@ impl<'a, O: Observer> Engine<'a, O> {
                     chunk_log[thread as usize].push((cost, d, extra));
                     d.as_secs_f64()
                 },
-                dispatch,
+                DISPATCH_DYNAMIC,
             );
             if let (Some(obs), Some(ids)) = (self.obs, self.obs_ids.as_ref()) {
                 // Loop-level occupancy: how many chunks the schedule cut
@@ -1658,7 +1651,7 @@ impl<'a, O: Observer> Engine<'a, O> {
                 self.observer.on_runtime(
                     loc(i as u32),
                     RuntimeKind::Omp,
-                    Self::sec(dispatch * chunks as f64),
+                    Self::sec(loop_dispatch_cost(true, chunks)),
                 );
                 tt[i] = VirtualTime((result.finish[i].max(0.0) * 1e9).round() as u64) + total_ovh;
             }
@@ -1723,14 +1716,14 @@ impl<'a, O: Observer> Engine<'a, O> {
         for i in 0..team {
             tt[i as usize] = self.emit(loc(i), tt[i as usize], EventInfo::Enter { region });
         }
-        let prof_arr: Vec<u64> = if let Some(p) = self.prof {
+        let arrived: u64 = if let Some(p) = self.prof {
             p.enter(EventKind::Barrier);
-            tt.iter().map(|t| t.nanos()).collect()
+            tt.iter().map(|t| t.nanos()).sum()
         } else {
-            Vec::new()
+            0
         };
         let max_arr = tt.iter().copied().max().unwrap_or(VirtualTime::ZERO);
-        let release = max_arr + Self::sec(self.config.omp.barrier_cost(team));
+        let release = max_arr + Self::sec(barrier_cost(team));
         let max_piggy = (0..team).map(|i| self.observer.piggyback(loc(i))).max().unwrap_or(0);
         for i in 0..team {
             let wait = max_arr.saturating_since(tt[i as usize]);
@@ -1740,13 +1733,15 @@ impl<'a, O: Observer> Engine<'a, O> {
             }
             self.observer.on_runtime(loc(i), RuntimeKind::Omp, release.saturating_since(max_arr));
             self.observer.sync_logical(loc(i), max_piggy);
-            let exit = release + Self::sec(self.config.omp.wake_stagger) * i as u64;
+            let exit = release + Self::sec(WAKE_STAGGER) * i as u64;
             tt[i as usize] = self.emit(loc(i), exit, EventInfo::Leave { region });
         }
         if let Some(p) = self.prof {
             // Virtual cost: total thread-time spent inside the barrier.
-            let held: u64 =
-                tt.iter().zip(&prof_arr).map(|(t, &a)| t.nanos().saturating_sub(a)).sum();
+            // `emit` is monotone per location, so every exit is at or
+            // after its arrival and the sum of the differences is the
+            // difference of the sums.
+            let held = tt.iter().map(|t| t.nanos()).sum::<u64>() - arrived;
             p.leave(EventKind::Barrier, held);
         }
     }

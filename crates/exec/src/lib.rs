@@ -20,10 +20,27 @@ pub mod observer;
 pub mod regions;
 pub mod result;
 
+// The simulated MPI library: deterministic FIFO message matching (no
+// wildcards in the paper's benchmarks), eager and rendezvous
+// point-to-point protocols, and algorithmic collective cost models.
+mod collective;
+mod matching;
+mod protocol;
+
+// The simulated OpenMP runtime: worksharing-loop schedules and the
+// runtime's overhead model. Thread teams themselves are orchestrated by
+// the engine.
+mod overhead;
+mod schedule;
+
+#[cfg(test)]
+mod splitmix;
+
 pub use config::ExecConfig;
 pub use duration::{DurationModel, ExecPhase, KernelProbe};
 pub use engine::{execute, execute_prepared_instrumented, WildcardBook, ANY_SOURCE};
 pub use ladder::LadderQueue;
+pub use matching::{Channel, Matcher};
 pub use observer::{EventInfo, NullObserver, Observer, RuntimeKind, WorkItem};
 pub use regions::{
     implicit_barrier_of, parallel_regions, prepare_regions, DerivedRegions, ParallelRegions,

@@ -6,7 +6,7 @@ use nrlt_exec::{
     execute, execute_prepared_instrumented, overhead_percent, prepare_regions, EventInfo,
     ExecConfig, NullObserver, Observer, RuntimeKind, WorkItem,
 };
-use nrlt_prog::{Cost, IterCost, ProgramBuilder, Schedule};
+use nrlt_prog::{Cost, IterCost, ProgramBuilder, RegionKind, Schedule};
 use nrlt_sim::{JobLayout, Location, NoiseConfig, VirtualDuration, VirtualTime};
 
 fn silent_config(ranks: u32, tpr: u32, nodes: u32) -> ExecConfig {
@@ -498,4 +498,43 @@ fn profile_samples_matcher_queues_and_draws_network_noise_per_match() {
     assert_eq!(d.kinds[EventKind::Pt2ptMatch.index()].count, 2);
     // A silent machine still counts one network draw per match.
     assert_eq!(d.kinds[EventKind::NoiseDraw.index()].count, 2);
+}
+
+#[test]
+fn barrier_profile_bills_the_team_time_spent_inside_barriers() {
+    // Only the master runs the `master` kernel, so the explicit barrier
+    // after it holds the other three threads for the kernel's length.
+    let mut pb = ProgramBuilder::new(1);
+    pb.rank(0).scoped("main", |rb| {
+        rb.parallel("work", |omp| {
+            omp.master("io", Cost::scalar(1_000_000), 0);
+            omp.barrier();
+        });
+    });
+    let p = pb.finish();
+    let (d, rec, _) = profiled(&p, &silent_config(1, 4, 1));
+
+    // Sum over threads of (barrier Leave - barrier Enter), read back from
+    // the recorded events of the explicit and the region-end barrier.
+    let regions = prepare_regions(&p);
+    let barriers = regions
+        .iter()
+        .filter(|(_, r)| matches!(r.kind, RegionKind::OmpBarrier | RegionKind::OmpImplicitBarrier));
+    let (mut enters, mut leaves) = (Vec::new(), Vec::new());
+    for (region, _) in barriers {
+        enters.push(format!("{:?}", EventInfo::Enter { region }));
+        leaves.push(format!("{:?}", EventInfo::Leave { region }));
+    }
+    let mut inside: i64 = 0;
+    for (_, now, e) in &rec.events {
+        if enters.contains(e) {
+            inside -= *now as i64;
+        } else if leaves.contains(e) {
+            inside += *now as i64;
+        }
+    }
+    let barrier = d.kinds[EventKind::Barrier.index()];
+    assert_eq!(barrier.count, 2, "the explicit barrier and the region-end barrier");
+    assert!(inside > 3 * 100_000, "three threads wait out the master kernel: {inside}ns");
+    assert_eq!(barrier.virtual_ns, inside as u64);
 }

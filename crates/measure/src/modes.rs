@@ -51,11 +51,6 @@ impl ClockMode {
         }
     }
 
-    /// Parse a mode name (as printed by [`ClockMode::name`]).
-    pub fn parse(s: &str) -> Option<ClockMode> {
-        Self::ALL.into_iter().find(|m| m.name() == s)
-    }
-
     /// True for the logical (Lamport) modes.
     pub fn is_logical(self) -> bool {
         self != ClockMode::Tsc
@@ -78,14 +73,6 @@ impl fmt::Display for ClockMode {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn names_roundtrip() {
-        for m in ClockMode::ALL {
-            assert_eq!(ClockMode::parse(m.name()), Some(m));
-        }
-        assert_eq!(ClockMode::parse("bogus"), None);
-    }
 
     #[test]
     fn classification() {

@@ -80,19 +80,6 @@ impl Histogram {
         self.count == 0
     }
 
-    /// Merge another histogram into this one (bucket-wise saturating
-    /// add). The shape is fixed, so any two histograms merge; the report
-    /// layer uses this to combine per-track span distributions.
-    pub fn merge(&mut self, other: &Histogram) {
-        for (b, o) in self.buckets.iter_mut().zip(&other.buckets) {
-            *b = b.saturating_add(*o);
-        }
-        self.count = self.count.saturating_add(other.count);
-        self.sum = self.sum.saturating_add(other.sum);
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
     /// Approximate value at quantile `q` (clamped to `[0, 1]`): the
     /// upper bound of the first bucket whose cumulative count reaches
     /// `ceil(q * count)`, refined by the recorded min/max so single-value
@@ -187,6 +174,7 @@ mod tests {
     #[test]
     fn percentile_of_empty_is_zero() {
         let h = Histogram::new();
+        assert!(h.is_empty());
         for q in [0.0, 0.5, 0.99, 1.0] {
             assert_eq!(h.percentile(q), 0);
         }
@@ -225,54 +213,6 @@ mod tests {
         // Quantiles outside [0, 1] clamp instead of panicking.
         assert_eq!(h.percentile(-1.0), h.percentile(0.0));
         assert_eq!(h.percentile(2.0), h.percentile(1.0));
-    }
-
-    #[test]
-    fn merge_combines_counts_and_extremes() {
-        let mut a = Histogram::new();
-        a.observe(5);
-        a.observe(100);
-        let mut b = Histogram::new();
-        b.observe(2);
-        b.observe(1_000_000);
-        a.merge(&b);
-        assert_eq!(a.count, 4);
-        assert_eq!(a.sum, 1_000_107);
-        assert_eq!(a.min, 2);
-        assert_eq!(a.max, 1_000_000);
-        assert_eq!(a.buckets.iter().sum::<u64>(), 4);
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity_both_ways() {
-        let mut a = Histogram::new();
-        a.observe(7);
-        let before = a.clone();
-        a.merge(&Histogram::new());
-        assert_eq!(a, before);
-        let mut e = Histogram::new();
-        e.merge(&before);
-        assert_eq!(e, before);
-        assert!(Histogram::new().is_empty());
-    }
-
-    #[test]
-    fn merge_saturates_instead_of_wrapping() {
-        let mut a = Histogram::new();
-        a.observe(u64::MAX);
-        a.observe(u64::MAX); // sum already saturated
-        let mut b = a.clone();
-        b.merge(&a);
-        assert_eq!(b.sum, u64::MAX);
-        assert_eq!(b.count, 4);
-        // Bucket counts saturate too.
-        let mut c = Histogram::new();
-        c.buckets[3] = u64::MAX;
-        c.count = u64::MAX;
-        let mut d = c.clone();
-        d.merge(&c);
-        assert_eq!(d.buckets[3], u64::MAX);
-        assert_eq!(d.count, u64::MAX);
     }
 
     #[test]

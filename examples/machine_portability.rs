@@ -53,9 +53,6 @@ fn main() {
             layout: JobLayout::block(ranks, threads),
             noise: NoiseConfig::silent(),
             seed: 7,
-            p2p: Default::default(),
-            collective: Default::default(),
-            omp: Default::default(),
         };
         let (pt, pres) = measure(&program, &cfg, &MeasureConfig::new(ClockMode::Tsc));
         let phys = analyze(&pt);

@@ -11,9 +11,7 @@
 pub use nrlt_core::*;
 
 // Direct access to the component crates under their short names.
-pub use nrlt_core::{
-    analysis, exec, measure_sys, miniapps, mpisim, observe, ompsim, profile, prog, sim, trace,
-};
+pub use nrlt_core::{analysis, exec, measure_sys, miniapps, observe, profile, prog, sim, trace};
 
 /// The read-side observability layer: severity explorer, telemetry
 /// inspector, and the bench regression gate.

@@ -17,7 +17,7 @@ use crate::patterns::{
     gather_barriers, gather_collectives, late_receiver_severity, late_sender_severity,
     match_messages, wait_nxn_severity, MatchedMessage,
 };
-use crate::replay::{prev_mpi_sync, prev_sync, replay_view, LocalReplay, SegClass};
+use crate::replay::{replay_view, CausalWindow, LocalReplay, SegClass};
 use nrlt_observe::{ChainLink, RunObserve, WaitProvenance};
 use nrlt_profile::{CallPathId, Metric, Profile};
 use nrlt_telemetry::sample::frames;
@@ -51,22 +51,22 @@ pub fn analyze(trace: &Trace) -> Profile {
     analyze_view(&TraceView::Resident(trace), &AnalysisConfig::default(), None, None)
 }
 
-/// One wait state scheduled for delay attribution.
+/// One wait state scheduled for delay attribution and provenance.
 struct WaitInstance {
     metric: Metric,
-    waiter_loc: usize,
+    /// The waiter's causal window, ending at its enter.
+    waiter: CausalWindow,
     waiter_path: CallPathId,
-    waiter_enter: u64,
-    delayer_loc: usize,
+    /// The delayer's causal window, ending at its enter.
+    delayer: CausalWindow,
     delayer_path: CallPathId,
-    delayer_enter: u64,
     severity: u64,
 }
 
 /// Analyze a [`TraceView`] — the streaming entry point. A spilled view
 /// is replayed through bounded per-location segment cursors, so the
 /// analysis holds O(locations × chunk) of raw events at a time; the
-/// [`LocalReplay`] products (segments, instances, sync lists) stay
+/// per-location replay products (segments, instances, sync lists) stay
 /// resident, exactly as on the in-memory path, which keeps the result
 /// byte-identical between the two.
 ///
@@ -171,13 +171,16 @@ pub fn analyze_view(
                         msgs.iter().max_by_key(|m| m.send_enter).expect("non-empty message group");
                     waits.push(WaitInstance {
                         metric: Metric::DelayP2p,
-                        waiter_loc: loc,
+                        waiter: CausalWindow::before(&locals, loc, mi.enter, true),
                         waiter_path: mi.path,
-                        waiter_enter: mi.enter,
-                        delayer_loc: culprit.send_loc,
+                        delayer: CausalWindow::before(
+                            &locals,
+                            culprit.send_loc,
+                            culprit.send_enter,
+                            true,
+                        ),
                         delayer_path: locals[culprit.send_loc].mpi_instances[culprit.send_instance]
                             .path,
-                        delayer_enter: culprit.send_enter,
                         severity: ls,
                     });
                 }
@@ -216,12 +219,14 @@ pub fn analyze_view(
             .map(|&(loc, idx)| locals[loc].mpi_instances[idx].enter)
             .max()
             .unwrap_or(0);
-        let delayer = inst
+        let (delayer_loc, delayer_idx) = inst
             .members
             .iter()
             .max_by_key(|&&(loc, idx)| (locals[loc].mpi_instances[idx].enter, loc))
             .copied()
             .expect("collective has members");
+        let delayer_mi = &locals[delayer_loc].mpi_instances[delayer_idx];
+        let delayer = CausalWindow::before(&locals, delayer_loc, delayer_mi.enter, true);
         let is_nxn = inst.op.is_nxn() || inst.op == nrlt_trace::CollectiveOp::Barrier;
         for &(loc, idx) in &inst.members {
             let mi = &locals[loc].mpi_instances[idx];
@@ -235,12 +240,10 @@ pub fn analyze_view(
                     profile.add(Metric::WaitNxN, mi.path, loc, wait as f64);
                     waits.push(WaitInstance {
                         metric: Metric::DelayN2n,
-                        waiter_loc: loc,
+                        waiter: CausalWindow::before(&locals, loc, mi.enter, true),
                         waiter_path: mi.path,
-                        waiter_enter: mi.enter,
-                        delayer_loc: delayer.0,
-                        delayer_path: locals[delayer.0].mpi_instances[delayer.1].path,
-                        delayer_enter: locals[delayer.0].mpi_instances[delayer.1].enter,
+                        delayer,
+                        delayer_path: delayer_mi.path,
                         severity: wait,
                     });
                 }
@@ -266,11 +269,13 @@ pub fn analyze_view(
                     .map(|&(loc, i)| locals[loc].barriers[i].enter)
                     .max()
                     .unwrap_or(0);
-                let delayer = members
+                let (delayer_loc, delayer_idx) = members
                     .iter()
                     .max_by_key(|&&(loc, i)| (locals[loc].barriers[i].enter, loc))
                     .copied()
                     .expect("barrier has members");
+                let delayer_b = &locals[delayer_loc].barriers[delayer_idx];
+                let delayer = CausalWindow::before(&locals, delayer_loc, delayer_b.enter, false);
                 for &(loc, i) in members {
                     let b = &locals[loc].barriers[i];
                     let dur = b.leave - b.enter;
@@ -282,12 +287,10 @@ pub fn analyze_view(
                         acc.add(0, b.path, loc, wait as f64);
                         waits.push(WaitInstance {
                             metric: Metric::DelayBarrier,
-                            waiter_loc: loc,
+                            waiter: CausalWindow::before(&locals, loc, b.enter, false),
                             waiter_path: b.path,
-                            waiter_enter: b.enter,
-                            delayer_loc: delayer.0,
-                            delayer_path: locals[delayer.0].barriers[delayer.1].path,
-                            delayer_enter: locals[delayer.0].barriers[delayer.1].enter,
+                            delayer,
+                            delayer_path: delayer_b.path,
                             severity: wait,
                         });
                     }
@@ -322,7 +325,7 @@ pub fn analyze_view(
     }
     if config.delay_costs && !waits.is_empty() {
         let index = SpanIndex::build(&locals);
-        let contributions = compute_delays(&waits, &index, &locals, config.workers, tel);
+        let contributions = compute_delays(&waits, &index, config.workers, tel);
         // Sole writer of the three delay metrics, so the flat ordered
         // contribution list can be pre-summed densely (see DenseAdds).
         let mut acc = DenseAdds::new(
@@ -350,12 +353,12 @@ pub fn analyze_view(
 }
 
 /// Record the provenance of every wait state into the observatory: the
-/// waiter/delayer call paths, the causal window on the delayer (back to
-/// its previous synchronisation, mirroring the delay-cost horizon), the
-/// chain of events inside that window, and the injected noise the window
-/// contains. Noise joins only make sense on physical traces — logical
-/// timestamps are not commensurable with nanoseconds, so there
-/// `noise_ns` stays 0 (which the noise-share query reports as such).
+/// waiter/delayer call paths, the delayer's causal window (the one the
+/// delay costs read), the chain of events inside that window, and the
+/// injected noise the window contains. Noise joins only make sense on
+/// physical traces — logical timestamps are not commensurable with
+/// nanoseconds, so there `noise_ns` stays 0 (which the noise-share query
+/// reports as such).
 fn record_wait_provenance(
     obs: &RunObserve,
     physical: bool,
@@ -366,36 +369,30 @@ fn record_wait_provenance(
 ) {
     let mut paths = PathNames::new(profile);
     for w in waits {
-        let inter_process = w.metric != Metric::DelayBarrier;
-        let delayer = &locals[w.delayer_loc];
-        let from = if inter_process {
-            prev_mpi_sync(delayer, w.delayer_enter)
-        } else {
-            prev_sync(delayer, w.delayer_enter)
-        };
+        let d = w.delayer;
         let noise_ns = if physical {
-            obs.noise_in_window((w.delayer_loc / tpr.max(1)) as u32, from, w.delayer_enter)
+            obs.noise_in_window((d.loc / tpr.max(1)) as u32, d.from, d.to)
         } else {
             0
         };
-        let mut chain = delayer_chain(&mut paths, delayer, w.delayer_loc, from, w.delayer_enter);
+        let mut chain = delayer_chain(&mut paths, &locals[d.loc], d);
         let waiter_path = paths.get(w.waiter_path);
         chain.push(ChainLink {
             what: "wait".to_owned(),
             path: waiter_path.clone(),
-            loc: w.waiter_loc,
-            start: w.waiter_enter,
-            end: w.waiter_enter + w.severity,
+            loc: w.waiter.loc,
+            start: w.waiter.to,
+            end: w.waiter.to + w.severity,
         });
         obs.wait(WaitProvenance {
             metric: w.metric.name().to_owned(),
-            waiter_loc: w.waiter_loc,
+            waiter_loc: w.waiter.loc,
             waiter_path,
-            waiter_enter: w.waiter_enter,
+            waiter_enter: w.waiter.to,
             severity: w.severity,
-            delayer_loc: w.delayer_loc,
+            delayer_loc: d.loc,
             delayer_path: paths.get(w.delayer_path),
-            delayer_enter: w.delayer_enter,
+            delayer_enter: d.to,
             noise_ns,
             chain,
         });
@@ -418,8 +415,8 @@ impl<'a> PathNames<'a> {
     }
 }
 
-/// The delayer's activity inside `[from, to)`, oldest first, capped at
-/// [`CHAIN_CAP`] most recent links.
+/// The delayer's activity inside its window `[from, to)`, oldest first,
+/// capped at [`CHAIN_CAP`] most recent links.
 ///
 /// Segments, MPI instances and barriers are each time-ordered and
 /// non-overlapping, so in each list the links that start before `to`
@@ -432,10 +429,9 @@ impl<'a> PathNames<'a> {
 fn delayer_chain(
     paths: &mut PathNames<'_>,
     delayer: &LocalReplay,
-    delayer_loc: usize,
-    from: u64,
-    to: u64,
+    window: CausalWindow,
 ) -> Vec<ChainLink> {
+    let CausalWindow { loc: delayer_loc, from, to } = window;
     let mut links: Vec<(&'static str, CallPathId, u64, u64)> = Vec::with_capacity(3 * CHAIN_CAP);
     links.extend(window_tail(&delayer.segments, |s| (s.start, s.end), from, to).iter().map(|s| {
         let what = match s.class {
@@ -539,7 +535,6 @@ impl DenseAdds {
 fn compute_delays(
     waits: &[WaitInstance],
     index: &SpanIndex,
-    locals: &[LocalReplay],
     workers: usize,
     tel: Option<&Telemetry>,
 ) -> Vec<(Metric, DelayContribution)> {
@@ -574,19 +569,15 @@ fn compute_delays(
                     });
                     // Dense scratch reused across the chunk: no per-wait
                     // map or vector allocations.
-                    let mut scratch = DelayScratch::new(index.n_paths());
+                    let mut scratch = DelayScratch::new(index);
                     let mut tmp: Vec<DelayContribution> = Vec::new();
                     let mut out: Vec<(Metric, DelayContribution)> = Vec::new();
                     for w in chunk.iter() {
                         delay_for_wait_into(
                             index,
-                            locals,
-                            w.waiter_loc,
-                            w.waiter_enter,
-                            w.delayer_loc,
-                            w.delayer_enter,
+                            w.waiter,
+                            w.delayer,
                             w.severity,
-                            w.metric != Metric::DelayBarrier,
                             &mut scratch,
                             &mut tmp,
                         );
@@ -668,7 +659,8 @@ mod tests {
         to: u64,
     ) -> usize {
         let want = delayer_chain_scan(paths.profile, delayer, loc, from, to);
-        assert_eq!(delayer_chain(paths, delayer, loc, from, to), want, "loc {loc} [{from}, {to})");
+        let window = CausalWindow { loc, from, to };
+        assert_eq!(delayer_chain(paths, delayer, window), want, "loc {loc} [{from}, {to})");
         want.len()
     }
 
@@ -680,7 +672,10 @@ mod tests {
     /// provenance pass visits.
     fn wait_windows(locals: &[LocalReplay], tpr: u32) -> BTreeSet<(usize, u64, u64)> {
         let mut windows = BTreeSet::new();
-        let mpi_window = |loc: usize, to: u64| (loc, prev_mpi_sync(&locals[loc], to), to);
+        let window = |loc: usize, to: u64, inter_process: bool| {
+            let w = CausalWindow::before(locals, loc, to, inter_process);
+            (w.loc, w.from, w.to)
+        };
         let mut latest_send: BTreeMap<(usize, usize), (u64, usize)> = BTreeMap::new();
         for m in match_messages(locals, tpr) {
             // The last of equally late senders, as `max_by_key` picks.
@@ -691,7 +686,7 @@ mod tests {
                 *latest = (m.send_enter, m.send_loc);
             }
         }
-        windows.extend(latest_send.values().map(|&(to, loc)| mpi_window(loc, to)));
+        windows.extend(latest_send.values().map(|&(to, loc)| window(loc, to, true)));
         for inst in gather_collectives(locals, tpr) {
             let (to, loc) = inst
                 .members
@@ -699,7 +694,7 @@ mod tests {
                 .map(|&(loc, i)| (locals[loc].mpi_instances[i].enter, loc))
                 .max()
                 .expect("collective has members");
-            windows.insert(mpi_window(loc, to));
+            windows.insert(window(loc, to, true));
         }
         for rank in 0..locals.len() as u32 / tpr {
             for members in gather_barriers(locals, rank, tpr).iter() {
@@ -708,7 +703,7 @@ mod tests {
                     .map(|&(loc, i)| (locals[loc].barriers[i].enter, loc))
                     .max()
                     .expect("barrier has members");
-                windows.insert((loc, prev_sync(&locals[loc], to), to));
+                windows.insert(window(loc, to, false));
             }
         }
         windows
@@ -808,10 +803,10 @@ mod tests {
         }
         assert_eq!(longest, CHAIN_CAP);
         // The shared key keeps list order: segment, MPI, barrier.
-        let chain = delayer_chain(&mut paths, &r, 3, 24, 26);
+        let chain = delayer_chain(&mut paths, &r, CausalWindow { loc: 3, from: 24, to: 26 });
         let tied: Vec<&str> = chain.iter().filter(|l| l.start == 25).map(|l| &*l.what).collect();
         assert_eq!(tied, ["comp", "mpi", "barrier"]);
-        assert!(delayer_chain(&mut paths, &r, 3, 10, 10).is_empty());
-        assert!(delayer_chain(&mut paths, &r, 3, 12, 8).is_empty());
+        assert!(delayer_chain(&mut paths, &r, CausalWindow { loc: 3, from: 10, to: 10 }).is_empty());
+        assert!(delayer_chain(&mut paths, &r, CausalWindow { loc: 3, from: 12, to: 8 }).is_empty());
     }
 }

@@ -62,6 +62,10 @@ impl CriticalPath {
 pub fn critical_path(trace: &Trace) -> CriticalPath {
     let (tree, locals) = replay(trace);
     let index = SpanIndex::build(&locals);
+    // Dense span-walk buffers and one span cursor per location.
+    let mut acc = vec![0u64; index.n_paths()];
+    let mut touched: Vec<u32> = Vec::new();
+    let mut hints = vec![0usize; locals.len()];
 
     // Incoming cross-location edges per event.
     let mut incoming: HashMap<EventId, Vec<EventId>> = HashMap::new();
@@ -108,11 +112,17 @@ pub fn critical_path(trace: &Trace) -> CriticalPath {
         if let Some(prev) = next {
             if prev.0 == cur.0 {
                 // Local move: attribute the busy span to its call paths.
-                let t_prev = ts(prev);
-                for (path, ticks) in index.profile(cur.0, t_prev, t_cur) {
-                    if ticks > 0 {
-                        contributions.push((path, cur.0, ticks));
-                    }
+                index.profile_into_hinted(
+                    cur.0,
+                    ts(prev),
+                    t_cur,
+                    &mut acc,
+                    &mut touched,
+                    &mut hints[cur.0],
+                );
+                for p in touched.drain(..) {
+                    let ticks = std::mem::take(&mut acc[p as usize]);
+                    contributions.push((CallPathId(p), cur.0, ticks));
                 }
             }
             // Cross moves carry transfer/collective time, attributed to
@@ -124,6 +134,8 @@ pub fn critical_path(trace: &Trace) -> CriticalPath {
         }
     }
     events.reverse();
+    // Stable: one walk step yields each path once, so equal keys keep
+    // walk order.
     contributions.sort_by_key(|&(p, l, _)| (p, l));
 
     CriticalPath {

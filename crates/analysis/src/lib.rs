@@ -9,20 +9,16 @@
 
 #![warn(missing_docs)]
 
-pub mod analyze;
-pub mod causality;
-pub mod combined;
-pub mod critical;
-pub mod delay;
-pub mod idle;
-pub mod patterns;
-pub mod replay;
+mod analyze;
+mod causality;
+mod combined;
+mod critical;
+mod delay;
+mod idle;
+mod patterns;
+mod replay;
 
 pub use analyze::{analyze, analyze_view, AnalysisConfig};
-pub use causality::{assign_lamport_postprocess, verify_clock_condition, Edge, EventId};
-pub use combined::{combine, CombinedCell, CombinedReport, WAIT_METRICS};
+pub use causality::{assign_lamport_postprocess, verify_clock_condition};
+pub use combined::{combine, CombinedCell, CombinedReport};
 pub use critical::{critical_path, CriticalPath};
-pub use delay::SpanIndex;
-pub use idle::IdleChunk;
-pub use patterns::{CollectiveInstance, MatchedMessage};
-pub use replay::{replay, LocalReplay, MpiInstance, SegClass, Segment};

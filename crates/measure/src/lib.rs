@@ -20,13 +20,11 @@ pub mod filter;
 pub mod modes;
 pub mod observer;
 pub mod params;
-pub mod profiling;
 
 pub use filter::FilterRules;
 pub use modes::ClockMode;
 pub use observer::{MeasureConfig, SharedDefs, SpillSummary, TracingObserver, BYTES_PER_EVENT};
 pub use params::{EffortParams, HwCounterSource, OverheadParams};
-pub use profiling::{profile_run, OnlineProfile, ProfilingObserver};
 
 use nrlt_exec::engineprof::RunProf;
 use nrlt_exec::{execute_prepared_instrumented, ExecConfig, ExecResult, NullObserver};

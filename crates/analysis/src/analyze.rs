@@ -18,7 +18,7 @@ use crate::patterns::{
     match_messages, wait_nxn_severity, MatchedMessage,
 };
 use crate::replay::{replay_view, CausalWindow, LocalReplay, SegClass};
-use nrlt_observe::{ChainLink, RunObserve, WaitProvenance};
+use nrlt_observe::{ChainLink, RunObserve, WaitProvenance, WaitRow};
 use nrlt_profile::{CallPathId, Metric, Profile};
 use nrlt_telemetry::sample::frames;
 use nrlt_telemetry::{Phase, Telemetry};
@@ -74,18 +74,38 @@ struct WaitInstance {
 ///
 /// * `tel` records one span per phase, per-pattern hit counters, replay
 ///   throughput, and per-worker timing of the delay phase;
-/// * `obs` records, for each wait state found, its provenance
-///   (waiter/delayer call paths, the chain of events on the delayer that
-///   produced it, and — for physical-clock traces — how much injected
-///   noise falls into the causal window).
+/// * `obs` records exact per-(metric, call path) totals of the wait
+///   states found, with — for physical-clock traces — how much injected
+///   noise falls into their causal windows, and the provenance of the
+///   most severe ones (waiter/delayer call paths and the chain of events
+///   on the delayer that produced the wait).
 pub fn analyze_view(
     view: &TraceView<'_>,
     config: &AnalysisConfig,
     tel: Option<&Telemetry>,
     obs: Option<&RunObserve>,
 ) -> Profile {
-    let defs = view.defs();
     let mut phase = Phase::new(tel, "analysis", "analyze.replay", frames::ANALYZE_REPLAY);
+    let (profile, locals, waits) = find_waits(view, config, tel, &mut phase);
+    if let Some(o) = obs {
+        let defs = view.defs();
+        let physical = defs.clock == ClockKind::Physical;
+        let tpr = defs.threads_per_rank as usize;
+        record_wait_provenance(o, physical, &profile, &locals, &waits, tpr);
+    }
+    profile
+}
+
+/// Every pass of [`analyze_view`] but the provenance: the profile, and
+/// the replay products and wait states the provenance pass reads.
+/// `phase` is the analysis span, already open on the replay.
+fn find_waits(
+    view: &TraceView<'_>,
+    config: &AnalysisConfig,
+    tel: Option<&Telemetry>,
+    phase: &mut Phase<'_>,
+) -> (Profile, Vec<LocalReplay>, Vec<WaitInstance>) {
+    let defs = view.defs();
     let replay_start = tel.map(|_| Instant::now());
     let (tree, locals) = replay_view(view);
     if let (Some(t), Some(start)) = (tel, replay_start) {
@@ -150,6 +170,7 @@ pub fn analyze_view(
         by_send_instance.entry((m.send_loc, m.send_instance)).or_default().push(m);
     }
 
+    let (mut late_senders, mut late_receivers) = (0, 0);
     for (loc, r) in locals.iter().enumerate() {
         for (idx, mi) in r.mpi_instances.iter().enumerate() {
             if mi.collective.is_some() {
@@ -161,9 +182,7 @@ pub fn analyze_view(
                 let send_ts: Vec<u64> = msgs.iter().map(|m| m.send_enter).collect();
                 let ls = late_sender_severity(mi.enter, mi.leave, &send_ts);
                 if ls > 0 {
-                    if let Some(t) = tel {
-                        t.incr("analysis.patterns.late_sender");
-                    }
+                    late_senders += 1;
                     profile.add(Metric::LateSender, mi.path, loc, ls as f64);
                     classified += ls;
                     // Delay: the latest sender is the culprit.
@@ -195,9 +214,7 @@ pub fn analyze_view(
                 // values on eager sends are classified as plain p2p time.
                 let lr = lr.min(dur - classified.min(dur));
                 if lr > dur / 20 && lr > 0 {
-                    if let Some(t) = tel {
-                        t.incr("analysis.patterns.late_receiver");
-                    }
+                    late_receivers += 1;
                     profile.add(Metric::LateReceiver, mi.path, loc, lr as f64);
                     classified += lr;
                 }
@@ -205,6 +222,8 @@ pub fn analyze_view(
             profile.add(Metric::MpiP2p, mi.path, loc, dur.saturating_sub(classified) as f64);
         }
     }
+    add_hits(tel, "analysis.patterns.late_sender", late_senders);
+    add_hits(tel, "analysis.patterns.late_receiver", late_receivers);
 
     // --- collectives -------------------------------------------------------
     phase.next("analyze.collectives", frames::ANALYZE_COLLECTIVES);
@@ -212,6 +231,7 @@ pub fn analyze_view(
     if let Some(t) = tel {
         t.add("analysis.collectives", collectives.len() as u64);
     }
+    let mut nxn_waits = 0;
     for inst in &collectives {
         let latest = inst
             .members
@@ -234,9 +254,7 @@ pub fn analyze_view(
             if is_nxn {
                 let wait = wait_nxn_severity(mi.enter, mi.leave, latest);
                 if wait > 0 {
-                    if let Some(t) = tel {
-                        t.incr("analysis.patterns.wait_nxn");
-                    }
+                    nxn_waits += 1;
                     profile.add(Metric::WaitNxN, mi.path, loc, wait as f64);
                     waits.push(WaitInstance {
                         metric: Metric::DelayN2n,
@@ -253,6 +271,7 @@ pub fn analyze_view(
             }
         }
     }
+    add_hits(tel, "analysis.patterns.wait_nxn", nxn_waits);
 
     // --- OpenMP barriers ----------------------------------------------------
     phase.next("analyze.omp_barriers", frames::ANALYZE_OMP);
@@ -262,8 +281,9 @@ pub fn analyze_view(
             n_paths,
             n_locs,
         );
+        let mut barrier_waits = 0;
         for rank in 0..n_ranks {
-            for members in gather_barriers(&locals, rank, tpr).iter() {
+            for members in gather_barriers(&locals, &profile.call_tree, rank, tpr).iter() {
                 let latest = members
                     .iter()
                     .map(|&(loc, i)| locals[loc].barriers[i].enter)
@@ -275,19 +295,17 @@ pub fn analyze_view(
                     .copied()
                     .expect("barrier has members");
                 let delayer_b = &locals[delayer_loc].barriers[delayer_idx];
-                let delayer = CausalWindow::before(&locals, delayer_loc, delayer_b.enter, false);
+                let delayer = locals[delayer_loc].barrier_window(delayer_loc, delayer_b);
                 for &(loc, i) in members {
                     let b = &locals[loc].barriers[i];
                     let dur = b.leave - b.enter;
                     let wait = latest.saturating_sub(b.enter).min(dur);
                     if wait > 0 {
-                        if let Some(t) = tel {
-                            t.incr("analysis.patterns.omp_barrier_wait");
-                        }
+                        barrier_waits += 1;
                         acc.add(0, b.path, loc, wait as f64);
                         waits.push(WaitInstance {
                             metric: Metric::DelayBarrier,
-                            waiter: CausalWindow::before(&locals, loc, b.enter, false),
+                            waiter: locals[loc].barrier_window(loc, b),
                             waiter_path: b.path,
                             delayer,
                             delayer_path: delayer_b.path,
@@ -298,6 +316,7 @@ pub fn analyze_view(
                 }
             }
         }
+        add_hits(tel, "analysis.patterns.omp_barrier_wait", barrier_waits);
         acc.flush(&mut profile);
     }
 
@@ -343,22 +362,27 @@ pub fn analyze_view(
         }
         acc.flush(&mut profile);
     }
-
-    if let Some(o) = obs {
-        let physical = defs.clock == ClockKind::Physical;
-        record_wait_provenance(o, physical, &profile, &locals, &waits, tpr as usize);
-    }
-
-    profile
+    (profile, locals, waits)
 }
 
-/// Record the provenance of every wait state into the observatory: the
-/// waiter/delayer call paths, the delayer's causal window (the one the
-/// delay costs read), the chain of events inside that window, and the
-/// injected noise the window contains. Noise joins only make sense on
-/// physical traces — logical timestamps are not commensurable with
-/// nanoseconds, so there `noise_ns` stays 0 (which the noise-share query
-/// reports as such).
+/// Add `n` hits of a wait-state pattern to its telemetry counter, once
+/// per analysis. A pattern that never occurred leaves its counter
+/// unset, as it always has.
+fn add_hits(tel: Option<&Telemetry>, name: &str, n: u64) {
+    if let Some(t) = tel.filter(|_| n > 0) {
+        t.add(name, n);
+    }
+}
+
+/// Record the run's wait states into the observatory. Every wait adds
+/// to the exact per-(metric, waiter path) totals, with the injected
+/// noise its delayer's causal window contains; only the waits
+/// [`RunObserve::select_waits`] keeps get a provenance record: the
+/// waiter/delayer call paths, the delayer's window (the one the delay
+/// costs read) and the chain of events inside it. Noise joins only make
+/// sense on physical traces — logical timestamps are not commensurable
+/// with nanoseconds, so there `noise_ns` stays 0 (which the noise-share
+/// query reports as such).
 fn record_wait_provenance(
     obs: &RunObserve,
     physical: bool,
@@ -367,16 +391,25 @@ fn record_wait_provenance(
     waits: &[WaitInstance],
     tpr: usize,
 ) {
-    let mut paths = PathNames::new(profile);
-    for w in waits {
+    let noise_ns = |w: &WaitInstance| {
         let d = w.delayer;
-        let noise_ns = if physical {
+        if physical {
             obs.noise_in_window((d.loc / tpr.max(1)) as u32, d.from, d.to)
         } else {
             0
-        };
-        let mut chain = delayer_chain(&mut paths, &locals[d.loc], d);
-        let waiter_path = paths.get(w.waiter_path);
+        }
+    };
+    let rows = waits.iter().map(|w| WaitRow {
+        metric: w.metric.name(),
+        waiter_path: w.waiter_path.0,
+        severity: w.severity,
+        noise_ns: noise_ns(w),
+    });
+    let kept = obs.select_waits(rows, |path| profile.path_string(CallPathId(path)));
+    for w in kept.into_iter().map(|i| &waits[i]) {
+        let d = w.delayer;
+        let mut chain = delayer_chain(profile, &locals[d.loc], d);
+        let waiter_path = profile.path_string(w.waiter_path);
         chain.push(ChainLink {
             what: "wait".to_owned(),
             path: waiter_path.clone(),
@@ -384,34 +417,18 @@ fn record_wait_provenance(
             start: w.waiter.to,
             end: w.waiter.to + w.severity,
         });
-        obs.wait(WaitProvenance {
+        obs.keep_wait(WaitProvenance {
             metric: w.metric.name().to_owned(),
             waiter_loc: w.waiter.loc,
             waiter_path,
             waiter_enter: w.waiter.to,
             severity: w.severity,
             delayer_loc: d.loc,
-            delayer_path: paths.get(w.delayer_path),
+            delayer_path: profile.path_string(w.delayer_path),
             delayer_enter: d.to,
-            noise_ns,
+            noise_ns: noise_ns(w),
             chain,
         });
-    }
-}
-
-/// Call-path strings of one profile, each formatted on first use.
-struct PathNames<'a> {
-    profile: &'a Profile,
-    names: Vec<Option<String>>,
-}
-
-impl<'a> PathNames<'a> {
-    fn new(profile: &'a Profile) -> PathNames<'a> {
-        PathNames { profile, names: vec![None; profile.call_tree.len()] }
-    }
-
-    fn get(&mut self, path: CallPathId) -> String {
-        self.names[path.0 as usize].get_or_insert_with(|| self.profile.path_string(path)).clone()
     }
 }
 
@@ -426,11 +443,7 @@ impl<'a> PathNames<'a> {
 /// list by `CHAIN_CAP` later ones sorts below all of them. The tails are
 /// concatenated in list order and stably sorted, so ties keep the order
 /// a sort of all three whole lists gives them.
-fn delayer_chain(
-    paths: &mut PathNames<'_>,
-    delayer: &LocalReplay,
-    window: CausalWindow,
-) -> Vec<ChainLink> {
+fn delayer_chain(profile: &Profile, delayer: &LocalReplay, window: CausalWindow) -> Vec<ChainLink> {
     let CausalWindow { loc: delayer_loc, from, to } = window;
     let mut links: Vec<(&'static str, CallPathId, u64, u64)> = Vec::with_capacity(3 * CHAIN_CAP);
     links.extend(window_tail(&delayer.segments, |s| (s.start, s.end), from, to).iter().map(|s| {
@@ -455,7 +468,7 @@ fn delayer_chain(
     kept.iter()
         .map(|&(what, path, start, end)| ChainLink {
             what: what.to_owned(),
-            path: paths.get(path),
+            path: profile.path_string(path),
             loc: delayer_loc,
             start,
             end,
@@ -603,8 +616,12 @@ mod tests {
     use crate::patterns::{gather_barriers, gather_collectives, match_messages};
     use crate::replay::{replay, BarrierRec, MpiInstance, Segment};
     use nrlt_exec::ExecConfig;
-    use nrlt_measure::{measure, ClockMode, FilterRules, MeasureConfig};
+    use nrlt_measure::{
+        measure, measure_prepared_spilled, prepare_measure, ClockMode, FilterRules, MeasureConfig,
+    };
     use nrlt_miniapps::BenchmarkInstance;
+    use nrlt_observe::export::ObserveBundle;
+    use nrlt_observe::{Observe, WaitAgg, WAIT_CAP};
     use nrlt_profile::CallTree;
     use nrlt_trace::{RegionDef, RegionRef, RegionRole};
     use std::collections::BTreeSet;
@@ -652,15 +669,15 @@ mod tests {
     }
 
     fn assert_chain_matches_scan(
-        paths: &mut PathNames<'_>,
+        profile: &Profile,
         delayer: &LocalReplay,
         loc: usize,
         from: u64,
         to: u64,
     ) -> usize {
-        let want = delayer_chain_scan(paths.profile, delayer, loc, from, to);
+        let want = delayer_chain_scan(profile, delayer, loc, from, to);
         let window = CausalWindow { loc, from, to };
-        assert_eq!(delayer_chain(paths, delayer, window), want, "loc {loc} [{from}, {to})");
+        assert_eq!(delayer_chain(profile, delayer, window), want, "loc {loc} [{from}, {to})");
         want.len()
     }
 
@@ -670,7 +687,11 @@ mod tests {
     /// each collective and at each team barrier. Every instance counts,
     /// waiting or not, so this is a superset of the windows the
     /// provenance pass visits.
-    fn wait_windows(locals: &[LocalReplay], tpr: u32) -> BTreeSet<(usize, u64, u64)> {
+    fn wait_windows(
+        locals: &[LocalReplay],
+        tree: &CallTree,
+        tpr: u32,
+    ) -> BTreeSet<(usize, u64, u64)> {
         let mut windows = BTreeSet::new();
         let window = |loc: usize, to: u64, inter_process: bool| {
             let w = CausalWindow::before(locals, loc, to, inter_process);
@@ -697,7 +718,7 @@ mod tests {
             windows.insert(window(loc, to, true));
         }
         for rank in 0..locals.len() as u32 / tpr {
-            for members in gather_barriers(locals, rank, tpr).iter() {
+            for members in gather_barriers(locals, tree, rank, tpr).iter() {
                 let (to, loc) = members
                     .iter()
                     .map(|&(loc, i)| (locals[loc].barriers[i].enter, loc))
@@ -710,7 +731,9 @@ mod tests {
     }
 
     /// Check the chain of every wait window of `instance`'s physical
-    /// (`tsc`) and logical (`lt_stmt`) traces against the full scan.
+    /// (`tsc`) and logical (`lt_stmt`) traces against the full scan, and
+    /// every barrier window start recorded during replay against
+    /// [`CausalWindow::before`].
     fn check_every_wait_window(instance: BenchmarkInstance) {
         for mode in [ClockMode::Tsc, ClockMode::LtStmt] {
             let cfg = ExecConfig::jureca(instance.nodes, instance.layout.clone(), 1000);
@@ -724,11 +747,17 @@ mod tests {
                 tree,
                 trace.defs.locations.clone(),
             );
-            let mut paths = PathNames::new(&profile);
-            let windows = wait_windows(&locals, trace.defs.threads_per_rank);
+            for (loc, r) in locals.iter().enumerate() {
+                for b in &r.barriers {
+                    let want = CausalWindow::before(&locals, loc, b.enter, false);
+                    let got = r.barrier_window(loc, b);
+                    assert_eq!(got, want, "{} {mode} loc {loc}", instance.name);
+                }
+            }
+            let windows = wait_windows(&locals, &profile.call_tree, trace.defs.threads_per_rank);
             let mut capped = 0;
             for &(loc, from, to) in &windows {
-                if assert_chain_matches_scan(&mut paths, &locals[loc], loc, from, to) == CHAIN_CAP {
+                if assert_chain_matches_scan(&profile, &locals[loc], loc, from, to) == CHAIN_CAP {
                     capped += 1;
                 }
             }
@@ -778,8 +807,7 @@ mod tests {
             n_completes: 0,
             n_sends: 0,
         };
-        let barrier_at =
-            |enter, leave| BarrierRec { region: RegionRef(2), path: barrier, enter, leave };
+        let barrier_at = |enter, leave| BarrierRec { path: barrier, syncs_before: 0, enter, leave };
         let mut r = LocalReplay::default();
         for t in (0..20).step_by(2) {
             let class = if t % 4 == 0 { SegClass::Comp } else { SegClass::Management };
@@ -793,20 +821,120 @@ mod tests {
         r.mpi_instances.push(mpi_at(33, 36));
         r.barriers.extend([barrier_at(5, 5), barrier_at(25, 30), barrier_at(30, 30)]);
         r.barriers.extend([barrier_at(31, 33), barrier_at(33, 33), barrier_at(36, 40)]);
-        let mut paths = PathNames::new(&profile);
         let mut longest = 0;
         for from in 0..=41 {
             for to in 0..=41 {
-                let n = assert_chain_matches_scan(&mut paths, &r, 3, from, to);
+                let n = assert_chain_matches_scan(&profile, &r, 3, from, to);
                 longest = longest.max(n);
             }
         }
         assert_eq!(longest, CHAIN_CAP);
         // The shared key keeps list order: segment, MPI, barrier.
-        let chain = delayer_chain(&mut paths, &r, CausalWindow { loc: 3, from: 24, to: 26 });
+        let chain = delayer_chain(&profile, &r, CausalWindow { loc: 3, from: 24, to: 26 });
         let tied: Vec<&str> = chain.iter().filter(|l| l.start == 25).map(|l| &*l.what).collect();
         assert_eq!(tied, ["comp", "mpi", "barrier"]);
-        assert!(delayer_chain(&mut paths, &r, CausalWindow { loc: 3, from: 10, to: 10 }).is_empty());
-        assert!(delayer_chain(&mut paths, &r, CausalWindow { loc: 3, from: 12, to: 8 }).is_empty());
+        assert!(delayer_chain(&profile, &r, CausalWindow { loc: 3, from: 10, to: 10 }).is_empty());
+        assert!(delayer_chain(&profile, &r, CausalWindow { loc: 3, from: 12, to: 8 }).is_empty());
+    }
+
+    /// The provenance pass before the selection: a record for every
+    /// wait, totals summed per record under string keys, and the
+    /// [`WAIT_CAP`] most severe records per metric kept by a stable sort
+    /// of them all, in record order. Returns the kept records, the
+    /// totals and the number dropped.
+    fn record_every_wait_then_cap(
+        obs: &RunObserve,
+        profile: &Profile,
+        locals: &[LocalReplay],
+        waits: &[WaitInstance],
+        tpr: usize,
+    ) -> (Vec<WaitProvenance>, BTreeMap<(String, String), WaitAgg>, u64) {
+        let mut records = Vec::new();
+        let mut totals: BTreeMap<(String, String), WaitAgg> = BTreeMap::new();
+        for w in waits {
+            let d = w.delayer;
+            let noise_ns = obs.noise_in_window((d.loc / tpr) as u32, d.from, d.to);
+            let mut chain = delayer_chain(profile, &locals[d.loc], d);
+            let waiter_path = profile.path_string(w.waiter_path);
+            chain.push(ChainLink {
+                what: "wait".to_owned(),
+                path: waiter_path.clone(),
+                loc: w.waiter.loc,
+                start: w.waiter.to,
+                end: w.waiter.to + w.severity,
+            });
+            let agg = totals.entry((w.metric.name().to_owned(), waiter_path.clone())).or_default();
+            agg.count += 1;
+            agg.severity += w.severity;
+            agg.noise_ns += noise_ns;
+            records.push(WaitProvenance {
+                metric: w.metric.name().to_owned(),
+                waiter_loc: w.waiter.loc,
+                waiter_path,
+                waiter_enter: w.waiter.to,
+                severity: w.severity,
+                delayer_loc: d.loc,
+                delayer_path: profile.path_string(w.delayer_path),
+                delayer_enter: d.to,
+                noise_ns,
+                chain,
+            });
+        }
+        let mut order: Vec<usize> = (0..records.len()).collect();
+        order.sort_by_key(|&i| (&records[i].metric, std::cmp::Reverse(records[i].severity)));
+        let mut keep = vec![false; records.len()];
+        let mut per_metric: BTreeMap<&str, usize> = BTreeMap::new();
+        for &i in &order {
+            let seen = per_metric.entry(&records[i].metric).or_insert(0);
+            if *seen < WAIT_CAP {
+                keep[i] = true;
+                *seen += 1;
+            }
+        }
+        let dropped = keep.iter().filter(|&&k| !k).count() as u64;
+        let kept = records.into_iter().zip(keep).filter(|&(_, k)| k).map(|(w, _)| w).collect();
+        (kept, totals, dropped)
+    }
+
+    /// On a physical LULESH-2 run, where every pattern drops waits past
+    /// the cap, the observatory keeps exactly the records, totals and
+    /// drop count that recording every wait and then capping gives.
+    #[test]
+    fn provenance_matches_recording_every_wait_on_lulesh_2() {
+        let instance = nrlt_miniapps::lulesh_2();
+        let cfg = ExecConfig::jureca(instance.nodes, instance.layout.clone(), 1000);
+        let mcfg = MeasureConfig::new(ClockMode::Tsc)
+            .with_filter(FilterRules::from_rules(instance.filter_rules.iter().cloned()));
+        let prep = prepare_measure(&instance.program, &cfg);
+        let run = RunObserve::new("LULESH-2:tsc:rep0");
+        let (trace, _) = measure_prepared_spilled(
+            &instance.program,
+            &prep,
+            &cfg,
+            &mcfg,
+            None,
+            None,
+            Some(&run),
+            None,
+        );
+        let view = trace.view();
+        let tpr = view.defs().threads_per_rank as usize;
+        let config = AnalysisConfig { delay_costs: false, workers: 1 };
+        let mut phase = Phase::new(None, "analysis", "analyze.replay", frames::ANALYZE_REPLAY);
+        let (profile, locals, waits) = find_waits(&view, &config, None, &mut phase);
+        drop(phase);
+        let (want_waits, want_aggs, want_dropped) =
+            record_every_wait_then_cap(&run, &profile, &locals, &waits, tpr);
+        analyze_view(&view, &config, None, Some(&run));
+        let obs = Observe::new();
+        obs.attach(run);
+        let got = &ObserveBundle::from_observe(&obs).runs["LULESH-2:tsc:rep0"];
+        assert_eq!(got.waits, want_waits);
+        assert_eq!(got.wait_aggs, want_aggs);
+        assert_eq!(got.dropped_waits, want_dropped);
+        let metrics: BTreeSet<&str> = got.waits.iter().map(|w| w.metric.as_str()).collect();
+        assert!(metrics.len() >= 2, "{metrics:?}");
+        assert_eq!(got.waits.len(), metrics.len() * WAIT_CAP);
+        assert!(got.wait_aggs.values().any(|a| a.noise_ns > 0));
     }
 }

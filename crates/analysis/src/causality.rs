@@ -52,7 +52,7 @@ fn comm_indices(trace: &Trace) -> Vec<HashMap<u64, usize>> {
 /// collective instances. Program order within a stream is implicit.
 pub(crate) fn happens_before_edges(trace: &Trace) -> Vec<Edge> {
     let tpr = trace.defs.threads_per_rank;
-    let (_, locals) = replay(trace);
+    let (tree, locals) = replay(trace);
     let ts_index = comm_indices(trace);
     let mut edges = Vec::new();
 
@@ -98,7 +98,7 @@ pub(crate) fn happens_before_edges(trace: &Trace) -> Vec<Edge> {
     // Barrier edges within each team.
     let n_ranks = trace.defs.n_ranks();
     for rank in 0..n_ranks {
-        for members in crate::patterns::gather_barriers(&locals, rank, tpr).iter() {
+        for members in crate::patterns::gather_barriers(&locals, &tree, rank, tpr).iter() {
             let recs: Vec<(usize, &crate::replay::BarrierRec)> =
                 members.iter().map(|&(loc, i)| (loc, &locals[loc].barriers[i])).collect();
             for &(floc, f) in &recs {

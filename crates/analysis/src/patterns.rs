@@ -15,6 +15,7 @@
 //!   spread vs. release cost within a thread team.
 
 use crate::replay::{BarrierRec, LocalReplay};
+use nrlt_profile::CallTree;
 use nrlt_trace::CollectiveOp;
 use std::collections::HashMap;
 
@@ -204,9 +205,11 @@ impl TeamBarriers {
 /// so the k-th passage of a region on each thread belongs together.
 pub(crate) fn gather_barriers(
     locals: &[LocalReplay],
+    tree: &CallTree,
     rank: u32,
     threads_per_rank: u32,
 ) -> TeamBarriers {
+    let region = |b: &BarrierRec| tree.region(b.path).0 as usize;
     let base = (rank * threads_per_rank) as usize;
     let team = base..base + threads_per_rank as usize;
     // Group by (region, k-th passage of that region) with dense per-region
@@ -215,7 +218,7 @@ pub(crate) fn gather_barriers(
     // the sorted map-based grouping produced.
     let n_regions = team
         .clone()
-        .flat_map(|loc| locals[loc].barriers.iter().map(|b| b.region.0 as usize + 1))
+        .flat_map(|loc| locals[loc].barriers.iter().map(|b| region(b) + 1))
         .max()
         .unwrap_or(0);
     // Occurrences of each region per thread; the region's instance count
@@ -225,7 +228,7 @@ pub(crate) fn gather_barriers(
     for loc in team.clone() {
         occ.fill(0);
         for b in &locals[loc].barriers {
-            occ[b.region.0 as usize] += 1;
+            occ[region(b)] += 1;
         }
         for (m, &o) in max_occ.iter_mut().zip(&occ) {
             *m = (*m).max(o);
@@ -237,7 +240,7 @@ pub(crate) fn gather_barriers(
         offsets[r + 1] = offsets[r] + max_occ[r] as usize;
     }
     let instance_of = |occ: &mut [u32], b: &BarrierRec| {
-        let r = b.region.0 as usize;
+        let r = region(b);
         occ[r] += 1;
         offsets[r] + occ[r] as usize - 1
     };
@@ -304,17 +307,14 @@ mod tests {
 
     #[test]
     fn barriers_group_by_region_then_passage_in_team_order() {
-        use nrlt_profile::CallPathId;
         use nrlt_trace::RegionRef;
-        let passes = |regions: &[u32]| LocalReplay {
+        // One root path per region 0..6, so path r is region r's.
+        let mut tree = CallTree::new();
+        let paths: Vec<_> = (0..6).map(|r| tree.intern(None, RegionRef(r))).collect();
+        let passes = |regions: &[usize]| LocalReplay {
             barriers: regions
                 .iter()
-                .map(|&r| BarrierRec {
-                    region: RegionRef(r),
-                    path: CallPathId(0),
-                    enter: 0,
-                    leave: 1,
-                })
+                .map(|&r| BarrierRec { path: paths[r], syncs_before: 0, enter: 0, leave: 1 })
                 .collect(),
             ..Default::default()
         };
@@ -322,11 +322,11 @@ mod tests {
         // thread passes region 2 once more than its first thread.
         let locals = vec![passes(&[5]), passes(&[5]), passes(&[2, 0, 2]), passes(&[2, 0, 2, 2])];
         let groups: Vec<Vec<(usize, usize)>> =
-            gather_barriers(&locals, 1, 2).iter().map(<[_]>::to_vec).collect();
+            gather_barriers(&locals, &tree, 1, 2).iter().map(<[_]>::to_vec).collect();
         assert_eq!(
             groups,
             vec![vec![(2, 1), (3, 1)], vec![(2, 0), (3, 0)], vec![(2, 2), (3, 2)], vec![(3, 3)],]
         );
-        assert_eq!(gather_barriers(&[LocalReplay::default()], 0, 1).iter().count(), 0);
+        assert_eq!(gather_barriers(&[LocalReplay::default()], &tree, 0, 1).iter().count(), 0);
     }
 }

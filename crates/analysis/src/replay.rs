@@ -110,13 +110,17 @@ impl MpiInstance {
     }
 }
 
-/// One barrier passage of one thread.
+/// One barrier passage of one thread. 24 bytes: there is one per
+/// thread and barrier, so the barrier region is read from the call tree
+/// (`CallTree::region(path)`) rather than stored.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BarrierRec {
-    /// Barrier region.
-    pub region: RegionRef,
     /// Call path of the barrier.
     pub path: CallPathId,
+    /// How many of the location's [`LocalReplay::syncs`] lie strictly
+    /// before `enter`. Recorded during replay, so the barrier's causal
+    /// window ([`LocalReplay::barrier_window`]) needs no search.
+    pub syncs_before: u32,
     /// Arrival (enter) timestamp.
     pub enter: u64,
     /// Release (leave) timestamp.
@@ -158,6 +162,15 @@ pub struct LocalReplay {
     pub first_ts: u64,
     /// Last event timestamp.
     pub last_ts: u64,
+}
+
+impl LocalReplay {
+    /// The causal window of `b`, one of this location's (`loc`) barrier
+    /// passages: what [`CausalWindow::before`] gives for its enter over
+    /// [`LocalReplay::syncs`].
+    pub(crate) fn barrier_window(&self, loc: usize, b: &BarrierRec) -> CausalWindow {
+        CausalWindow::after(loc, &self.syncs[..b.syncs_before as usize], b.enter)
+    }
 }
 
 /// Replay every location of `trace`, interning call paths into a shared
@@ -253,7 +266,12 @@ fn replay_events(
                         }
                     }
                     RegionRole::OmpImplicitBarrier | RegionRole::OmpBarrier => {
-                        r.barriers.push(BarrierRec { region, path, enter, leave: ts });
+                        // Timestamps are monotone per location, so the
+                        // sync points so far are sorted and every later
+                        // one is at or after `enter`.
+                        let syncs_before = u32::try_from(syncs_before(&r.syncs, enter))
+                            .expect("fewer than 2^32 sync points per location");
+                        r.barriers.push(BarrierRec { path, syncs_before, enter, leave: ts });
                         r.syncs.push(ts);
                     }
                     _ => {}
@@ -377,10 +395,21 @@ impl CausalWindow {
     ) -> CausalWindow {
         let r = &locals[loc];
         let syncs = if inter_process { &r.mpi_syncs } else { &r.syncs };
-        let i = syncs.partition_point(|&x| x < to);
-        let from = if i == 0 { 0 } else { syncs[i - 1] };
-        CausalWindow { loc, from, to }
+        CausalWindow::after(loc, &syncs[..syncs_before(syncs, to)], to)
     }
+
+    /// The window on `loc` that ends at `to`, given `prior`, the
+    /// location's sync points strictly before `to`: it starts at the
+    /// last of them, or at 0 when there is none.
+    fn after(loc: usize, prior: &[u64], to: u64) -> CausalWindow {
+        CausalWindow { loc, from: prior.last().copied().unwrap_or(0), to }
+    }
+}
+
+/// How many of the ascending sync points `syncs` lie strictly before
+/// `to`.
+fn syncs_before(syncs: &[u64], to: u64) -> usize {
+    syncs.partition_point(|&x| x < to)
 }
 
 #[cfg(test)]
@@ -394,6 +423,7 @@ mod tests {
                 RegionDef { name: "main".into(), role: RegionRole::Function },
                 RegionDef { name: "MPI_Recv".into(), role: RegionRole::MpiApi },
                 RegionDef { name: "leaf".into(), role: RegionRole::Function },
+                RegionDef { name: "barrier".into(), role: RegionRole::OmpBarrier },
             ]),
             locations: std::sync::Arc::new(vec![LocationDef { rank: 0, thread: 0, core: 0 }]),
             threads_per_rank: 1,
@@ -438,6 +468,39 @@ mod tests {
         assert_eq!(from(45), 40);
         assert_eq!(from(40), 0);
         assert_eq!(from(5), 0);
+    }
+
+    /// A sync point at a barrier's enter does not open its window (the
+    /// rule is "strictly before"), whether it is a receive completion or
+    /// the previous barrier's release.
+    #[test]
+    fn barrier_window_start_is_recorded_at_replay() {
+        let (main, mpi, barrier) = (RegionRef(0), RegionRef(1), RegionRef(3));
+        let trace = Trace {
+            defs: defs(),
+            streams: vec![vec![
+                ev(0, EventKind::Enter { region: main }),
+                ev(5, EventKind::Enter { region: mpi }),
+                ev(10, EventKind::RecvComplete { peer: 1, tag: 0, bytes: 8 }),
+                ev(10, EventKind::Leave { region: mpi }),
+                ev(10, EventKind::Enter { region: barrier }),
+                ev(20, EventKind::Leave { region: barrier }),
+                ev(20, EventKind::Enter { region: barrier }),
+                ev(30, EventKind::Leave { region: barrier }),
+                ev(35, EventKind::Enter { region: barrier }),
+                ev(40, EventKind::Leave { region: barrier }),
+                ev(50, EventKind::Leave { region: main }),
+            ]
+            .into()],
+        };
+        let (_, locals) = replay(&trace);
+        let r = &locals[0];
+        assert_eq!(r.syncs, vec![10, 20, 30, 40]);
+        let starts: Vec<u64> = r.barriers.iter().map(|b| r.barrier_window(0, b).from).collect();
+        assert_eq!(starts, [0, 10, 30]);
+        for b in &r.barriers {
+            assert_eq!(r.barrier_window(0, b), CausalWindow::before(&locals, 0, b.enter, false));
+        }
     }
 
     #[test]

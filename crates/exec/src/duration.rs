@@ -8,7 +8,7 @@
 //! threads of a domain execute the same phase concurrently, so occupancy
 //! is an accurate stand-in for instantaneous activity.
 
-use crate::engineprof::{EventKind, RunProf};
+use crate::engineprof::{AllocSite, EventKind, RunProf};
 use nrlt_prog::Cost;
 use nrlt_sim::{
     cache_bandwidth_share, dram_fraction, memory_time, shared_bandwidth, Location, NoiseModel,
@@ -22,7 +22,7 @@ pub const REMOTE_ACCESS_PENALTY: f64 = 1.45;
 
 /// Engine-profiler allocation site counting interleaved ChaCha warm-ups
 /// (one count = one four-lane first-block batch).
-const NOISE_BATCH_SITE: &str = "noise.warm_batch";
+pub(crate) const NOISE_BATCH_SITE: &str = "noise.warm_batch";
 
 /// Synchronised kernel duration below which measurement-induced
 /// desynchronisation has no effect: loop barriers re-synchronise the
@@ -107,9 +107,10 @@ impl<'a> DurationModel<'a> {
     /// `NoiseDraw` per noise channel that actually draws — the warm-up
     /// batch and the cpu, mem and bias draws share one frame, the OS
     /// detour (whose stolen time is the draw's virtual time) gets its
-    /// own — and one `noise.warm_batch` allocation per interleaved
-    /// warm-up. Both `None` paths do zero extra work; the duration
-    /// itself is identical in every combination.
+    /// own — and one allocation per interleaved warm-up at the site it
+    /// comes with, [`NOISE_BATCH_SITE`] interned. Both `None` paths do
+    /// zero extra work; the duration itself is identical in every
+    /// combination.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn kernel_duration_instrumented(
         &self,
@@ -119,7 +120,7 @@ impl<'a> DurationModel<'a> {
         phase: ExecPhase,
         instance: u64,
         mut probe: Option<&mut KernelProbe>,
-        prof: Option<&RunProf>,
+        prof: Option<(&RunProf, AllocSite)>,
     ) -> VirtualDuration {
         let machine = self.placement.machine();
         let spec = &machine.spec;
@@ -130,14 +131,14 @@ impl<'a> DurationModel<'a> {
         // CPU term. All noise channels of this kernel are pre-drawn in
         // one interleaved ChaCha batch; stream keys and positions match
         // the per-channel draws, so the factors are bit-identical.
-        if let Some(p) = prof {
+        if let Some((p, _)) = prof {
             p.enter(EventKind::NoiseDraw);
         }
         let mut kn = self.noise.kernel_noise(core.0 as u64, instance, cost.mem_bytes != 0);
-        if let Some(p) = prof {
+        if let Some((p, noise_batch)) = prof {
             p.leave_n(EventKind::NoiseDraw, kn.draws as u64, 0);
             if kn.warmed {
-                p.alloc(NOISE_BATCH_SITE, 1);
+                p.alloc_id(noise_batch, 1);
             }
         }
         let cpu_base = spec.cpu_time(cost.instructions);
@@ -204,11 +205,11 @@ impl<'a> DurationModel<'a> {
 
         // Roofline: CPU and memory overlap; the slower resource dominates.
         let base = cpu.max(mem);
-        if let Some(p) = prof {
+        if let Some((p, _)) = prof {
             p.enter(EventKind::NoiseDraw);
         }
         let detour = self.noise.detour_time_warmed(&mut kn, base);
-        if let Some(p) = prof {
+        if let Some((p, _)) = prof {
             let stolen_ns = detour.map_or(0, |t| (t * 1e9) as u64);
             p.leave_n(EventKind::NoiseDraw, detour.is_some() as u64, stolen_ns);
         }
@@ -340,7 +341,7 @@ mod tests {
             ExecPhase::Serial,
             3,
             None,
-            Some(&run),
+            Some((&run, run.site(NOISE_BATCH_SITE))),
         );
         assert_eq!(plain, profiled, "profiling must not change the priced duration");
         let (_, d) = run.finish();
@@ -360,7 +361,7 @@ mod tests {
             ExecPhase::Serial,
             3,
             None,
-            Some(&run),
+            Some((&run, run.site(NOISE_BATCH_SITE))),
         );
         assert_eq!(again, plain);
         let (_, d) = run.finish();

@@ -13,8 +13,8 @@
 
 use crate::collective::{completion_times, CommScope};
 use crate::config::ExecConfig;
-use crate::duration::{DurationModel, ExecPhase, KernelProbe};
-use crate::engineprof::{EventKind, RunProf};
+use crate::duration::{DurationModel, ExecPhase, KernelProbe, NOISE_BATCH_SITE};
+use crate::engineprof::{AllocSite, EventKind, GaugePhase, GaugeSeries, RunProf};
 use crate::ladder::LadderQueue;
 use crate::matching::{Channel, Matcher};
 use crate::observer::{EventInfo, Observer, RuntimeKind, WorkItem};
@@ -378,6 +378,39 @@ impl ObsIds {
     }
 }
 
+/// Pre-interned engine-profiler names, built once per profiled run like
+/// [`ObsIds`]: the per-quantum, per-message and per-chunk gauges and the
+/// per-kernel noise-batch count record by id.
+struct ProfIds {
+    worklist_depth: GaugeSeries,
+    ladder_bucket: GaugeSeries,
+    queued_sends: GaugeSeries,
+    queued_recvs: GaugeSeries,
+    wildcard_queue: GaugeSeries,
+    pending_iters: GaugeSeries,
+    noise_batch: AllocSite,
+    /// Program phase names, indexed by `PhaseId`.
+    phases: Vec<GaugePhase>,
+    /// The empty "outside any phase" name.
+    no_phase: GaugePhase,
+}
+
+impl ProfIds {
+    fn new(prof: &RunProf, program: &Program) -> ProfIds {
+        ProfIds {
+            worklist_depth: prof.series("engine.worklist_depth"),
+            ladder_bucket: prof.series("engine.ladder_bucket"),
+            queued_sends: prof.series("matcher.queued_sends"),
+            queued_recvs: prof.series("matcher.queued_recvs"),
+            wildcard_queue: prof.series("mpi.wildcard_queue"),
+            pending_iters: prof.series("omp.pending_iters"),
+            noise_batch: prof.site(NOISE_BATCH_SITE),
+            phases: program.phases.iter().map(|p| prof.phase(p)).collect(),
+            no_phase: prof.phase(""),
+        }
+    }
+}
+
 struct Engine<'a, O: Observer> {
     program: &'a Program,
     regions: &'a RegionTable,
@@ -422,6 +455,8 @@ struct Engine<'a, O: Observer> {
     obs_ids: Option<ObsIds>,
     /// Engine self-profiler sink; `None` means zero profiling work.
     prof: Option<&'a RunProf>,
+    /// Pre-interned profiler names; `Some` exactly when `prof` is.
+    prof_ids: Option<ProfIds>,
     /// Per-rank stack of open phases — maintained only when `obs` or
     /// `prof` is `Some`, to tag samples, noise draws, and gauge
     /// timelines with the program phase.
@@ -456,6 +491,7 @@ impl<'a, O: Observer> Engine<'a, O> {
         let mpi_regions = std::array::from_fn(|i| regions.find(MPI_REGION_NAMES[i]));
         let n_phases = program.phases.len();
         let obs_ids = obs.map(|o| ObsIds::new(o, program, &placement));
+        let prof_ids = prof.map(|p| ProfIds::new(p, program));
         Engine {
             program,
             regions,
@@ -491,6 +527,7 @@ impl<'a, O: Observer> Engine<'a, O> {
             obs,
             obs_ids,
             prof,
+            prof_ids,
             cur_phase: vec![Vec::new(); n_ranks],
             n_events: 0,
             n_spin_conversions: 0,
@@ -512,17 +549,10 @@ impl<'a, O: Observer> Engine<'a, O> {
             if let Some(t) = self.tel {
                 t.observe("engine.ready_queue_depth", self.worklist.len() as u64 + 1);
             }
-            if let Some(p) = self.prof {
-                p.gauge(
-                    "engine.worklist_depth",
-                    self.phase_name(r),
-                    self.worklist.len() as i64 + 1,
-                );
-                p.gauge(
-                    "engine.ladder_bucket",
-                    self.phase_name(r),
-                    self.worklist.current_bucket_len() as i64,
-                );
+            if let Some((p, ids)) = self.prof.zip(self.prof_ids.as_ref()) {
+                let ph = self.prof_phase(ids, r);
+                p.gauge_id(ids.worklist_depth, ph, self.worklist.len() as i64 + 1);
+                p.gauge_id(ids.ladder_bucket, ph, self.worklist.current_bucket_len() as i64);
             }
             if let Some(leaf) = &leaf {
                 leaf.push(frames::ENGINE_RANK);
@@ -640,12 +670,12 @@ impl<'a, O: Observer> Engine<'a, O> {
     /// Record the matcher and wildcard queue depths as profiler gauges
     /// under rank `r`'s current phase.
     fn prof_queues(&self, r: u32) {
-        if let Some(p) = self.prof {
-            let ph = self.phase_name(r);
+        if let Some((p, ids)) = self.prof.zip(self.prof_ids.as_ref()) {
+            let ph = self.prof_phase(ids, r);
             let s = self.matcher.stats();
-            p.gauge("matcher.queued_sends", ph, s.queued_sends as i64);
-            p.gauge("matcher.queued_recvs", ph, s.queued_recvs as i64);
-            p.gauge("mpi.wildcard_queue", ph, self.wildcard.depth() as i64);
+            p.gauge_id(ids.queued_sends, ph, s.queued_sends as i64);
+            p.gauge_id(ids.queued_recvs, ph, s.queued_recvs as i64);
+            p.gauge_id(ids.wildcard_queue, ph, self.wildcard.depth() as i64);
         }
     }
 
@@ -668,7 +698,7 @@ impl<'a, O: Observer> Engine<'a, O> {
             model,
             placement: &self.placement,
             observer: &*self.observer,
-            prof: self.prof,
+            prof: self.prof.zip(self.prof_ids.as_ref()).map(|(p, ids)| (p, ids.noise_batch)),
             obs: self.obs.map(|o| {
                 let ids = self.obs_ids.as_ref().expect("observed path without interned names");
                 (o, ids, self.obs_phase(r), self.n_events)
@@ -690,13 +720,13 @@ impl<'a, O: Observer> Engine<'a, O> {
         f
     }
 
-    /// Innermost open phase of rank `r` (empty outside any phase). Only
-    /// meaningful when `obs` or `prof` is `Some` — the stack is not
-    /// maintained otherwise.
-    fn phase_name(&self, r: u32) -> &str {
+    /// Profiler id of rank `r`'s innermost open phase (the empty name
+    /// outside any phase). Only meaningful when `prof` is `Some` — the
+    /// stack is not maintained otherwise.
+    fn prof_phase(&self, ids: &ProfIds, r: u32) -> GaugePhase {
         match self.cur_phase[r as usize].last() {
-            Some(p) => self.program.phase_name(*p),
-            None => "",
+            Some(p) => ids.phases[p.0 as usize],
+            None => ids.no_phase,
         }
     }
 
@@ -1591,15 +1621,17 @@ impl<'a, O: Observer> Engine<'a, O> {
             counters.clear();
             counters.resize(team as usize, 0);
             let pricer = self.pricer(r);
-            let prof = self.prof;
-            let phase_name = self.phase_name(r);
+            let prof = self
+                .prof
+                .zip(self.prof_ids.as_ref())
+                .map(|(p, ids)| (p, ids.pending_iters, self.prof_phase(ids, r)));
             let result = simulate_dynamic(
                 f.iters,
                 f.schedule,
                 &ready,
                 |thread, b, e| {
-                    if let Some(p) = prof {
-                        p.gauge("omp.pending_iters", phase_name, (f.iters - b) as i64);
+                    if let Some((p, series, phase)) = prof {
+                        p.gauge_id(series, phase, (f.iters - b) as i64);
                     }
                     let cost = f.iter_cost.range_cost(b, e, f.iters);
                     let inst =
@@ -1771,7 +1803,8 @@ struct Pricer<'e, O> {
     model: DurationModel<'e>,
     placement: &'e Placement,
     observer: &'e O,
-    prof: Option<&'e RunProf>,
+    /// Engine profiler and its interned noise-batch allocation site.
+    prof: Option<(&'e RunProf, AllocSite)>,
     /// Observatory sink, interned names, the rank's phase and the event
     /// sequence number its samples carry; `Some` exactly when `obs` is.
     obs: Option<(&'e RunObserve, &'e ObsIds, ObsPhase, u64)>,
@@ -1800,7 +1833,7 @@ impl<O: Observer> Pricer<'_, O> {
             Priced::Kernel => EventKind::KernelAdvance,
             Priced::StaticShare | Priced::DynamicChunk => EventKind::LoopChunk,
         };
-        if let Some(p) = self.prof {
+        if let Some((p, _)) = self.prof {
             p.enter(kind);
         }
         let mut probe = KernelProbe::default();
@@ -1828,7 +1861,7 @@ impl<O: Observer> Pricer<'_, O> {
                 seq,
             );
         }
-        if let Some(p) = self.prof {
+        if let Some((p, _)) = self.prof {
             let virtual_ns = match what {
                 Priced::DynamicChunk => (d.as_secs_f64() * 1e9) as u64,
                 Priced::Kernel | Priced::StaticShare => d.nanos(),

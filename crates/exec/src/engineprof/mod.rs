@@ -172,14 +172,69 @@ pub struct ProfData {
     pub allocs: BTreeMap<String, u64>,
 }
 
-/// `map[key]`, inserting a default value under an owned copy of `key`
-/// only when the key is new — the hot loop's repeat lookups allocate
-/// nothing.
-fn entry<'m, V: Default>(map: &'m mut BTreeMap<String, V>, key: &str) -> &'m mut V {
-    if !map.contains_key(key) {
-        map.insert(key.to_owned(), V::default());
+/// Interned gauge-series name, from [`RunProf::series`]. Hot loops
+/// intern their names once and record by id, so a sample costs two
+/// indexed loads instead of string-keyed map lookups.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct GaugeSeries(u32);
+
+/// Interned gauge-phase name, from [`RunProf::phase`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct GaugePhase(u32);
+
+/// Interned allocation-site name, from [`RunProf::site`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct AllocSite(u32);
+
+/// First-seen-order id of `name` in `names`. A linear scan: the hot
+/// paths pay it once per name, and the string-keyed methods serve the
+/// few once-per-run records.
+fn intern(names: &mut Vec<String>, name: &str) -> u32 {
+    match names.iter().position(|n| n == name) {
+        Some(id) => id as u32,
+        None => {
+            names.push(name.to_owned());
+            names.len() as u32 - 1
+        }
     }
-    map.get_mut(key).expect("inserted above")
+}
+
+/// Live recording state: [`ProfData`] with interned gauges and
+/// allocation sites in dense tables, folded into the string maps by
+/// [`RunProf::finish`].
+#[derive(Debug, Default)]
+struct RawProf {
+    events: u64,
+    kinds: [KindStats; 6],
+    series_names: Vec<String>,
+    phase_names: Vec<String>,
+    site_names: Vec<String>,
+    /// `[series][phase]`, grown on demand; `count == 0` marks untouched
+    /// cells (every sample counts).
+    gauges: Vec<Vec<GaugeAgg>>,
+    hwms: BTreeMap<String, u64>,
+    /// Allocation counts by site; 0 marks a site never counted.
+    allocs: Vec<u64>,
+}
+
+impl RawProf {
+    fn finish(self) -> ProfData {
+        let mut gauges: BTreeMap<String, BTreeMap<String, GaugeAgg>> = BTreeMap::new();
+        for (series, row) in self.series_names.iter().zip(&self.gauges) {
+            for (phase, agg) in self.phase_names.iter().zip(row) {
+                if agg.count > 0 {
+                    gauges.entry(series.clone()).or_default().insert(phase.clone(), *agg);
+                }
+            }
+        }
+        ProfData {
+            events: self.events,
+            kinds: self.kinds,
+            gauges,
+            hwms: self.hwms,
+            allocs: self.site_names.into_iter().zip(self.allocs).filter(|&(_, n)| n > 0).collect(),
+        }
+    }
 }
 
 /// Per-run profiler handle. Single-threaded by design: each experiment
@@ -191,7 +246,7 @@ pub struct RunProf {
     /// The constructing thread's sampler slot (`None` when no sampling
     /// profiler is installed): kind frames publish through it.
     leaf: Option<LeafHandle>,
-    data: RefCell<ProfData>,
+    data: RefCell<RawProf>,
 }
 
 impl RunProf {
@@ -201,7 +256,7 @@ impl RunProf {
         RunProf {
             name: name.into(),
             leaf: sample::leaf_handle(),
-            data: RefCell::new(ProfData::default()),
+            data: RefCell::new(RawProf::default()),
         }
     }
 
@@ -233,25 +288,68 @@ impl RunProf {
         stats.virtual_ns += virtual_ns;
     }
 
+    /// Intern a gauge-series name; the same name gives the same id.
+    pub fn series(&self, name: &str) -> GaugeSeries {
+        GaugeSeries(intern(&mut self.data.borrow_mut().series_names, name))
+    }
+
+    /// Intern a gauge-phase name (the empty string is the valid
+    /// "outside any phase" name).
+    pub fn phase(&self, name: &str) -> GaugePhase {
+        GaugePhase(intern(&mut self.data.borrow_mut().phase_names, name))
+    }
+
+    /// Intern an allocation-site name.
+    pub fn site(&self, name: &str) -> AllocSite {
+        AllocSite(intern(&mut self.data.borrow_mut().site_names, name))
+    }
+
+    /// Record one sample of gauge `series` within `phase`, by interned
+    /// ids — the hot-loop path.
+    pub fn gauge_id(&self, series: GaugeSeries, phase: GaugePhase, value: i64) {
+        let d = &mut *self.data.borrow_mut();
+        let (s, p) = (series.0 as usize, phase.0 as usize);
+        if d.gauges.len() <= s {
+            d.gauges.resize_with(s + 1, Vec::new);
+        }
+        let row = &mut d.gauges[s];
+        if row.len() <= p {
+            row.resize_with(p + 1, GaugeAgg::default);
+        }
+        row[p].record(value);
+    }
+
     /// Record one sample of gauge `series` within `phase`.
     pub fn gauge(&self, series: &str, phase: &str, value: i64) {
-        let d = &mut *self.data.borrow_mut();
-        entry(entry(&mut d.gauges, series), phase).record(value);
+        self.gauge_id(self.series(series), self.phase(phase), value);
     }
 
     /// Raise the high-water mark `name` to at least `value`.
     pub fn hwm(&self, name: &str, value: u64) {
         let d = &mut *self.data.borrow_mut();
-        let v = entry(&mut d.hwms, name);
-        *v = (*v).max(value);
+        match d.hwms.get_mut(name) {
+            Some(v) => *v = (*v).max(value),
+            None => {
+                d.hwms.insert(name.to_owned(), value);
+            }
+        }
+    }
+
+    /// Count `n` hot-loop allocations at interned `site`.
+    pub fn alloc_id(&self, site: AllocSite, n: u64) {
+        let d = &mut *self.data.borrow_mut();
+        let s = site.0 as usize;
+        if d.allocs.len() <= s {
+            d.allocs.resize(s + 1, 0);
+        }
+        d.allocs[s] += n;
     }
 
     /// Count `n` hot-loop allocations at `site`.
     pub fn alloc(&self, site: &str, n: u64) {
-        if n == 0 {
-            return;
+        if n > 0 {
+            self.alloc_id(self.site(site), n);
         }
-        *entry(&mut self.data.borrow_mut().allocs, site) += n;
     }
 
     /// Set the total engine event count for this run.
@@ -261,7 +359,7 @@ impl RunProf {
 
     /// Finish the run and hand the data back for aggregation.
     pub fn finish(self) -> (String, ProfData) {
-        (self.name, self.data.into_inner())
+        (self.name, self.data.into_inner().finish())
     }
 }
 

@@ -322,7 +322,7 @@ mod tests {
         run.sample_id(run.series("numa0.bw_threads"), run.phase("cg"), 1_500, 7, 16);
         run.sample_id(run.series("net.wire_ns"), run.phase(""), 2_000, 9, 840);
         run.noise_id(NoiseKind::OsDetour, 0, 3, 12, run.phase("cg"), 1_400, 95_000);
-        run.wait(WaitProvenance {
+        let wait = WaitProvenance {
             metric: "delay_mpi_latesender".into(),
             waiter_loc: 4,
             waiter_path: "main/cg/MPI_Recv".into(),
@@ -339,7 +339,8 @@ mod tests {
                 start: 100,
                 end: 5_900,
             }],
-        });
+        };
+        crate::tests::record_waits(&run, vec![wait]);
         obs.attach(run);
         ObserveBundle::from_observe(&obs)
     }

@@ -22,10 +22,14 @@
 //!   the run (CPU jitter, OS detours, memory jitter, network jitter)
 //!   tagged with (core, instance, magnitude), so the total injected
 //!   perturbation decomposes per rank and per phase.
-//! * **Wait-state provenance** — for each wait state the analysis
-//!   finds, the delaying location, call paths, the chain of events
-//!   leading to it, and how much injected noise falls into the causal
-//!   window.
+//! * **Wait-state provenance** — exact per-(metric, call path) totals
+//!   of every wait state the analysis finds, including how much
+//!   injected noise falls into each causal window; and, for the
+//!   [`WAIT_CAP`] most severe waits per metric, the delaying location,
+//!   call paths and the chain of events leading to the wait.
+//!   [`RunObserve::select_waits`] picks those before any record is
+//!   built, so provenance cost grows with what is exported, not with
+//!   the number of waits.
 //!
 //! The contract mirrors `Option<&Telemetry>`: every recording entry
 //! point takes `Option<&RunObserve>`, and a `None` run performs **zero
@@ -40,7 +44,8 @@ pub mod export;
 pub mod query;
 
 use std::cell::RefCell;
-use std::collections::{BTreeMap, HashMap};
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BinaryHeap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -51,8 +56,8 @@ pub const SAMPLE_CAP: usize = 128;
 /// Cap on raw noise draws kept per run after compaction (aggregates
 /// stay exact).
 pub const DRAW_CAP: usize = 128;
-/// Cap on wait-state provenance records kept per (run, metric), keeping
-/// the most severe.
+/// Cap on wait-state provenance records kept per (run, metric): the most
+/// severe, ties broken by record order (see [`RunObserve::select_waits`]).
 pub const WAIT_CAP: usize = 24;
 /// In-flight cap on raw samples/draws held during a run. When a stream
 /// exceeds it, every second retained element is dropped and the keep
@@ -218,6 +223,60 @@ pub struct WaitProvenance {
     pub chain: Vec<ChainLink>,
 }
 
+/// One wait state as [`RunObserve::select_waits`] reads it: the fields
+/// the exact totals and the [`WAIT_CAP`] rule need, and no strings.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct WaitRow<'a> {
+    /// Wait metric name (e.g. `delay_mpi_latesender`).
+    pub metric: &'a str,
+    /// Dense id of the waiting instance's call path; the `path_name`
+    /// argument of [`RunObserve::select_waits`] names it.
+    pub waiter_path: u32,
+    /// Wait severity (trace clock units).
+    pub severity: u64,
+    /// Injected noise in the causal window, nanoseconds.
+    pub noise_ns: u64,
+}
+
+/// The waits of one metric while [`RunObserve::select_waits`] reads the
+/// run's rows: exact totals per waiter path, and the [`WAIT_CAP`] kept
+/// rows so far.
+struct MetricWaits<'a> {
+    metric: &'a str,
+    /// Exact totals indexed by waiter path id (`count == 0`: untouched).
+    totals: Vec<WaitAgg>,
+    /// Kept rows as `(Reverse(severity), record index)`. The top is the
+    /// row a more severe one evicts: the least severe, and of equally
+    /// severe rows the latest.
+    top: BinaryHeap<(Reverse<u64>, usize)>,
+}
+
+impl<'a> MetricWaits<'a> {
+    fn new(metric: &'a str) -> MetricWaits<'a> {
+        MetricWaits { metric, totals: Vec::new(), top: BinaryHeap::with_capacity(WAIT_CAP + 1) }
+    }
+
+    /// Count row `index` into the totals and keep it if it is among the
+    /// [`WAIT_CAP`] most severe so far. Indices arrive in ascending
+    /// order, so a row only displaces a strictly less severe one.
+    fn push(&mut self, index: usize, row: &WaitRow<'_>) {
+        let p = row.waiter_path as usize;
+        if self.totals.len() <= p {
+            self.totals.resize_with(p + 1, WaitAgg::default);
+        }
+        let agg = &mut self.totals[p];
+        agg.count += 1;
+        agg.severity += row.severity;
+        agg.noise_ns += row.noise_ns;
+        if self.top.len() < WAIT_CAP {
+            self.top.push((Reverse(row.severity), index));
+        } else if self.top.peek().is_some_and(|&(Reverse(least), _)| least < row.severity) {
+            self.top.pop();
+            self.top.push((Reverse(row.severity), index));
+        }
+    }
+}
+
 /// Exact aggregate of the wait states in one (metric, call path) cell.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct WaitAgg {
@@ -243,7 +302,8 @@ pub struct RunData {
     pub draws: Vec<NoiseDraw>,
     /// Exact per-(kind, rank, phase) noise aggregates.
     pub noise_aggs: BTreeMap<(NoiseKind, u32, String), NoiseAgg>,
-    /// Wait-state provenance records (capped per metric at compaction).
+    /// Wait-state provenance records: the [`WAIT_CAP`] most severe per
+    /// metric, in record order.
     pub waits: Vec<WaitProvenance>,
     /// Exact per-(metric, waiter call path) wait totals.
     pub wait_aggs: BTreeMap<(String, String), WaitAgg>,
@@ -251,7 +311,7 @@ pub struct RunData {
     pub dropped_samples: u64,
     /// Raw draws dropped by decimation (aggregates still count them).
     pub dropped_draws: u64,
-    /// Provenance records dropped by the per-metric cap.
+    /// Wait states past the per-metric cap (the totals still count them).
     pub dropped_waits: u64,
 }
 
@@ -413,50 +473,14 @@ impl RawRun {
         r.delay_ns[hi].saturating_sub(r.delay_ns[lo])
     }
 
-    /// Keep the top [`WAIT_CAP`] waits per metric by (severity desc,
-    /// record order). Selecting a top-K under a total order is stable
-    /// under incremental application, so calling this both live (at
-    /// [`LIVE_CAP`]) and at compaction yields the same final set as one
-    /// call at the end.
-    fn cap_waits(&mut self) {
-        let mut by_metric: BTreeMap<String, u64> = BTreeMap::new();
-        let mut order: Vec<usize> = (0..self.waits.len()).collect();
-        order.sort_by(|&a, &b| {
-            let (wa, wb) = (&self.waits[a], &self.waits[b]);
-            (&wa.metric, std::cmp::Reverse(wa.severity), a).cmp(&(
-                &wb.metric,
-                std::cmp::Reverse(wb.severity),
-                b,
-            ))
-        });
-        let mut keep = vec![false; self.waits.len()];
-        for &i in &order {
-            let seen = by_metric.entry(self.waits[i].metric.clone()).or_insert(0);
-            if (*seen as usize) < WAIT_CAP {
-                keep[i] = true;
-                *seen += 1;
-            } else {
-                self.dropped_waits += 1;
-            }
-        }
-        let mut i = 0;
-        self.waits.retain(|_| {
-            let k = keep[i];
-            i += 1;
-            k
-        });
-    }
-
-    /// Thin raw samples/draws to the caps with a deterministic stride,
-    /// keep only the most severe waits per metric, and materialise the
-    /// interned records into the exported string-keyed form. Aggregates
-    /// are untouched (exact over the full run); the rebuilt maps sort by
-    /// name, so the result is byte-identical to what direct string-keyed
-    /// recording produced.
+    /// Thin raw samples/draws to the caps with a deterministic stride
+    /// and materialise the interned records into the exported
+    /// string-keyed form. Aggregates are untouched (exact over the full
+    /// run); the rebuilt maps sort by name, so the result is
+    /// byte-identical to what direct string-keyed recording produced.
     fn materialize(mut self) -> RunData {
         self.dropped_samples += thin(&mut self.samples, SAMPLE_CAP);
         self.dropped_draws += thin(&mut self.draws, DRAW_CAP);
-        self.cap_waits();
         let series = &self.series_names;
         let phases = &self.phase_names;
         RunData {
@@ -664,18 +688,57 @@ impl RunObserve {
         });
     }
 
-    /// Record the provenance of one wait state.
-    pub fn wait(&self, prov: WaitProvenance) {
-        let mut data = self.data.borrow_mut();
-        let agg =
-            data.wait_aggs.entry((prov.metric.clone(), prov.waiter_path.clone())).or_default();
-        agg.count += 1;
-        agg.severity += prov.severity;
-        agg.noise_ns += prov.noise_ns;
-        data.waits.push(prov);
-        if data.waits.len() >= LIVE_CAP {
-            data.cap_waits();
+    /// Fold `rows`, every wait state of the run in record order, into
+    /// the exact per-(metric, waiter path) totals, and return the
+    /// ascending record indices of the rows whose provenance the bundle
+    /// keeps: per metric the [`WAIT_CAP`] most severe, ties broken by
+    /// record order. The rows past the cap count into `dropped_waits`.
+    /// `rows` is read before the run's state is borrowed, so it may
+    /// compute each row's noise with [`RunObserve::noise_in_window`].
+    /// `path_name` names a waiter path id; it is called once per touched
+    /// (metric, path) cell. Call this once per run, then hand the kept
+    /// records to [`RunObserve::keep_wait`] in the returned order.
+    pub fn select_waits<'a>(
+        &self,
+        rows: impl IntoIterator<Item = WaitRow<'a>>,
+        path_name: impl Fn(u32) -> String,
+    ) -> Vec<usize> {
+        let mut metrics: Vec<MetricWaits<'a>> = Vec::new();
+        let mut n_rows = 0;
+        for (index, row) in rows.into_iter().enumerate() {
+            let m = match metrics.iter().position(|m| m.metric == row.metric) {
+                Some(m) => m,
+                None => {
+                    metrics.push(MetricWaits::new(row.metric));
+                    metrics.len() - 1
+                }
+            };
+            metrics[m].push(index, &row);
+            n_rows = index + 1;
         }
+        let mut kept = Vec::with_capacity(metrics.len() * WAIT_CAP);
+        let mut data = self.data.borrow_mut();
+        for m in metrics {
+            for (path, agg) in m.totals.iter().enumerate().filter(|(_, agg)| agg.count > 0) {
+                let cell = data
+                    .wait_aggs
+                    .entry((m.metric.to_owned(), path_name(path as u32)))
+                    .or_default();
+                cell.count += agg.count;
+                cell.severity += agg.severity;
+                cell.noise_ns += agg.noise_ns;
+            }
+            kept.extend(m.top.into_iter().map(|(_, index)| index));
+        }
+        data.dropped_waits += (n_rows - kept.len()) as u64;
+        kept.sort_unstable();
+        kept
+    }
+
+    /// Keep the provenance of one wait state that
+    /// [`RunObserve::select_waits`] selected.
+    pub fn keep_wait(&self, prov: WaitProvenance) {
+        self.data.borrow_mut().waits.push(prov);
     }
 
     /// Sum of positive noise magnitudes injected into `rank` within
@@ -866,29 +929,135 @@ mod tests {
         assert_index_matches_scan(&run, &mut state, 6, 1 << 20, 25);
     }
 
+    /// Record `waits`, in record order, as the analysis records them:
+    /// one selection over their rows, then the kept records. Waiter
+    /// path ids are the paths' first-seen order.
+    pub(crate) fn record_waits(run: &RunObserve, waits: Vec<WaitProvenance>) {
+        let mut paths: Vec<&str> = Vec::new();
+        let rows: Vec<WaitRow<'_>> = waits
+            .iter()
+            .map(|w| {
+                let path = match paths.iter().position(|&p| p == w.waiter_path) {
+                    Some(p) => p,
+                    None => {
+                        paths.push(&w.waiter_path);
+                        paths.len() - 1
+                    }
+                };
+                WaitRow {
+                    metric: &w.metric,
+                    waiter_path: path as u32,
+                    severity: w.severity,
+                    noise_ns: w.noise_ns,
+                }
+            })
+            .collect();
+        let kept = run.select_waits(rows, |p| paths[p as usize].to_owned());
+        let mut waits: Vec<Option<WaitProvenance>> = waits.into_iter().map(Some).collect();
+        for i in kept {
+            run.keep_wait(waits[i].take().expect("each index is kept once"));
+        }
+    }
+
+    fn wait(metric: &str, path: &str, index: u64, severity: u64, noise_ns: u64) -> WaitProvenance {
+        WaitProvenance {
+            metric: metric.into(),
+            waiter_loc: index as usize,
+            waiter_path: path.into(),
+            waiter_enter: index,
+            severity,
+            delayer_loc: 1,
+            delayer_path: "q".into(),
+            delayer_enter: index,
+            noise_ns,
+            chain: Vec::new(),
+        }
+    }
+
     #[test]
     fn wait_cap_keeps_most_severe() {
         let run = RunObserve::new("r");
-        for i in 0..(WAIT_CAP as u64 + 10) {
-            run.wait(WaitProvenance {
-                metric: "delay_mpi_latesender".into(),
-                waiter_loc: 0,
-                waiter_path: "p".into(),
-                waiter_enter: i,
-                severity: i,
-                delayer_loc: 1,
-                delayer_path: "q".into(),
-                delayer_enter: 0,
-                noise_ns: 0,
-                chain: Vec::new(),
-            });
-        }
+        let waits = (0..(WAIT_CAP as u64 + 10))
+            .map(|i| wait("delay_mpi_latesender", "p", i, i, 0))
+            .collect();
+        record_waits(&run, waits);
         let (_, data) = run.finish();
         assert_eq!(data.waits.len(), WAIT_CAP);
         assert_eq!(data.dropped_waits, 10);
         // Most severe survived.
         assert!(data.waits.iter().any(|w| w.severity == WAIT_CAP as u64 + 9));
         assert!(!data.waits.iter().any(|w| w.severity < 10));
+    }
+
+    /// What recording every wait and then capping gives: every record
+    /// kept until the end, stably sorted by (metric, severity desc,
+    /// record order), the first [`WAIT_CAP`] per metric kept in record
+    /// order, and the totals summed row by row under string keys.
+    fn record_all_then_cap(waits: &[WaitProvenance]) -> RunData {
+        let mut order: Vec<usize> = (0..waits.len()).collect();
+        order.sort_by_key(|&i| (&waits[i].metric, std::cmp::Reverse(waits[i].severity)));
+        let mut keep = vec![false; waits.len()];
+        let mut per_metric: BTreeMap<&str, usize> = BTreeMap::new();
+        for &i in &order {
+            let seen = per_metric.entry(&waits[i].metric).or_insert(0);
+            if *seen < WAIT_CAP {
+                keep[i] = true;
+                *seen += 1;
+            }
+        }
+        let mut data = RunData::default();
+        for (w, &k) in waits.iter().zip(&keep) {
+            let agg = data.wait_aggs.entry((w.metric.clone(), w.waiter_path.clone())).or_default();
+            agg.count += 1;
+            agg.severity += w.severity;
+            agg.noise_ns += w.noise_ns;
+            if k {
+                data.waits.push(w.clone());
+            } else {
+                data.dropped_waits += 1;
+            }
+        }
+        data
+    }
+
+    /// The selection keeps the records, totals and drop count the
+    /// record-everything oracle gives: on random streams over three
+    /// metrics with many severity ties, on rising severities (every row
+    /// evicts one), on a stream longer than [`LIVE_CAP`], and on streams
+    /// shorter than the cap.
+    #[test]
+    fn wait_selection_matches_recording_every_wait() {
+        const METRICS: [&str; 3] = ["delay_barrier", "delay_mpi_latesender", "delay_n2n"];
+        let mut state = 17;
+        let random = |state: &mut u64, n: u64, severities: u64| -> Vec<WaitProvenance> {
+            (0..n)
+                .map(|i| {
+                    let metric = METRICS[(next(state) % 3) as usize];
+                    let path = format!("main/p{}", next(state) % 5);
+                    wait(metric, &path, i, next(state) % severities, next(state) % 100)
+                })
+                .collect()
+        };
+        let rising: Vec<WaitProvenance> =
+            (0..3_000).map(|i| wait(METRICS[(i % 3) as usize], "main/p", i, i / 2, i)).collect();
+        let streams = [
+            Vec::new(),
+            random(&mut state, 10, 4),
+            random(&mut state, 3_000, 6),
+            random(&mut state, 3_000, 1 << 40),
+            rising,
+            random(&mut state, LIVE_CAP as u64 + 4_464, 1_000),
+        ];
+        for waits in streams {
+            let want = record_all_then_cap(&waits);
+            let run = RunObserve::new("r");
+            record_waits(&run, waits.clone());
+            let (_, got) = run.finish();
+            assert_eq!(got.waits, want.waits, "{} rows", waits.len());
+            assert_eq!(got.dropped_waits, want.dropped_waits, "{} rows", waits.len());
+            assert_eq!(got.wait_aggs, want.wait_aggs, "{} rows", waits.len());
+            assert_eq!(got, want);
+        }
     }
 
     #[test]

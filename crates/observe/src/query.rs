@@ -152,8 +152,9 @@ mod tests {
             );
             run.sample_id(run.series("mpi.match_queue"), run.phase("halo"), i, i, 2);
         }
-        for (i, sev) in [(0u64, 500u64), (1, 900), (2, 100)] {
-            run.wait(WaitProvenance {
+        let waits = [(0u64, 500u64), (1, 900), (2, 100)]
+            .into_iter()
+            .map(|(i, sev)| WaitProvenance {
                 metric: "delay_mpi_latesender".into(),
                 waiter_loc: 0,
                 waiter_path: "main/halo/MPI_Recv".into(),
@@ -164,8 +165,9 @@ mod tests {
                 delayer_enter: i,
                 noise_ns: sev / 2,
                 chain: Vec::new(),
-            });
-        }
+            })
+            .collect();
+        crate::tests::record_waits(&run, waits);
         let (_, d) = run.finish();
         d
     }

@@ -100,11 +100,6 @@ impl Program {
         self.ranks.len() as u32
     }
 
-    /// Name of a stopwatch phase.
-    pub fn phase_name(&self, phase: PhaseId) -> &str {
-        &self.phases[phase.0 as usize]
-    }
-
     /// Rough upper estimate of how many events one location's trace
     /// stream records when this program runs fully instrumented. Used to
     /// pre-size per-location event buffers (capacity only — over- or

@@ -183,7 +183,7 @@ fn render_provenance(out: &mut String, w: &WaitProvenance) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nrlt_observe::{ChainLink, NoiseKind, Observe, RunObserve};
+    use nrlt_observe::{ChainLink, NoiseKind, Observe, RunObserve, WaitRow};
 
     fn bundle() -> ObserveBundle {
         let obs = Observe::new();
@@ -200,7 +200,17 @@ mod tests {
         }
         run.noise_id(NoiseKind::OsDetour, 0, 5, 1, run.phase("cg"), 40, 900);
         run.noise_id(NoiseKind::NetJitter, 1, 0, 2, run.phase("halo"), 55, -120);
-        run.wait(WaitProvenance {
+        let kept = run.select_waits(
+            [WaitRow {
+                metric: "delay_mpi_latesender",
+                waiter_path: 0,
+                severity: 500,
+                noise_ns: 250,
+            }],
+            |_| "main/halo/MPI_Recv".to_owned(),
+        );
+        assert_eq!(kept, [0]);
+        run.keep_wait(WaitProvenance {
             metric: "delay_mpi_latesender".into(),
             waiter_loc: 2,
             waiter_path: "main/halo/MPI_Recv".into(),

@@ -26,6 +26,15 @@ echo "regenerating results/observe/fig3 ..."
 ./target/release/fig3 --only MiniFE-1 --jobs "$JOBS" \
     --observe results/observe/fig3 > /dev/null
 
+# Pin the LULESH-2 observe bundle (hybrid MPI+OpenMP, so OpenMP barrier
+# provenance too) by its checksums; CI checks a fresh bundle against
+# results/observe/lulesh2.sha256 with `sha256sum -c`.
+echo "regenerating results/observe/lulesh2.sha256 ..."
+lulesh_obs="$(mktemp -d)"
+./target/release/fig3 --only LULESH-2 --jobs "$JOBS" --observe "$lulesh_obs" > /dev/null
+(cd "$lulesh_obs" && sha256sum observe.jsonl observe.trace.json) > results/observe/lulesh2.sha256
+rm -r "$lulesh_obs"
+
 # Regenerate the exemplar engine-profile bundle: LULESH-1 under fig3's
 # protocol with the engine self-profiler attached and the sampler
 # writing into the same directory. Like the observe bundle,
@@ -58,5 +67,6 @@ echo "running weak-scaling sweep (scale) ..."
 
 echo "done; outputs in results/, telemetry in results/telemetry/,"
 echo "report artifacts (report.txt, report.json) in results/report/,"
-echo "observe exemplar in results/observe/fig3/, engine profile in results/engineprof/fig3/,"
+echo "observe exemplar in results/observe/fig3/ (LULESH-2 checksums in results/observe/lulesh2.sha256),"
+echo "engine profile in results/engineprof/fig3/,"
 echo "sampled profile in results/prof/fig3/"

@@ -11,7 +11,7 @@
 //! phase, per-pattern hit counters, replay throughput, and per-worker
 //! timing of the delay phase. With `None`, no telemetry work happens.
 
-use crate::delay::{delay_for_wait_into, DelayContribution, DelayScratch, SpanIndex};
+use crate::delay::{delay_for_wait_into, DelayContribution, DelayScratch};
 use crate::idle::master_serial_chunks;
 use crate::patterns::{
     gather_barriers, gather_collectives, late_receiver_severity, late_sender_severity,
@@ -190,13 +190,12 @@ fn find_waits(
                         msgs.iter().max_by_key(|m| m.send_enter).expect("non-empty message group");
                     waits.push(WaitInstance {
                         metric: Metric::DelayP2p,
-                        waiter: CausalWindow::before(&locals, loc, mi.enter, true),
+                        waiter: CausalWindow::before(&locals, loc, mi.enter),
                         waiter_path: mi.path,
                         delayer: CausalWindow::before(
                             &locals,
                             culprit.send_loc,
                             culprit.send_enter,
-                            true,
                         ),
                         delayer_path: locals[culprit.send_loc].mpi_instances[culprit.send_instance]
                             .path,
@@ -246,7 +245,7 @@ fn find_waits(
             .copied()
             .expect("collective has members");
         let delayer_mi = &locals[delayer_loc].mpi_instances[delayer_idx];
-        let delayer = CausalWindow::before(&locals, delayer_loc, delayer_mi.enter, true);
+        let delayer = CausalWindow::before(&locals, delayer_loc, delayer_mi.enter);
         let is_nxn = inst.op.is_nxn() || inst.op == nrlt_trace::CollectiveOp::Barrier;
         for &(loc, idx) in &inst.members {
             let mi = &locals[loc].mpi_instances[idx];
@@ -258,7 +257,7 @@ fn find_waits(
                     profile.add(Metric::WaitNxN, mi.path, loc, wait as f64);
                     waits.push(WaitInstance {
                         metric: Metric::DelayN2n,
-                        waiter: CausalWindow::before(&locals, loc, mi.enter, true),
+                        waiter: CausalWindow::before(&locals, loc, mi.enter),
                         waiter_path: mi.path,
                         delayer,
                         delayer_path: delayer_mi.path,
@@ -343,8 +342,7 @@ fn find_waits(
         t.add("analysis.wait_instances", waits.len() as u64);
     }
     if config.delay_costs && !waits.is_empty() {
-        let index = SpanIndex::build(&locals);
-        let contributions = compute_delays(&waits, &index, config.workers, tel);
+        let contributions = compute_delays(&waits, &locals, n_paths, config.workers, tel);
         // Sole writer of the three delay metrics, so the flat ordered
         // contribution list can be pre-summed densely (see DenseAdds).
         let mut acc = DenseAdds::new(
@@ -547,7 +545,8 @@ impl DenseAdds {
 /// merging deterministically (chunked by instance index).
 fn compute_delays(
     waits: &[WaitInstance],
-    index: &SpanIndex,
+    locals: &[LocalReplay],
+    n_paths: usize,
     workers: usize,
     tel: Option<&Telemetry>,
 ) -> Vec<(Metric, DelayContribution)> {
@@ -582,12 +581,12 @@ fn compute_delays(
                     });
                     // Dense scratch reused across the chunk: no per-wait
                     // map or vector allocations.
-                    let mut scratch = DelayScratch::new(index);
+                    let mut scratch = DelayScratch::new(n_paths, locals.len());
                     let mut tmp: Vec<DelayContribution> = Vec::new();
                     let mut out: Vec<(Metric, DelayContribution)> = Vec::new();
                     for w in chunk.iter() {
                         delay_for_wait_into(
-                            index,
+                            locals,
                             w.waiter,
                             w.delayer,
                             w.severity,
@@ -693,10 +692,7 @@ mod tests {
         tpr: u32,
     ) -> BTreeSet<(usize, u64, u64)> {
         let mut windows = BTreeSet::new();
-        let window = |loc: usize, to: u64, inter_process: bool| {
-            let w = CausalWindow::before(locals, loc, to, inter_process);
-            (w.loc, w.from, w.to)
-        };
+        let window = |w: CausalWindow| (w.loc, w.from, w.to);
         let mut latest_send: BTreeMap<(usize, usize), (u64, usize)> = BTreeMap::new();
         for m in match_messages(locals, tpr) {
             // The last of equally late senders, as `max_by_key` picks.
@@ -707,7 +703,9 @@ mod tests {
                 *latest = (m.send_enter, m.send_loc);
             }
         }
-        windows.extend(latest_send.values().map(|&(to, loc)| window(loc, to, true)));
+        windows.extend(
+            latest_send.values().map(|&(to, loc)| window(CausalWindow::before(locals, loc, to))),
+        );
         for inst in gather_collectives(locals, tpr) {
             let (to, loc) = inst
                 .members
@@ -715,7 +713,7 @@ mod tests {
                 .map(|&(loc, i)| (locals[loc].mpi_instances[i].enter, loc))
                 .max()
                 .expect("collective has members");
-            windows.insert(window(loc, to, true));
+            windows.insert(window(CausalWindow::before(locals, loc, to)));
         }
         for rank in 0..locals.len() as u32 / tpr {
             for members in gather_barriers(locals, tree, rank, tpr).iter() {
@@ -724,7 +722,7 @@ mod tests {
                     .map(|&(loc, i)| (locals[loc].barriers[i].enter, loc))
                     .max()
                     .expect("barrier has members");
-                windows.insert(window(loc, to, false));
+                windows.insert(window(CausalWindow::before_any_sync(locals, loc, to)));
             }
         }
         windows
@@ -749,7 +747,7 @@ mod tests {
             );
             for (loc, r) in locals.iter().enumerate() {
                 for b in &r.barriers {
-                    let want = CausalWindow::before(&locals, loc, b.enter, false);
+                    let want = CausalWindow::before_any_sync(&locals, loc, b.enter);
                     let got = r.barrier_window(loc, b);
                     assert_eq!(got, want, "{} {mode} loc {loc}", instance.name);
                 }
@@ -798,15 +796,7 @@ mod tests {
         let barrier = tree.intern(Some(main), RegionRef(2));
         let profile = Profile::new("tsc".into(), regions, tree, Vec::new());
         let seg = |start, end, class| Segment { path: main, class, start, end, in_parallel: false };
-        let mpi_at = |enter, leave| MpiInstance {
-            path: mpi,
-            enter,
-            leave,
-            collective: None,
-            collective_end_ts: None,
-            n_completes: 0,
-            n_sends: 0,
-        };
+        let mpi_at = |enter, leave| MpiInstance { path: mpi, enter, leave, collective: None };
         let barrier_at = |enter, leave| BarrierRec { path: barrier, syncs_before: 0, enter, leave };
         let mut r = LocalReplay::default();
         for t in (0..20).step_by(2) {

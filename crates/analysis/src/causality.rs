@@ -82,7 +82,7 @@ pub(crate) fn happens_before_edges(trace: &Trace) -> Vec<Edge> {
             .iter()
             .filter_map(|&(loc, idx)| {
                 let mi = &locals[loc].mpi_instances[idx];
-                let end_ts = mi.collective_end_ts.unwrap_or(mi.leave);
+                let end_ts = mi.collective.map_or(mi.leave, |(_, _, end)| end);
                 ts_index[loc].get(&end_ts).map(|&i| (loc, i))
             })
             .collect();

@@ -14,7 +14,7 @@
 //! optimisation targets.
 
 use crate::causality::{happens_before_edges, EventId};
-use crate::delay::SpanIndex;
+use crate::delay::{profile_into_hinted, SpanCursor};
 use crate::replay::replay;
 use nrlt_profile::{CallPathId, CallTree};
 use nrlt_trace::Trace;
@@ -61,11 +61,10 @@ impl CriticalPath {
 /// Compute the critical path of `trace`.
 pub fn critical_path(trace: &Trace) -> CriticalPath {
     let (tree, locals) = replay(trace);
-    let index = SpanIndex::build(&locals);
-    // Dense span-walk buffers and one span cursor per location.
-    let mut acc = vec![0u64; index.n_paths()];
+    // Dense span-walk buffers and one pair of span cursors per location.
+    let mut acc = vec![0u64; tree.len()];
     let mut touched: Vec<u32> = Vec::new();
-    let mut hints = vec![0usize; locals.len()];
+    let mut cursors: Vec<SpanCursor> = vec![[0; 2]; locals.len()];
 
     // Incoming cross-location edges per event.
     let mut incoming: HashMap<EventId, Vec<EventId>> = HashMap::new();
@@ -112,13 +111,13 @@ pub fn critical_path(trace: &Trace) -> CriticalPath {
         if let Some(prev) = next {
             if prev.0 == cur.0 {
                 // Local move: attribute the busy span to its call paths.
-                index.profile_into_hinted(
-                    cur.0,
+                profile_into_hinted(
+                    &locals[cur.0],
                     ts(prev),
                     t_cur,
                     &mut acc,
                     &mut touched,
-                    &mut hints[cur.0],
+                    &mut cursors[cur.0],
                 );
                 for p in touched.drain(..) {
                     let ticks = std::mem::take(&mut acc[p as usize]);

@@ -15,114 +15,84 @@
 //! point *into* `MPI_Waitall`: under the instruction counter, spinning
 //! inflates exactly those spans.
 
-use crate::replay::{CausalWindow, LocalReplay};
+use crate::replay::{CausalWindow, LocalReplay, MpiInstance, Segment};
 use nrlt_profile::CallPathId;
 
-/// Per-location interval index over (comp + management + MPI) spans.
-#[derive(Debug, Clone, Default)]
-pub struct SpanIndex {
-    /// Non-overlapping `(start, end, path)` in time order, per location.
-    spans: Vec<Vec<(u64, u64, CallPathId)>>,
-    /// One past the largest call-path id appearing in any span (sizes the
-    /// dense [`DelayScratch`] arrays).
-    n_paths: usize,
+/// A location's span cursors: the lower-bound index of the previous
+/// query into its segments and into its MPI instances.
+pub(crate) type SpanCursor = [usize; 2];
+
+/// Time per call path overlapping `[start, end)` on the location `r`,
+/// accumulated into dense scratch: `acc[path]` grows by the overlap,
+/// and a path whose slot was 0 is recorded in `touched` on its first
+/// overlap (so the caller can reset only what was written).
+///
+/// The spans are the location's segments and MPI instances, read in
+/// place: each list is in time order and free of overlaps, so each is
+/// walked on its own, and `touched` lists the paths new to the
+/// segments before those new to the MPI instances. `cursor` holds one
+/// lower-bound index per list from the previous query on this
+/// location, and each search starts from it instead of bisecting the
+/// whole list. Exact for any cursor value; the delay workers'
+/// per-location wait streams are roughly time-ordered, so consecutive
+/// queries land a few spans apart.
+pub(crate) fn profile_into_hinted(
+    r: &LocalReplay,
+    start: u64,
+    end: u64,
+    acc: &mut [u64],
+    touched: &mut Vec<u32>,
+    cursor: &mut SpanCursor,
+) {
+    if end <= start {
+        return;
+    }
+    let segment = |s: &Segment| (s.start, s.end, s.path);
+    walk_spans(&r.segments, segment, start, end, acc, touched, &mut cursor[0]);
+    let mpi = |m: &MpiInstance| (m.enter, m.leave, m.path);
+    walk_spans(&r.mpi_instances, mpi, start, end, acc, touched, &mut cursor[1]);
 }
 
-impl SpanIndex {
-    /// Build the index from the replay data.
-    pub(crate) fn build(locals: &[LocalReplay]) -> SpanIndex {
-        let spans: Vec<Vec<(u64, u64, CallPathId)>> = locals.iter().map(merged_spans).collect();
-        let n_paths = spans
-            .iter()
-            .flat_map(|v| v.iter().map(|&(_, _, p)| p.0 as usize + 1))
-            .max()
-            .unwrap_or(0);
-        SpanIndex { spans, n_paths }
-    }
-
-    /// One past the largest call-path id this index can produce.
-    pub(crate) fn n_paths(&self) -> usize {
-        self.n_paths
-    }
-
-    /// Time per call path overlapping `[start, end)` on `loc`,
-    /// accumulated into dense scratch: `acc[path]` grows by the overlap,
-    /// and a path whose slot was 0 is recorded in `touched` on its first
-    /// overlap (so the caller can reset only what was written).
-    ///
-    /// `hint` is the lower-bound span index of the previous query on
-    /// this location, and the search starts from it instead of bisecting
-    /// the whole span list. Exact for any hint value; the delay workers'
-    /// per-location wait streams are roughly time-ordered, so
-    /// consecutive queries land a few spans apart.
-    pub(crate) fn profile_into_hinted(
-        &self,
-        loc: usize,
-        start: u64,
-        end: u64,
-        acc: &mut [u64],
-        touched: &mut Vec<u32>,
-        hint: &mut usize,
-    ) {
-        if end <= start {
-            return;
+/// [`profile_into_hinted`] over one time-ordered, non-overlapping span
+/// list, from the lower bound `hint`.
+fn walk_spans<T>(
+    items: &[T],
+    span: impl Fn(&T) -> (u64, u64, CallPathId),
+    start: u64,
+    end: u64,
+    acc: &mut [u64],
+    touched: &mut Vec<u32>,
+    hint: &mut usize,
+) {
+    // First span that could overlap: the one before the first span
+    // starting at/after `start` (every earlier one ends at or before
+    // that one's start). Walk forward from the hint (queries mostly move
+    // forward a few spans; long jumps are rare) or bisect the prefix
+    // before it.
+    let starts_before = |x: &T| span(x).0 < start;
+    let mut lb = (*hint).min(items.len());
+    if lb < items.len() && starts_before(&items[lb]) {
+        while lb < items.len() && starts_before(&items[lb]) {
+            lb += 1;
         }
-        let spans = &self.spans[loc];
-        // First span that could overlap: the one before the first span
-        // starting at/after `start`. Walk forward from the hint (queries
-        // mostly move forward a few spans; long jumps are rare) or bisect
-        // the prefix before it.
-        let mut lb = (*hint).min(spans.len());
-        if lb < spans.len() && spans[lb].0 < start {
-            while lb < spans.len() && spans[lb].0 < start {
-                lb += 1;
+    } else {
+        lb = items[..lb].partition_point(starts_before);
+    }
+    *hint = lb;
+    for item in &items[lb.saturating_sub(1)..] {
+        let (s, e, path) = span(item);
+        if s >= end {
+            break;
+        }
+        let overlap = e.min(end).saturating_sub(s.max(start));
+        if overlap > 0 {
+            let slot = &mut acc[path.0 as usize];
+            if *slot == 0 {
+                touched.push(path.0);
             }
-        } else {
-            lb = spans[..lb].partition_point(|&(s, _, _)| s < start);
-        }
-        *hint = lb;
-        let mut i = lb.saturating_sub(1);
-        while i < spans.len() {
-            let (s, e, path) = spans[i];
-            if s >= end {
-                break;
-            }
-            let overlap = e.min(end).saturating_sub(s.max(start));
-            if overlap > 0 {
-                let slot = &mut acc[path.0 as usize];
-                if *slot == 0 {
-                    touched.push(path.0);
-                }
-                *slot += overlap;
-            }
-            i += 1;
+            *slot += overlap;
         }
     }
-}
-
-/// One location's spans in time order: its segments and MPI instances
-/// of positive length. Each list is already in time order and no two
-/// spans overlap, so a two-way merge gives the order a sort by start
-/// would, in linear time.
-fn merged_spans(r: &LocalReplay) -> Vec<(u64, u64, CallPathId)> {
-    let positive = |&(s, e, _): &(u64, u64, CallPathId)| e > s;
-    let mut segs = r.segments.iter().map(|s| (s.start, s.end, s.path)).filter(positive).peekable();
-    let mut mpi =
-        r.mpi_instances.iter().map(|m| (m.enter, m.leave, m.path)).filter(positive).peekable();
-    let mut out = Vec::with_capacity(r.segments.len() + r.mpi_instances.len());
-    loop {
-        let next = match (segs.peek(), mpi.peek()) {
-            (Some(a), Some(b)) if b.0 < a.0 => mpi.next(),
-            (Some(_), _) => segs.next(),
-            (None, _) => mpi.next(),
-        };
-        match next {
-            Some(span) => out.push(span),
-            None => break,
-        }
-    }
-    debug_assert!(out.windows(2).all(|w| w[0].0 < w[1].0), "spans overlap");
-    out
 }
 
 /// One delay attribution target: call path + location + cost.
@@ -143,21 +113,22 @@ pub struct DelayScratch {
     /// delayer's span walk entirely. The profile is a pure function of
     /// the window, so reuse is exact.
     d_key: Option<CausalWindow>,
-    /// Per-location span cursors: the `hint` of
-    /// [`SpanIndex::profile_into_hinted`]. Purely an access hint.
-    span_hints: Vec<usize>,
+    /// Per-location span cursors: the `cursor` of
+    /// [`profile_into_hinted`]. Purely an access hint.
+    cursors: Vec<SpanCursor>,
 }
 
 impl DelayScratch {
-    /// Scratch sized for every call path and location of `index`.
-    pub(crate) fn new(index: &SpanIndex) -> DelayScratch {
+    /// Scratch for `n_paths` call paths (the call tree's size) and
+    /// `n_locs` locations.
+    pub(crate) fn new(n_paths: usize, n_locs: usize) -> DelayScratch {
         DelayScratch {
-            w: vec![0; index.n_paths],
-            d: vec![0; index.n_paths],
+            w: vec![0; n_paths],
+            d: vec![0; n_paths],
             w_touched: Vec::new(),
             d_touched: Vec::new(),
             d_key: None,
-            span_hints: vec![0; index.spans.len()],
+            cursors: vec![[0; 2]; n_locs],
         }
     }
 
@@ -187,7 +158,7 @@ impl DelayScratch {
 /// excess anywhere (e.g. the wait was caused by timing noise only — a
 /// case the paper flags as invisible to logical clocks).
 pub(crate) fn delay_for_wait_into(
-    index: &SpanIndex,
+    locals: &[LocalReplay],
     waiter: CausalWindow,
     delayer: CausalWindow,
     severity: u64,
@@ -197,23 +168,23 @@ pub(crate) fn delay_for_wait_into(
     if severity == 0 || waiter.loc == delayer.loc {
         return;
     }
-    index.profile_into_hinted(
-        waiter.loc,
+    profile_into_hinted(
+        &locals[waiter.loc],
         waiter.from,
         waiter.to,
         &mut scratch.w,
         &mut scratch.w_touched,
-        &mut scratch.span_hints[waiter.loc],
+        &mut scratch.cursors[waiter.loc],
     );
     if scratch.d_key != Some(delayer) {
         scratch.reset_delayer();
-        index.profile_into_hinted(
-            delayer.loc,
+        profile_into_hinted(
+            &locals[delayer.loc],
             delayer.from,
             delayer.to,
             &mut scratch.d,
             &mut scratch.d_touched,
-            &mut scratch.span_hints[delayer.loc],
+            &mut scratch.cursors[delayer.loc],
         );
         // Contributions are emitted in ascending call-path order.
         scratch.d_touched.sort_unstable();
@@ -237,28 +208,38 @@ pub(crate) fn delay_for_wait_into(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::replay::{SegClass, Segment};
+    use crate::replay::SegClass;
     use std::collections::BTreeMap;
 
     fn seg(path: u32, start: u64, end: u64) -> Segment {
         Segment { path: CallPathId(path), class: SegClass::Comp, start, end, in_parallel: false }
     }
 
+    fn mpi(path: u32, enter: u64, leave: u64) -> MpiInstance {
+        MpiInstance { path: CallPathId(path), enter, leave, collective: None }
+    }
+
+    /// One past the largest call-path id in `locals`' spans.
+    fn n_paths(locals: &[LocalReplay]) -> usize {
+        let segs = locals.iter().flat_map(|r| r.segments.iter().map(|s| s.path.0));
+        let mpis = locals.iter().flat_map(|r| r.mpi_instances.iter().map(|m| m.path.0));
+        segs.chain(mpis).map(|p| p as usize + 1).max().unwrap_or(0)
+    }
+
     /// [`delay_for_wait_into`] with fresh scratch and output buffers,
     /// over the inter-process windows ending at the two enters.
     fn delay_for_wait(
-        index: &SpanIndex,
         locals: &[LocalReplay],
         (waiter_loc, waiter_enter): (usize, u64),
         (delayer_loc, delayer_enter): (usize, u64),
         severity: u64,
     ) -> Vec<DelayContribution> {
-        let mut scratch = DelayScratch::new(index);
+        let mut scratch = DelayScratch::new(n_paths(locals), locals.len());
         let mut out = Vec::new();
         delay_for_wait_into(
-            index,
-            CausalWindow::before(locals, waiter_loc, waiter_enter, true),
-            CausalWindow::before(locals, delayer_loc, delayer_enter, true),
+            locals,
+            CausalWindow::before(locals, waiter_loc, waiter_enter),
+            CausalWindow::before(locals, delayer_loc, delayer_enter),
             severity,
             &mut scratch,
             &mut out,
@@ -266,49 +247,70 @@ mod tests {
         out
     }
 
-    /// [`SpanIndex::profile_into_hinted`] from `hint` on fresh buffers,
-    /// as a `path → ticks` map.
-    fn profile(
-        idx: &SpanIndex,
-        loc: usize,
-        start: u64,
-        end: u64,
-        hint: usize,
-    ) -> BTreeMap<u32, u64> {
-        let mut acc = vec![0u64; idx.n_paths()];
+    /// [`profile_into_hinted`] from `cursor` on fresh buffers, as a
+    /// `path → ticks` map.
+    fn profile(r: &LocalReplay, start: u64, end: u64, cursor: SpanCursor) -> BTreeMap<u32, u64> {
+        let mut acc = vec![0u64; n_paths(std::slice::from_ref(r))];
         let mut touched = Vec::new();
-        let mut hint = hint;
-        idx.profile_into_hinted(loc, start, end, &mut acc, &mut touched, &mut hint);
+        let mut cursor = cursor;
+        profile_into_hinted(r, start, end, &mut acc, &mut touched, &mut cursor);
         let map: BTreeMap<u32, u64> = touched.iter().map(|&p| (p, acc[p as usize])).collect();
         assert_eq!(map.len(), touched.len(), "a path was touched twice");
         map
     }
 
-    /// The `path → ticks` overlap of `[start, end)` with each raw segment,
-    /// summed by brute force.
-    fn overlap_map(segments: &[Segment], start: u64, end: u64) -> BTreeMap<u32, u64> {
+    /// The `path → ticks` overlap of `[start, end)` with each span of
+    /// `spans`, summed by brute force.
+    fn overlap_map(spans: &[(u64, u64, CallPathId)], start: u64, end: u64) -> BTreeMap<u32, u64> {
         let mut want = BTreeMap::new();
-        for s in segments {
-            let overlap = s.end.min(end).saturating_sub(s.start.max(start));
+        for &(s, e, path) in spans {
+            let overlap = e.min(end).saturating_sub(s.max(start));
             if overlap > 0 {
-                *want.entry(s.path.0).or_default() += overlap;
+                *want.entry(path.0).or_default() += overlap;
             }
         }
         want
     }
 
+    /// The location's spans as the walk used to read them: its segments
+    /// and MPI instances of positive length, concatenated and sorted by
+    /// start.
+    fn sorted_spans(r: &LocalReplay) -> Vec<(u64, u64, CallPathId)> {
+        let mut spans: Vec<(u64, u64, CallPathId)> = r
+            .segments
+            .iter()
+            .map(|s| (s.start, s.end, s.path))
+            .chain(r.mpi_instances.iter().map(|m| (m.enter, m.leave, m.path)))
+            .filter(|&(s, e, _)| e > s)
+            .collect();
+        spans.sort_by_key(|&(s, _, _)| s);
+        spans
+    }
+
+    /// Segments with a gap, and MPI instances in and around it: one of
+    /// zero length, one sharing a path with a segment.
+    fn fixture() -> LocalReplay {
+        LocalReplay {
+            segments: vec![seg(0, 0, 10), seg(2, 10, 30), seg(0, 40, 50), seg(5, 55, 60)],
+            mpi_instances: vec![mpi(3, 30, 38), mpi(3, 38, 38), mpi(2, 50, 55)],
+            ..Default::default()
+        }
+    }
+
     #[test]
     fn span_profile_clips_overlaps() {
-        let locals = vec![LocalReplay {
+        let r = LocalReplay {
             segments: vec![seg(0, 0, 10), seg(1, 10, 30), seg(0, 40, 50)],
+            mpi_instances: vec![mpi(2, 30, 40)],
             ..Default::default()
-        }];
-        let idx = SpanIndex::build(&locals);
-        let p = profile(&idx, 0, 5, 45, 0);
+        };
+        let p = profile(&r, 5, 45, [0; 2]);
         assert_eq!(p[&0], 5 + 5);
         assert_eq!(p[&1], 20);
-        assert!(profile(&idx, 0, 100, 200, 0).is_empty());
-        assert!(profile(&idx, 0, 20, 20, 0).is_empty());
+        assert_eq!(p[&2], 10);
+        assert_eq!(profile(&r, 35, 36, [0; 2]), BTreeMap::from([(2, 1)]));
+        assert!(profile(&r, 100, 200, [0; 2]).is_empty());
+        assert!(profile(&r, 20, 20, [0; 2]).is_empty());
     }
 
     #[test]
@@ -317,8 +319,7 @@ mod tests {
             LocalReplay { segments: vec![seg(0, 0, 10)], ..Default::default() },
             LocalReplay { segments: vec![seg(0, 0, 40), seg(1, 40, 70)], ..Default::default() },
         ];
-        let idx = SpanIndex::build(&locals);
-        let contributions = delay_for_wait(&idx, &locals, (0, 10), (1, 70), 60);
+        let contributions = delay_for_wait(&locals, (0, 10), (1, 70), 60);
         // excess: path0 = 30, path1 = 30 → 30/30 each of 60.
         assert_eq!(contributions.len(), 2);
         for &(_, loc, v) in &contributions {
@@ -333,8 +334,7 @@ mod tests {
             LocalReplay { segments: vec![seg(0, 0, 100)], ..Default::default() },
             LocalReplay { segments: vec![seg(0, 0, 50)], ..Default::default() },
         ];
-        let idx = SpanIndex::build(&locals);
-        assert!(delay_for_wait(&idx, &locals, (0, 100), (1, 50), 10).is_empty());
+        assert!(delay_for_wait(&locals, (0, 100), (1, 50), 10).is_empty());
     }
 
     /// One dense buffer and one cursor reused across queries, drained after
@@ -342,40 +342,36 @@ mod tests {
     /// overlap map every time and end all-zero.
     #[test]
     fn dense_profile_matches_map_profile() {
-        let locals = vec![LocalReplay {
-            segments: vec![seg(0, 0, 10), seg(2, 10, 30), seg(0, 40, 50), seg(5, 55, 60)],
-            ..Default::default()
-        }];
-        let idx = SpanIndex::build(&locals);
-        assert_eq!(idx.n_paths(), 6);
-        let mut acc = vec![0u64; idx.n_paths()];
+        let r = fixture();
+        let spans = sorted_spans(&r);
+        let mut acc = vec![0u64; 6];
         let mut touched = Vec::new();
-        let mut hint = 0;
-        for &(start, end) in &[(5u64, 45u64), (0, 100), (20, 20), (100, 200), (12, 57)] {
-            idx.profile_into_hinted(0, start, end, &mut acc, &mut touched, &mut hint);
+        let mut cursor = [0; 2];
+        for &(start, end) in &[(5u64, 45u64), (0, 100), (20, 20), (100, 200), (12, 57), (33, 52)] {
+            profile_into_hinted(&r, start, end, &mut acc, &mut touched, &mut cursor);
             let mut got = BTreeMap::new();
             for p in touched.drain(..) {
                 assert!(got.insert(p, std::mem::take(&mut acc[p as usize])).is_none());
             }
-            assert_eq!(got, overlap_map(&locals[0].segments, start, end), "[{start},{end})");
+            assert_eq!(got, overlap_map(&spans, start, end), "[{start},{end})");
         }
         assert!(acc.iter().all(|&t| t == 0));
     }
 
-    /// Every hint gives the overlap sums of a brute-force walk over the
-    /// raw segments, empty windows included.
+    /// Every pair of cursors gives the overlap sums of a brute-force walk
+    /// over the raw spans, empty windows included.
     #[test]
     fn hinted_profile_is_exact_for_any_hint() {
-        let locals = vec![LocalReplay {
-            segments: vec![seg(0, 0, 10), seg(2, 10, 30), seg(0, 40, 50), seg(5, 55, 60)],
-            ..Default::default()
-        }];
-        let idx = SpanIndex::build(&locals);
-        let windows = [(5u64, 45u64), (0, 100), (20, 20), (100, 200), (12, 57), (41, 42)];
+        let r = fixture();
+        let spans = sorted_spans(&r);
+        let windows = [(5u64, 45u64), (0, 100), (20, 20), (100, 200), (12, 57), (41, 42), (37, 39)];
         for &(start, end) in &windows {
-            let want = overlap_map(&locals[0].segments, start, end);
-            for hint in 0..6usize {
-                assert_eq!(profile(&idx, 0, start, end, hint), want, "[{start},{end}) hint {hint}");
+            let want = overlap_map(&spans, start, end);
+            for seg_hint in 0..6usize {
+                for mpi_hint in 0..5usize {
+                    let got = profile(&r, start, end, [seg_hint, mpi_hint]);
+                    assert_eq!(got, want, "[{start},{end}) cursor [{seg_hint}, {mpi_hint}]");
+                }
             }
         }
     }
@@ -389,17 +385,16 @@ mod tests {
                 ..Default::default()
             },
         ];
-        let idx = SpanIndex::build(&locals);
-        let mut scratch = DelayScratch::new(&idx);
+        let mut scratch = DelayScratch::new(n_paths(&locals), locals.len());
         let mut out = Vec::new();
-        let waiter = CausalWindow::before(&locals, 0, 10, true);
-        let delayer = CausalWindow::before(&locals, 1, 80, true);
+        let waiter = CausalWindow::before(&locals, 0, 10);
+        let delayer = CausalWindow::before(&locals, 1, 80);
         // Run the same wait twice through the shared scratch: a dirty
         // scratch would change the second result.
         for _ in 0..2 {
             out.clear();
-            delay_for_wait_into(&idx, waiter, delayer, 60, &mut scratch, &mut out);
-            let reference = delay_for_wait(&idx, &locals, (0, 10), (1, 80), 60);
+            delay_for_wait_into(&locals, waiter, delayer, 60, &mut scratch, &mut out);
+            let reference = delay_for_wait(&locals, (0, 10), (1, 80), 60);
             assert_eq!(out, reference);
             assert!(!out.is_empty());
         }
@@ -413,50 +408,90 @@ mod tests {
             LocalReplay { syncs: vec![], ..Default::default() },
             LocalReplay { segments: vec![seg(1, 0, 80)], syncs: vec![], ..Default::default() },
         ];
-        let idx = SpanIndex::build(&locals);
-        let c = delay_for_wait(&idx, &locals, (0, 10), (1, 80), 70);
+        let c = delay_for_wait(&locals, (0, 10), (1, 80), 70);
         assert_eq!(c.len(), 1);
         assert_eq!(c[0].0, CallPathId(1));
         assert!((c[0].2 - 70.0).abs() < 1e-9);
         // Zero severity or self-delay: nothing.
-        assert!(delay_for_wait(&idx, &locals, (0, 10), (1, 80), 0).is_empty());
-        assert!(delay_for_wait(&idx, &locals, (1, 10), (1, 80), 5).is_empty());
+        assert!(delay_for_wait(&locals, (0, 10), (1, 80), 0).is_empty());
+        assert!(delay_for_wait(&locals, (1, 10), (1, 80), 5).is_empty());
     }
 
-    /// The merged index equals a sort of the concatenated spans on the
-    /// replayed traces of a hybrid run (`tsc`, noisy) and a logical one.
-    fn check_merge_matches_sort(instance: nrlt_miniapps::BenchmarkInstance) {
+    /// Deterministic generator (splitmix64, no external crates).
+    struct SplitMix64(u64);
+
+    impl SplitMix64 {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+    }
+
+    /// On the replayed traces of a hybrid run (`tsc`, noisy) and a
+    /// logical one, the in-place walk gives the brute-force overlap over
+    /// the sorted concatenation of each location's spans: for the windows
+    /// between consecutive sync points, walked in order with one carried
+    /// cursor, and for random windows from random cursors.
+    fn check_walk_matches_sorted_spans(instance: nrlt_miniapps::BenchmarkInstance) {
         use nrlt_exec::ExecConfig;
         use nrlt_measure::{measure, ClockMode, FilterRules, MeasureConfig};
+        let mut rng = SplitMix64(0x5eed);
         for mode in [ClockMode::Tsc, ClockMode::LtStmt] {
             let cfg = ExecConfig::jureca(instance.nodes, instance.layout.clone(), 1000);
             let mcfg = MeasureConfig::new(mode)
                 .with_filter(FilterRules::from_rules(instance.filter_rules.iter().cloned()));
             let (trace, _) = measure(&instance.program, &cfg, &mcfg);
-            let (_, locals) = crate::replay::replay(&trace);
-            let index = SpanIndex::build(&locals);
+            let (tree, locals) = crate::replay::replay(&trace);
+            let mut acc = vec![0u64; tree.len()];
+            let mut touched = Vec::new();
             for (loc, r) in locals.iter().enumerate() {
-                let mut sorted: Vec<(u64, u64, CallPathId)> = r
-                    .segments
-                    .iter()
-                    .map(|s| (s.start, s.end, s.path))
-                    .chain(r.mpi_instances.iter().map(|m| (m.enter, m.leave, m.path)))
-                    .filter(|&(s, e, _)| e > s)
-                    .collect();
-                sorted.sort_by_key(|&(s, _, _)| s);
-                assert!(!sorted.is_empty());
-                assert_eq!(index.spans[loc], sorted, "{} {mode} location {loc}", instance.name);
+                let spans = sorted_spans(r);
+                assert!(!spans.is_empty());
+                assert!(spans.windows(2).all(|w| w[0].1 <= w[1].0), "spans overlap");
+                let mut check = |start: u64, end: u64, cursor: &mut SpanCursor| {
+                    profile_into_hinted(r, start, end, &mut acc, &mut touched, cursor);
+                    let got: BTreeMap<u32, u64> = touched
+                        .drain(..)
+                        .map(|p| (p, std::mem::take(&mut acc[p as usize])))
+                        .collect();
+                    let want = overlap_map(&spans, start, end);
+                    assert_eq!(
+                        got, want,
+                        "{} {mode} location {loc} [{start}, {end})",
+                        instance.name
+                    );
+                };
+                // Sample the sync windows evenly: the oracle is linear in
+                // the location's spans per window.
+                let step = (r.syncs.len() / 64).max(1);
+                let mut cursor = [0; 2];
+                let first = r.syncs.first().map(|&to| [0, to]);
+                for w in first.iter().map(|w| &w[..]).chain(r.syncs.windows(2).step_by(step)) {
+                    check(w[0], w[1], &mut cursor);
+                }
+                let last = r.last_ts + 1;
+                for _ in 0..32 {
+                    let (a, b) = (rng.next() % last, rng.next() % last);
+                    let mut cursor = [
+                        (rng.next() % (r.segments.len() as u64 + 2)) as usize,
+                        (rng.next() % (r.mpi_instances.len() as u64 + 2)) as usize,
+                    ];
+                    check(a.min(b), a.max(b), &mut cursor);
+                }
             }
         }
     }
 
     #[test]
     fn merged_spans_match_a_sort_on_minife_2() {
-        check_merge_matches_sort(nrlt_miniapps::minife_2());
+        check_walk_matches_sorted_spans(nrlt_miniapps::minife_2());
     }
 
     #[test]
     fn merged_spans_match_a_sort_on_lulesh_2() {
-        check_merge_matches_sort(nrlt_miniapps::lulesh_2());
+        check_walk_matches_sorted_spans(nrlt_miniapps::lulesh_2());
     }
 }

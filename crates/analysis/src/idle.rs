@@ -75,9 +75,6 @@ mod tests {
                 enter: 45,
                 leave: 75,
                 collective: None,
-                collective_end_ts: None,
-                n_completes: 0,
-                n_sends: 0,
             }],
             ..Default::default()
         };

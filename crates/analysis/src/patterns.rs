@@ -158,7 +158,7 @@ pub(crate) fn gather_collectives(
     let mut instances: Vec<CollectiveInstance> = Vec::new();
     for &loc in &masters {
         for (idx, mi) in locals[loc].mpi_instances.iter().enumerate() {
-            if let Some((op, seq)) = mi.collective {
+            if let Some((op, seq, _)) = mi.collective {
                 let seq = seq as usize;
                 if instances.len() <= seq {
                     instances

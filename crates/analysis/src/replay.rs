@@ -22,7 +22,8 @@ pub enum SegClass {
     Management,
 }
 
-/// One exclusive time segment on a location.
+/// One exclusive time segment on a location. At most 24 bytes: replay
+/// keeps one per stretch of exclusive time.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Segment {
     /// Call path the time belongs to.
@@ -36,6 +37,8 @@ pub struct Segment {
     /// True when inside an OpenMP parallel region.
     pub in_parallel: bool,
 }
+
+const _: () = assert!(std::mem::size_of::<Segment>() <= 24);
 
 impl Segment {
     /// Segment duration.
@@ -83,7 +86,8 @@ pub struct RecvCompleteRec {
     pub instance: usize,
 }
 
-/// One MPI API call instance on a location.
+/// One MPI API call instance on a location. At most 48 bytes: replay
+/// keeps one per MPI call, so it holds only what the analysis reads.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MpiInstance {
     /// Call path of the MPI region.
@@ -92,16 +96,13 @@ pub struct MpiInstance {
     pub enter: u64,
     /// Leave timestamp.
     pub leave: u64,
-    /// Completed collective, if this instance was one.
-    pub collective: Option<(CollectiveOp, u64)>,
-    /// Timestamp of the collective-completion record inside the
-    /// instance.
-    pub collective_end_ts: Option<u64>,
-    /// Number of receive completions inside (filled during replay).
-    pub n_completes: u32,
-    /// Number of sends posted inside.
-    pub n_sends: u32,
+    /// Completed collective, if this instance was one: the operation,
+    /// its sequence number on the location and the timestamp of the
+    /// collective-completion record inside the instance.
+    pub collective: Option<(CollectiveOp, u64, u64)>,
 }
+
+const _: () = assert!(std::mem::size_of::<MpiInstance>() <= 48);
 
 impl MpiInstance {
     /// Instance duration.
@@ -110,7 +111,7 @@ impl MpiInstance {
     }
 }
 
-/// One barrier passage of one thread. 24 bytes: there is one per
+/// One barrier passage of one thread. At most 24 bytes: there is one per
 /// thread and barrier, so the barrier region is read from the call tree
 /// (`CallTree::region(path)`) rather than stored.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -126,6 +127,8 @@ pub struct BarrierRec {
     /// Release (leave) timestamp.
     pub leave: u64,
 }
+
+const _: () = assert!(std::mem::size_of::<BarrierRec>() <= 24);
 
 /// Replay result for one location.
 #[derive(Debug, Clone, Default)]
@@ -156,7 +159,8 @@ pub struct LocalReplay {
     pub mpi_syncs: Vec<u64>,
     /// Spans of OpenMP parallel regions on this location.
     pub parallel_spans: Vec<(u64, u64)>,
-    /// Visit counts per call path.
+    /// Visit counts per call path, each path once, in the order of its
+    /// first visit.
     pub visits: Vec<(CallPathId, u64)>,
     /// First event timestamp (u64::MAX when empty).
     pub first_ts: u64,
@@ -187,17 +191,52 @@ pub fn replay(trace: &Trace) -> (CallTree, Vec<LocalReplay>) {
 pub(crate) fn replay_view(view: &TraceView<'_>) -> (CallTree, Vec<LocalReplay>) {
     let mut tree = CallTree::new();
     let defs = view.defs();
+    let mut visit_slots = VisitSlots::default();
     let mut out = Vec::with_capacity(view.n_locations());
     for loc in 0..view.n_locations() {
-        out.push(replay_events(defs, view.events(loc), &mut tree));
+        out.push(replay_events(defs, view.events(loc), &mut tree, &mut visit_slots));
     }
     (tree, out)
+}
+
+/// The path → slot table that folds one location's visits into one
+/// count per call path: `slot[path]` is the path's index in
+/// [`LocalReplay::visits`], or `u32::MAX` before its first visit.
+/// Reused across locations; only the slots a location wrote are reset.
+#[derive(Default)]
+struct VisitSlots {
+    slot: Vec<u32>,
+}
+
+impl VisitSlots {
+    /// Add `count` visits of `path` to `visits`.
+    fn add(&mut self, visits: &mut Vec<(CallPathId, u64)>, path: CallPathId, count: u64) {
+        let p = path.0 as usize;
+        if p >= self.slot.len() {
+            self.slot.resize(p + 1, u32::MAX);
+        }
+        match self.slot[p] {
+            u32::MAX => {
+                self.slot[p] = visits.len() as u32;
+                visits.push((path, count));
+            }
+            i => visits[i as usize].1 += count,
+        }
+    }
+
+    /// Forget the slots of `visits`, the location just folded.
+    fn reset(&mut self, visits: &[(CallPathId, u64)]) {
+        for &(path, _) in visits {
+            self.slot[path.0 as usize] = u32::MAX;
+        }
+    }
 }
 
 fn replay_events(
     defs: &Definitions,
     events: impl Iterator<Item = Event>,
     tree: &mut CallTree,
+    visit_slots: &mut VisitSlots,
 ) -> LocalReplay {
     let mut r = LocalReplay { first_ts: u64::MAX, ..Default::default() };
     // (path, role, enter_ts)
@@ -224,7 +263,7 @@ fn replay_events(
                 let path = tree.intern(parent, region);
                 let role = role_of(region);
                 stack.push((path, role, ts));
-                r.visits.push((path, 1));
+                visit_slots.add(&mut r.visits, path, 1);
                 match role {
                     RegionRole::MpiApi => {
                         debug_assert!(open_mpi.is_none(), "MPI calls do not nest");
@@ -234,9 +273,6 @@ fn replay_events(
                             enter: ts,
                             leave: ts,
                             collective: None,
-                            collective_end_ts: None,
-                            n_completes: 0,
-                            n_sends: 0,
                         });
                     }
                     RegionRole::OmpParallel => {
@@ -293,12 +329,11 @@ fn replay_events(
                         in_parallel: parallel_depth > 0,
                     });
                 }
-                r.visits.push((path, count));
+                visit_slots.add(&mut r.visits, path, count);
                 last_ts = ts;
             }
             EventKind::SendPost { peer, tag, bytes } => {
                 let instance = open_mpi.expect("send outside an MPI region");
-                r.mpi_instances[instance].n_sends += 1;
                 r.sends.push(SendRec { peer, tag, bytes, ts, instance });
             }
             EventKind::RecvPost { peer, tag, .. } => {
@@ -306,7 +341,6 @@ fn replay_events(
             }
             EventKind::RecvComplete { peer, tag, .. } => {
                 let instance = open_mpi.expect("completion outside an MPI region");
-                r.mpi_instances[instance].n_completes += 1;
                 r.recv_completes.push(RecvCompleteRec { peer, tag, ts, instance });
                 r.syncs.push(ts);
             }
@@ -314,14 +348,14 @@ fn replay_events(
                 let instance = open_mpi.expect("collective end outside an MPI region");
                 let seq = n_collectives;
                 n_collectives += 1;
-                r.mpi_instances[instance].collective = Some((op, seq));
-                r.mpi_instances[instance].collective_end_ts = Some(ts);
+                r.mpi_instances[instance].collective = Some((op, seq, ts));
                 r.syncs.push(ts);
                 r.mpi_syncs.push(ts);
             }
         }
     }
     debug_assert!(stack.is_empty(), "unbalanced trace");
+    visit_slots.reset(&r.visits);
     if r.first_ts == u64::MAX {
         r.first_ts = 0;
     }
@@ -383,18 +417,12 @@ pub(crate) struct CausalWindow {
 }
 
 impl CausalWindow {
-    /// The window on `loc` that ends at `to`. `inter_process` selects
-    /// the synchronisation horizon: true for MPI wait states (only
-    /// collective completions, [`LocalReplay::mpi_syncs`], clip it), false
-    /// for OpenMP barrier waits (any [`LocalReplay::syncs`] point does).
-    pub(crate) fn before(
-        locals: &[LocalReplay],
-        loc: usize,
-        to: u64,
-        inter_process: bool,
-    ) -> CausalWindow {
-        let r = &locals[loc];
-        let syncs = if inter_process { &r.mpi_syncs } else { &r.syncs };
+    /// The window of an MPI wait state on `loc` that ends at `to`: only
+    /// collective completions ([`LocalReplay::mpi_syncs`]) clip it. An
+    /// OpenMP barrier's window, which any [`LocalReplay::syncs`] point
+    /// clips, is recorded during replay ([`LocalReplay::barrier_window`]).
+    pub(crate) fn before(locals: &[LocalReplay], loc: usize, to: u64) -> CausalWindow {
+        let syncs = &locals[loc].mpi_syncs;
         CausalWindow::after(loc, &syncs[..syncs_before(syncs, to)], to)
     }
 
@@ -403,6 +431,17 @@ impl CausalWindow {
     /// last of them, or at 0 when there is none.
     fn after(loc: usize, prior: &[u64], to: u64) -> CausalWindow {
         CausalWindow { loc, from: prior.last().copied().unwrap_or(0), to }
+    }
+}
+
+#[cfg(test)]
+impl CausalWindow {
+    /// The window on `loc` that ends at `to` over every sync point
+    /// ([`LocalReplay::syncs`]): the oracle of the barrier windows
+    /// replay records.
+    pub(crate) fn before_any_sync(locals: &[LocalReplay], loc: usize, to: u64) -> CausalWindow {
+        let syncs = &locals[loc].syncs;
+        CausalWindow::after(loc, &syncs[..syncs_before(syncs, to)], to)
     }
 }
 
@@ -460,11 +499,11 @@ mod tests {
         assert_eq!(r.mpi_instances.len(), 1);
         let mi = &r.mpi_instances[0];
         assert_eq!((mi.enter, mi.leave), (10, 42));
-        assert_eq!(mi.n_completes, 1);
-        assert_eq!(r.recv_completes[0].ts, 40);
+        assert_eq!(r.recv_completes.len(), 1);
+        assert_eq!((r.recv_completes[0].ts, r.recv_completes[0].instance), (40, 0));
         assert_eq!(r.syncs, vec![40]);
         assert_eq!(tree.len(), 2);
-        let from = |to| CausalWindow::before(&locals, 0, to, false).from;
+        let from = |to| CausalWindow::before_any_sync(&locals, 0, to).from;
         assert_eq!(from(45), 40);
         assert_eq!(from(40), 0);
         assert_eq!(from(5), 0);
@@ -499,7 +538,7 @@ mod tests {
         let starts: Vec<u64> = r.barriers.iter().map(|b| r.barrier_window(0, b).from).collect();
         assert_eq!(starts, [0, 10, 30]);
         for b in &r.barriers {
-            assert_eq!(r.barrier_window(0, b), CausalWindow::before(&locals, 0, b.enter, false));
+            assert_eq!(r.barrier_window(0, b), CausalWindow::before_any_sync(&locals, 0, b.enter));
         }
     }
 
@@ -524,8 +563,69 @@ mod tests {
         let leaf_path = r.segments[1].path;
         assert_eq!(tree.region(leaf_path), r2);
         // Visits: main 1, leaf 5.
-        let total: u64 = r.visits.iter().map(|(_, c)| c).sum();
-        assert_eq!(total, 6);
+        assert_eq!(r.visits, [(r.segments[0].path, 1), (leaf_path, 5)]);
+    }
+
+    /// The visits replay folds per location equal a count over the raw
+    /// events, with one entry per call path, in first-visit order.
+    /// Returns the number of call bursts counted.
+    fn check_visits_match_raw_count(instance: nrlt_miniapps::BenchmarkInstance) -> u64 {
+        use nrlt_exec::ExecConfig;
+        use nrlt_measure::{measure, ClockMode, FilterRules, MeasureConfig};
+        let cfg = ExecConfig::jureca(instance.nodes, instance.layout.clone(), 1000);
+        let mcfg = MeasureConfig::new(ClockMode::Tsc)
+            .with_filter(FilterRules::from_rules(instance.filter_rules.iter().cloned()));
+        let (trace, _) = measure(&instance.program, &cfg, &mcfg);
+        let (tree, locals) = replay(&trace);
+        let mut bursts = 0u64;
+        for (loc, r) in locals.iter().enumerate() {
+            // Re-interning into a copy of the finished tree gives every
+            // path the id replay gave it.
+            let mut tree = tree.clone();
+            let mut stack: Vec<CallPathId> = Vec::new();
+            let mut want: Vec<(CallPathId, u64)> = Vec::new();
+            let mut visit =
+                |path: CallPathId, count: u64| match want.iter_mut().find(|(p, _)| *p == path) {
+                    Some(v) => v.1 += count,
+                    None => want.push((path, count)),
+                };
+            for ev in trace.streams[loc].iter() {
+                match ev.kind {
+                    EventKind::Enter { region } => {
+                        let path = tree.intern(stack.last().copied(), region);
+                        stack.push(path);
+                        visit(path, 1);
+                    }
+                    EventKind::Leave { .. } => {
+                        stack.pop();
+                    }
+                    EventKind::CallBurst { region, count, .. } => {
+                        bursts += 1;
+                        visit(tree.intern(stack.last().copied(), region), count);
+                    }
+                    _ => {}
+                }
+            }
+            assert_eq!(r.visits, want, "{} location {loc}", instance.name);
+            assert!(!r.visits.is_empty(), "{} location {loc}", instance.name);
+        }
+        bursts
+    }
+
+    #[test]
+    fn visits_match_a_raw_count_on_minife_2() {
+        // MiniFE's filtered leaves fold into bursts, so `count` adds too.
+        assert!(check_visits_match_raw_count(nrlt_miniapps::minife_2()) > 0);
+    }
+
+    #[test]
+    fn visits_match_a_raw_count_on_lulesh_2() {
+        check_visits_match_raw_count(nrlt_miniapps::lulesh_2());
+    }
+
+    #[test]
+    fn visits_match_a_raw_count_on_tealeaf_1() {
+        check_visits_match_raw_count(nrlt_miniapps::tealeaf_1());
     }
 
     #[test]
@@ -552,9 +652,18 @@ mod tests {
         stream.push(ev(50, EventKind::Leave { region: r0 }));
         let trace = Trace { defs: defs(), streams: vec![stream.into()] };
         let (_, locals) = replay(&trace);
-        let colls: Vec<u64> =
-            locals[0].mpi_instances.iter().filter_map(|i| i.collective.map(|(_, s)| s)).collect();
+        let colls: Vec<u64> = locals[0]
+            .mpi_instances
+            .iter()
+            .filter_map(|i| i.collective.map(|(_, s, _)| s))
+            .collect();
         assert_eq!(colls, vec![0, 1]);
+        let ends: Vec<u64> = locals[0]
+            .mpi_instances
+            .iter()
+            .filter_map(|i| i.collective.map(|(_, _, t)| t))
+            .collect();
+        assert_eq!(ends, vec![15, 35]);
     }
 
     #[test]
@@ -569,9 +678,11 @@ mod tests {
             }];
             for to in 0..40u64 {
                 let want = xs.iter().copied().filter(|&x| x < to).max().unwrap_or(0);
-                for inter_process in [false, true] {
-                    let w = CausalWindow::before(&locals, 0, to, inter_process);
-                    assert_eq!(w.from, want, "to={to} {inter_process} {xs:?}");
+                for w in [
+                    CausalWindow::before(&locals, 0, to),
+                    CausalWindow::before_any_sync(&locals, 0, to),
+                ] {
+                    assert_eq!(w.from, want, "to={to} {xs:?}");
                 }
             }
         }
@@ -586,18 +697,18 @@ mod tests {
             mpi_syncs: vec![9, 30],
             ..Default::default()
         }];
-        for inter_process in [false, true] {
-            let r = &locals[0];
-            let syncs = if inter_process { &r.mpi_syncs } else { &r.syncs };
-            for to in 0..35u64 {
-                let want = syncs.iter().copied().filter(|&x| x < to).max().unwrap_or(0);
-                let w = CausalWindow::before(&locals, 0, to, inter_process);
-                assert_eq!(w, CausalWindow { loc: 0, from: want, to }, "to={to} {inter_process}");
-            }
+        let r = &locals[0];
+        for to in 0..35u64 {
+            let want = |syncs: &[u64]| {
+                let from = syncs.iter().copied().filter(|&x| x < to).max().unwrap_or(0);
+                CausalWindow { loc: 0, from, to }
+            };
+            assert_eq!(CausalWindow::before(&locals, 0, to), want(&r.mpi_syncs), "to={to}");
+            assert_eq!(CausalWindow::before_any_sync(&locals, 0, to), want(&r.syncs), "to={to}");
         }
         // A window ending on a sync point starts at the one before it.
-        assert_eq!(CausalWindow::before(&locals, 0, 9, false).from, 3);
-        assert_eq!(CausalWindow::before(&locals, 0, 30, true).from, 9);
-        assert_eq!(CausalWindow::before(&locals, 0, 0, false).from, 0);
+        assert_eq!(CausalWindow::before_any_sync(&locals, 0, 9).from, 3);
+        assert_eq!(CausalWindow::before(&locals, 0, 30).from, 9);
+        assert_eq!(CausalWindow::before_any_sync(&locals, 0, 0).from, 0);
     }
 }

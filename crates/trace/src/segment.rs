@@ -46,6 +46,7 @@
 //! [`MergedEvents`] merges the per-location cursors with a loser tree.
 
 use std::fs::{File, OpenOptions};
+use std::hint::select_unpredictable;
 use std::io::{BufWriter, Write};
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
@@ -536,15 +537,20 @@ impl<I: Iterator<Item = Event>> Iterator for MergedEvents<I> {
         self.heads[w] = self.sources[w].next();
         self.keys[w] = merge_key(&self.heads[w], w);
         // Replay the refilled leaf's path: at each node the smaller key
-        // moves up and the larger stays as that node's loser.
+        // moves up and the larger stays as that node's loser. Runs are
+        // short (consecutive events mostly come from different sources),
+        // so which side wins is a coin flip to the branch predictor: pick
+        // both sides with selects, carrying the winner's key along.
         let mut cur = w as u32;
+        let mut cur_key = self.keys[w];
         let mut node = (w + self.tree.len()) / 2;
         while node > 0 {
             let other = self.tree[node];
-            if self.keys[other as usize] < self.keys[cur as usize] {
-                self.tree[node] = cur;
-                cur = other;
-            }
+            let other_key = self.keys[other as usize];
+            let other_wins = other_key < cur_key;
+            self.tree[node] = select_unpredictable(other_wins, cur, other);
+            cur = select_unpredictable(other_wins, other, cur);
+            cur_key = select_unpredictable(other_wins, other_key, cur_key);
             node /= 2;
         }
         self.tree[0] = cur;

@@ -169,6 +169,21 @@ pub struct LocalReplay {
 }
 
 impl LocalReplay {
+    /// Drop every list's growth slack: the lists live for the whole
+    /// analysis.
+    fn shrink_to_fit(&mut self) {
+        self.segments.shrink_to_fit();
+        self.mpi_instances.shrink_to_fit();
+        self.sends.shrink_to_fit();
+        self.recv_posts.shrink_to_fit();
+        self.recv_completes.shrink_to_fit();
+        self.barriers.shrink_to_fit();
+        self.syncs.shrink_to_fit();
+        self.mpi_syncs.shrink_to_fit();
+        self.parallel_spans.shrink_to_fit();
+        self.visits.shrink_to_fit();
+    }
+
     /// The causal window of `b`, one of this location's (`loc`) barrier
     /// passages: what [`CausalWindow::before`] gives for its enter over
     /// [`LocalReplay::syncs`].
@@ -361,6 +376,7 @@ fn replay_events(
     }
     r.syncs.sort_unstable();
     r.mpi_syncs.sort_unstable();
+    r.shrink_to_fit();
     r
 }
 

@@ -1483,7 +1483,7 @@ impl<'a, O: Observer> Engine<'a, O> {
                 self.emit(loc(i), tt[i as usize], EventInfo::Enter { region: pr.region });
         }
 
-        for action in &pr.body {
+        for action in pr.body.iter() {
             match action {
                 OmpAction::For(f) => self.do_omp_for(r, f, &mut tt),
                 OmpAction::Barrier(region) => self.do_omp_barrier(r, *region, &mut tt),

@@ -6,7 +6,10 @@
 //! therefore every region id in the resulting trace — is identical across
 //! repetitions and clock modes.
 
-use nrlt_prog::{Action, MpiOp, OmpAction, Program, RegionId, RegionKind, RegionTable};
+use nrlt_prog::{
+    Action, MpiOp, OmpAction, ParallelRegion, Program, RegionId, RegionKind, RegionTable,
+};
+use std::collections::HashSet;
 
 /// Derived region ids for one parallel region.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -27,7 +30,51 @@ fn construct_name(full: &str) -> &str {
 
 /// Intern all runtime regions referenced by `program` into a copy of its
 /// region table.
+///
+/// Interning a name a second time is a no-op, so the scan skips what it
+/// has interned already: an MPI API name it has seen, and a parallel
+/// body it has scanned for the same parallel region (ranks share equal
+/// bodies). The table and its first-occurrence order stay the same.
 pub fn prepare_regions(program: &Program) -> RegionTable {
+    let mut table = program.regions.clone();
+    let mut apis: Vec<&'static str> = Vec::new();
+    let mut scanned: HashSet<(RegionId, *const OmpAction)> = HashSet::new();
+    for action in program.ranks.iter().flatten() {
+        match action {
+            Action::Mpi(op) if !apis.contains(&op.api_name()) => {
+                apis.push(op.api_name());
+                table.intern(op.api_name(), RegionKind::Mpi);
+            }
+            Action::Parallel(pr) if scanned.insert((pr.region, pr.body.as_ptr())) => {
+                intern_parallel(&mut table, pr);
+            }
+            _ => {}
+        }
+    }
+    table
+}
+
+/// Intern the fork, join and implicit barriers of one parallel region.
+fn intern_parallel(table: &mut RegionTable, pr: &ParallelRegion) {
+    let name = construct_name(table.name(pr.region)).to_owned();
+    table.intern(&format!("!$omp fork @{name}"), RegionKind::OmpFork);
+    table.intern(&format!("!$omp join @{name}"), RegionKind::OmpFork);
+    table.intern(&format!("!$omp implicit barrier @{name}"), RegionKind::OmpImplicitBarrier);
+    for body in pr.body.iter() {
+        let construct = match body {
+            OmpAction::For(f) if !f.nowait => f.region,
+            OmpAction::Single { region, nowait: false, .. } => *region,
+            _ => continue,
+        };
+        let name = construct_name(table.name(construct)).to_owned();
+        table.intern(&format!("!$omp implicit barrier @{name}"), RegionKind::OmpImplicitBarrier);
+    }
+}
+
+/// [`prepare_regions`] as a full scan of every parallel body of every
+/// rank: the oracle for the deduplicated scan.
+#[cfg(test)]
+pub(crate) fn prepare_regions_full_scan(program: &Program) -> RegionTable {
     let mut table = program.regions.clone();
     for actions in &program.ranks {
         for action in actions {
@@ -43,7 +90,7 @@ pub fn prepare_regions(program: &Program) -> RegionTable {
                         &format!("!$omp implicit barrier @{name}"),
                         RegionKind::OmpImplicitBarrier,
                     );
-                    for body in &pr.body {
+                    for body in pr.body.iter() {
                         match body {
                             OmpAction::For(f) if !f.nowait => {
                                 let ln = construct_name(table.name(f.region)).to_owned();
@@ -248,6 +295,112 @@ mod tests {
         let names_a: Vec<_> = a.iter().map(|(_, r)| r.name.clone()).collect();
         let names_b: Vec<_> = b.iter().map(|(_, r)| r.name.clone()).collect();
         assert_eq!(names_a, names_b);
+    }
+
+    /// Every region's name and kind, in id order.
+    fn regions_of(table: &RegionTable) -> Vec<(String, RegionKind)> {
+        table.iter().map(|(_, r)| (r.name.clone(), r.kind)).collect()
+    }
+
+    fn assert_scan_matches_oracle(p: &Program, what: &str) {
+        assert_eq!(
+            regions_of(&prepare_regions(p)),
+            regions_of(&prepare_regions_full_scan(p)),
+            "{what}"
+        );
+    }
+
+    #[test]
+    fn deduplicated_scan_matches_full_scan_on_paper_and_weak_instances() {
+        use nrlt_miniapps::{
+            all_configurations, LuleshConfig, LuleshCosts, MiniFeConfig, MiniFeCosts,
+            TeaLeafConfig, TeaLeafCosts,
+        };
+        for inst in all_configurations() {
+            assert_scan_matches_oracle(&inst.program, &inst.name);
+        }
+        // The weak-scaling sweep's 64-rank sizes.
+        let minife = MiniFeConfig {
+            nx: 48,
+            ranks: 64,
+            threads_per_rank: 1,
+            imbalance_pct: 0,
+            cg_iters: 5,
+            costs: MiniFeCosts::default(),
+        };
+        let lulesh = LuleshConfig {
+            ranks: 64,
+            threads_per_rank: 1,
+            edge: 6,
+            steps: 4,
+            imbalance: 0.25,
+            spread_placement: false,
+            nodes: 1,
+            costs: LuleshCosts::default(),
+        };
+        let tealeaf = TeaLeafConfig {
+            n: 512,
+            ranks: 64,
+            threads_per_rank: 1,
+            steps: 2,
+            cg_per_step: 4,
+            costs: TeaLeafCosts::default(),
+        };
+        assert_scan_matches_oracle(&minife.build().program, "MiniFE-weak-64");
+        assert_scan_matches_oracle(&lulesh.build().program, "LULESH-weak-64");
+        assert_scan_matches_oracle(&tealeaf.build().program, "TeaLeaf-weak-64");
+    }
+
+    #[test]
+    fn deduplicated_scan_matches_full_scan_when_ranks_differ_in_body() {
+        // Rank 1's body under `work` has an extra construct, so it gets
+        // its own allocation and must be scanned too.
+        let mut pb = ProgramBuilder::new(2);
+        for r in 0..2 {
+            pb.rank(r).scoped("main", |rb| {
+                rb.parallel("work", |omp| {
+                    omp.for_loop("a", 10, Schedule::Static, IterCost::Uniform(Cost::scalar(1)), 0);
+                    if r == 1 {
+                        omp.single("only_on_1", Cost::scalar(1), 0);
+                    }
+                });
+            });
+        }
+        let p = pb.finish();
+        let (Action::Parallel(a), Action::Parallel(b)) = (&p.ranks[0][1], &p.ranks[1][1]) else {
+            panic!("expected parallel regions");
+        };
+        assert!(!std::sync::Arc::ptr_eq(&a.body, &b.body));
+        assert_scan_matches_oracle(&p, "two bodies under one region");
+        assert!(prepare_regions(&p).find("!$omp implicit barrier @only_on_1").is_some());
+    }
+
+    #[test]
+    fn deduplicated_scan_matches_full_scan_when_regions_share_a_body() {
+        // Two parallel regions built by hand around one allocation: the
+        // second region's fork, join and end barrier must still be
+        // interned.
+        let mut p = ProgramBuilder::new(1).finish();
+        let lp = p.regions.intern("!$omp for @shared_loop", RegionKind::OmpLoop);
+        let body: std::sync::Arc<[OmpAction]> = [OmpAction::For(nrlt_prog::OmpFor {
+            region: lp,
+            iters: 8,
+            schedule: Schedule::Static,
+            iter_cost: IterCost::Uniform(Cost::scalar(1)),
+            working_set: 0,
+            nowait: false,
+        })]
+        .into();
+        for name in ["!$omp parallel @first", "!$omp parallel @second"] {
+            let region = p.regions.intern(name, RegionKind::OmpParallel);
+            p.ranks[0].push(Action::Parallel(ParallelRegion { region, body: body.clone() }));
+        }
+        assert_scan_matches_oracle(&p, "two regions sharing one body");
+        let t = prepare_regions(&p);
+        for name in ["first", "second"] {
+            let pr = t.find(&format!("!$omp parallel @{name}")).unwrap();
+            assert_eq!(t.name(parallel_regions(&t, pr).join), format!("!$omp join @{name}"));
+        }
     }
 
     #[test]

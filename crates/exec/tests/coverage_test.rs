@@ -145,11 +145,12 @@ fn single_nowait_does_not_synchronise() {
             1,
             Action::Parallel(ParallelRegion {
                 region,
-                body: vec![OmpAction::Single {
+                body: [OmpAction::Single {
                     region: single,
                     kernel: Kernel::new(Cost::scalar(10_000_000), 0),
                     nowait: true,
-                }],
+                }]
+                .into(),
             }),
         );
         prog

@@ -320,6 +320,42 @@ fn phases_are_timed() {
 }
 
 #[test]
+fn shared_bodies_execute_like_unshared_copies() {
+    use nrlt_prog::Action;
+    use std::sync::Arc;
+    // Imbalanced MiniFE: heavy and light ranks share two distinct bodies
+    // per parallel region.
+    let shared = nrlt_miniapps::MiniFeConfig {
+        nx: 12,
+        ranks: 4,
+        threads_per_rank: 2,
+        imbalance_pct: 50,
+        cg_iters: 3,
+        costs: nrlt_miniapps::MiniFeCosts::default(),
+    }
+    .build()
+    .program;
+    let mut unshared = shared.clone();
+    let mut bodies = std::collections::HashSet::new();
+    for action in unshared.ranks.iter_mut().flatten() {
+        if let Action::Parallel(pr) = action {
+            bodies.insert(Arc::as_ptr(&pr.body) as *const ());
+            pr.body = pr.body.to_vec().into();
+        }
+    }
+    let n_parallel =
+        shared.ranks.iter().flatten().filter(|a| matches!(a, Action::Parallel(_))).count();
+    assert!(bodies.len() < n_parallel, "{} bodies for {n_parallel} regions", bodies.len());
+    let cfg = ExecConfig::jureca(1, JobLayout::block(4, 2), 7);
+    let run = |p: &nrlt_prog::Program| {
+        let mut rec = Recorder::default();
+        let res = execute(p, &cfg, &mut rec);
+        (res.total, res.events, rec.events, rec.spins, rec.syncs, rec.work)
+    };
+    assert_eq!(run(&shared), run(&unshared));
+}
+
+#[test]
 fn same_seed_is_bit_reproducible() {
     let p = pingpong();
     let cfg = ExecConfig::jureca(1, JobLayout::block(2, 1), 5);

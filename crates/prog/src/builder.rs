@@ -12,6 +12,7 @@ use crate::cost::{Cost, IterCost};
 use crate::program::Program;
 use crate::region::{RegionId, RegionKind, RegionTable};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Builder for a whole multi-rank [`Program`].
 #[derive(Debug, Default)]
@@ -20,6 +21,9 @@ pub struct ProgramBuilder {
     phases: Vec<String>,
     phase_by_name: HashMap<String, PhaseId>,
     ranks: Vec<Vec<Action>>,
+    /// The last body built per parallel region, shared by every later
+    /// body equal to it.
+    last_body: HashMap<RegionId, Arc<[OmpAction]>>,
 }
 
 impl ProgramBuilder {
@@ -30,6 +34,7 @@ impl ProgramBuilder {
             phases: Vec::new(),
             phase_by_name: HashMap::new(),
             ranks: vec![Vec::new(); n_ranks as usize],
+            last_body: HashMap::new(),
         }
     }
 
@@ -39,9 +44,13 @@ impl ProgramBuilder {
         RankBuilder { pb: self, rank }
     }
 
-    /// Finish and return the program. Call [`Program::validate`] before
-    /// handing the result to the engine.
-    pub fn finish(self) -> Program {
+    /// Finish and return the program, each rank's list at its exact
+    /// size. Call [`Program::validate`] before handing the result to the
+    /// engine.
+    pub fn finish(mut self) -> Program {
+        for actions in &mut self.ranks {
+            actions.shrink_to_fit();
+        }
         Program { regions: self.regions, phases: self.phases, ranks: self.ranks }
     }
 }
@@ -124,27 +133,36 @@ impl<'a> RankBuilder<'a> {
 
     /// Serial kernel on the master thread.
     pub fn kernel(&mut self, cost: Cost, working_set: u64) {
-        self.push(Action::Kernel(Kernel::new(cost, working_set)));
+        self.push(Action::Kernel(Box::new(Kernel::new(cost, working_set))));
     }
 
     /// Serial kernel whose work happens in `calls` calls to `callee`.
     pub fn kernel_burst(&mut self, callee: &str, calls: u64, cost: Cost, working_set: u64) {
         let callee = self.pb.regions.intern(callee, RegionKind::User);
-        self.push(Action::Kernel(Kernel {
+        self.push(Action::Kernel(Box::new(Kernel {
             cost,
             working_set,
             burst: Some(CallBurst { callee, calls }),
-        }));
+        })));
     }
 
-    /// OpenMP parallel region; `body` populates its constructs.
+    /// OpenMP parallel region; `body` populates its constructs. A body
+    /// equal to the last one built for the same region shares its
+    /// allocation.
     pub fn parallel(&mut self, name: &str, body: impl FnOnce(&mut OmpBuilder<'_>)) {
         let region =
             self.pb.regions.intern(&format!("!$omp parallel @{name}"), RegionKind::OmpParallel);
         let mut omp =
             OmpBuilder { regions: &mut self.pb.regions, name: name.to_owned(), body: Vec::new() };
         body(&mut omp);
-        let body = omp.body;
+        let body = match self.pb.last_body.get(&region) {
+            Some(last) if **last == *omp.body => Arc::clone(last),
+            _ => {
+                let body: Arc<[OmpAction]> = omp.body.into();
+                self.pb.last_body.insert(region, Arc::clone(&body));
+                body
+            }
+        };
         self.push(Action::Parallel(ParallelRegion { region, body }));
     }
 
@@ -287,6 +305,7 @@ impl<'a> OmpBuilder<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::program::Program;
 
     #[test]
     fn builder_produces_expected_actions() {
@@ -369,6 +388,86 @@ mod tests {
         let p = pb.finish();
         assert!(p.regions.find("!$omp parallel @cg").is_some());
         assert!(p.regions.find("!$omp for @matvec").is_some());
+    }
+
+    /// The body of every parallel region on `rank`, in program order.
+    fn bodies(p: &Program, rank: usize) -> Vec<&Arc<[OmpAction]>> {
+        p.ranks[rank]
+            .iter()
+            .filter_map(|a| match a {
+                Action::Parallel(pr) => Some(&pr.body),
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn equal_bodies_share_one_allocation() {
+        let mut pb = ProgramBuilder::new(3);
+        for r in 0..3 {
+            pb.rank(r).scoped("main", |rb| {
+                for _ in 0..2 {
+                    rb.parallel("work", |omp| {
+                        omp.for_loop("l", 64, Schedule::Static, IterCost::Uniform(Cost::ZERO), 0);
+                        omp.barrier();
+                    });
+                }
+            });
+        }
+        let p = pb.finish();
+        let first = bodies(&p, 0)[0];
+        for r in 0..3 {
+            for body in bodies(&p, r) {
+                assert!(Arc::ptr_eq(first, body), "rank {r}");
+            }
+        }
+    }
+
+    #[test]
+    fn unequal_bodies_never_share() {
+        let mut pb = ProgramBuilder::new(4);
+        for r in 0..4u32 {
+            let mut rb = pb.rank(r);
+            // Rank-dependent iteration counts, alternating back to an
+            // earlier value: only the last body per region is reused.
+            rb.parallel("work", |omp| {
+                let iters = 10 + u64::from(r % 2);
+                omp.for_loop("l", iters, Schedule::Static, IterCost::Uniform(Cost::ZERO), 0);
+            });
+            // A NaN ramp factor is never equal, not even to itself.
+            rb.parallel("nan", |omp| {
+                let iter_cost = IterCost::Ramp { base: Cost::scalar(1), last_factor: f64::NAN };
+                omp.for_loop("r", 10, Schedule::Static, iter_cost, 0);
+            });
+        }
+        let p = pb.finish();
+        let all: Vec<_> = (0..4).flat_map(|r| bodies(&p, r)).collect();
+        for (i, a) in all.iter().enumerate() {
+            for b in &all[i + 1..] {
+                assert!(!Arc::ptr_eq(a, b));
+            }
+        }
+        // Equal bodies under a different region are not shared either.
+        let mut pb = ProgramBuilder::new(1);
+        for name in ["a", "b"] {
+            pb.rank(0).parallel(name, |omp| omp.replicated(Cost::scalar(1), 0));
+        }
+        let p = pb.finish();
+        assert!(!Arc::ptr_eq(bodies(&p, 0)[0], bodies(&p, 0)[1]));
+    }
+
+    #[test]
+    fn finish_leaves_rank_lists_at_exact_size() {
+        let mut pb = ProgramBuilder::new(2);
+        for r in 0..2 {
+            pb.rank(r).scoped("main", |rb| {
+                for _ in 0..5 {
+                    rb.kernel(Cost::scalar(1), 0);
+                }
+            });
+        }
+        let p = pb.finish();
+        assert!(p.ranks.iter().all(|a| a.len() == 7 && a.capacity() == a.len()));
     }
 
     #[test]

@@ -124,7 +124,7 @@ impl Program {
                     // Fork/join management + region enter/leave + end
                     // barrier, then per body construct.
                     let mut p = 8;
-                    for b in &pr.body {
+                    for b in pr.body.iter() {
                         p += match b {
                             crate::action::OmpAction::For(_) => 4,
                             crate::action::OmpAction::Barrier(_) => 2,

@@ -23,7 +23,7 @@ fn precomputed_derived_ids_match_name_lookups_on_every_configuration() {
                 table.name(pr.region)
             );
             parallels += 1;
-            for body in &pr.body {
+            for body in pr.body.iter() {
                 let construct = match body {
                     OmpAction::For(f) if !f.nowait => f.region,
                     OmpAction::Single { region, nowait: false, .. } => *region,
